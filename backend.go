@@ -42,12 +42,23 @@ type Backend interface {
 	// plane — the hardware side of an update. It does not touch any
 	// expected table; the caller owns that bookkeeping.
 	Apply(op BackendOp) error
-	// Observe injects probe p into the data plane and judges the
+	// Observe judges one probe: exactly ObserveBatch of a batch of one,
+	// which is how every built-in driver implements it.
+	Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error)
+	// ObserveBatch injects probes[i] into the data plane and judges the
 	// response against the probe's two hypotheses: VerdictConfirmed for
 	// the rule-present outcome, VerdictAbsent for rule-absent,
 	// VerdictUnexpected for neither. Live drivers re-inject until a catch
-	// settles the expectation or their observation timeout elapses.
-	Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error)
+	// settles expects[i] or their observation timeout elapses, keeping a
+	// window of observations in flight so a large sweep pipelines its
+	// round trips instead of serializing them. Verdicts and per-probe
+	// errors (errs[i] nil on success) are positional; len(expects) must
+	// equal len(probes). The returned slices are owned by the caller, and
+	// the input slices revert to the caller when the call returns — an
+	// implementation that keeps working past a partial failure (a live
+	// driver's in-flight probes draining after a context abort) must copy
+	// them.
+	ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error)
 	// Epoch reports the driver's view of the switch's data-plane change
 	// epoch (bumped on every Apply).
 	Epoch() uint64
@@ -55,43 +66,26 @@ type Backend interface {
 	// buffered and never blocks the driver: events overflowing the
 	// buffer are dropped. It is closed by Close.
 	Events() <-chan BackendEvent
+	// EventDrops reports the number of events dropped from Events so far,
+	// including any wrapped driver's own drops. The Service surfaces it
+	// per switch in /metrics (JSON events_dropped and the Prometheus
+	// counter monocle_backend_events_dropped_total): a silently lossy
+	// event stream would otherwise hide exactly the disconnect/reconnect
+	// evidence an operator needs.
+	EventDrops() uint64
 }
 
-// BatchObserver is the optional Backend extension for drivers with a
-// batched observe fast path: N probes judged per call, with one marshal
-// loop and (for live drivers) one event-loop post instead of one per
-// probe, plus an in-flight window so a 10k-probe sweep pipelines round
-// trips instead of serializing them. Every built-in driver implements
-// it; ObserveBatch (the package function) is the uniform entry point
-// that falls back to sequential Observe calls for drivers that do not.
-type BatchObserver interface {
-	// ObserveBatch judges probes[i] against expects[i] exactly like N
-	// Observe calls, returning the verdicts and the per-probe errors
-	// (errs[i] nil on success) positionally. len(expects) must equal
-	// len(probes). The returned slices are owned by the caller, and the
-	// input slices revert to the caller when the call returns — an
-	// implementation that keeps working past a partial failure (a live
-	// driver's in-flight probes draining after a context abort) must
-	// copy them.
-	ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error)
-}
-
-// ObserveBatch judges N probes through be: drivers implementing
-// BatchObserver take their batched fast path, every other driver gets a
-// sequential Observe loop with identical semantics — so callers route
-// unconditionally through this seam and stay driver-agnostic. The
-// verdicts and errors are positional; len(expects) must equal
-// len(probes).
+// ObserveBatch judges N probes through be; it is be.ObserveBatch, kept as
+// a package function for callers written against the seam.
 func ObserveBatch(ctx context.Context, be Backend, probes []*Probe, expects []Expectation) ([]Verdict, []error) {
-	if bo, ok := be.(BatchObserver); ok {
-		return bo.ObserveBatch(ctx, probes, expects)
-	}
-	verdicts := make([]Verdict, len(probes))
-	errs := make([]error, len(probes))
-	for i, p := range probes {
-		verdicts[i], errs[i] = be.Observe(ctx, p, expects[i])
-	}
-	return verdicts, errs
+	return be.ObserveBatch(ctx, probes, expects)
+}
+
+// observeOne is every built-in driver's Observe: a batch of one, so each
+// driver has exactly one observation body.
+func observeOne(ctx context.Context, be Backend, p *Probe, expect Expectation) (Verdict, error) {
+	verdicts, errs := be.ObserveBatch(ctx, []*Probe{p}, []Expectation{expect})
+	return verdicts[0], errs[0]
 }
 
 // Sweeper is the optional Backend extension for drivers that track their
@@ -188,19 +182,6 @@ type BackendEvent struct {
 	Detail string
 }
 
-// EventDropCounter is the optional Backend extension for drivers that
-// count events dropped from their Events stream (the buffer overflowed
-// with no consumer keeping up). The Service surfaces these counts per
-// switch in /metrics (JSON events_dropped and the Prometheus counter
-// monocle_backend_events_dropped_total): a silently lossy event stream
-// would otherwise hide exactly the disconnect/reconnect evidence an
-// operator needs.
-type EventDropCounter interface {
-	// EventDrops reports the number of events dropped so far, including
-	// any wrapped driver's own drops.
-	EventDrops() uint64
-}
-
 // UnwrapBackend returns the innermost driver behind any wrapping layers
 // (a RecordBackend, the Service's event tap) by walking Unwrap() Backend
 // methods — for callers that need the concrete driver type, the way
@@ -269,8 +250,8 @@ func (r *eventRing) close() bool {
 
 // SimBackend is the simulated switch driver: the data plane is an
 // in-memory flow table with TCAM lookup semantics on a private virtual
-// clock. Apply mutates the table, Observe evaluates probes against it
-// (EvaluateProbe), and mutating the table through Apply with a different
+// clock. Apply mutates the table, ObserveBatch evaluates probes against
+// it (EvaluateProbe), and mutating the table through Apply with a different
 // targeting than the expected table is exactly the hardware-diverged
 // fault the monitoring exists to catch. It preserves the behaviour the
 // Service had when its data planes were hard-wired tables.
@@ -307,8 +288,9 @@ func (b *SimBackend) SwitchID() uint32 { return b.id }
 func (b *SimBackend) Clock() *Sim { return b.clock }
 
 // Table returns the simulated data-plane table. It is the test and
-// fault-injection hook; mutate it only between sweeps (Apply and Observe
-// serialize on the driver's own lock, direct table access does not).
+// fault-injection hook; mutate it only between sweeps (Apply and
+// ObserveBatch serialize on the driver's own lock, direct table access
+// does not).
 func (b *SimBackend) Table() *Table {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -366,28 +348,18 @@ func (b *SimBackend) Apply(op BackendOp) error {
 	return nil
 }
 
-// Observe implements Backend by evaluating the probe against the
-// simulated table; the data plane is deterministic, so no retries are
-// needed and expect is not consulted.
+// Observe implements Backend as a batch of one.
 func (b *SimBackend) Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error) {
-	if err := ctx.Err(); err != nil {
-		return VerdictUnexpected, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return VerdictUnexpected, ErrBackendClosed
-	}
-	return EvaluateProbe(p, b.table), nil
+	return observeOne(ctx, b, p, expect)
 }
 
-// ObserveBatch implements BatchObserver: the whole batch is evaluated
-// under one lock acquisition against the simulated table. The seam
-// itself adds only the two result-slice allocations on top of the
-// per-probe evaluation cost — the alloc pin in the batch tests leans on
-// this.
+// ObserveBatch implements Backend by evaluating every probe against the
+// simulated table under one lock acquisition; the data plane is
+// deterministic, so no retries are needed and expects is not consulted.
+// The seam itself adds only the two result-slice allocations on top of
+// the per-probe evaluation cost — the alloc pin in the batch tests leans
+// on this.
 func (b *SimBackend) ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error) {
-	_ = expects // the simulated data plane is deterministic; like Observe
 	verdicts := make([]Verdict, len(probes))
 	errs := make([]error, len(probes))
 	b.mu.Lock()
@@ -416,7 +388,7 @@ func (b *SimBackend) Epoch() uint64 {
 // Events implements Backend.
 func (b *SimBackend) Events() <-chan BackendEvent { return b.events.ch }
 
-// EventDrops implements EventDropCounter.
+// EventDrops implements Backend.
 func (b *SimBackend) EventDrops() uint64 { return b.events.drops() }
 
 // String identifies the driver in logs.

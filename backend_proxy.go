@@ -7,10 +7,10 @@ package monocle
 // state machine intercepts the session exactly as the paper deploys it
 // (§7: one proxy per switch-controller connection). On top of the proxy
 // loop it implements the Backend seam: Apply writes FlowMods to the
-// switch, Observe injects probes through the control channel and judges
-// the catches, and SweepExpected sweeps the Monitor's proxied table — so
-// a Fleet or the monocled Service can front real OpenFlow 1.0 hardware
-// through the same facade it uses for simulated data planes.
+// switch, ObserveBatch injects probes through the control channel and
+// judges the catches, and SweepExpected sweeps the Monitor's proxied
+// table — so a Fleet or the monocled Service can front real OpenFlow 1.0
+// hardware through the same facade it uses for simulated data planes.
 
 import (
 	"context"
@@ -218,20 +218,8 @@ type ProxyConfig struct {
 	Listen string
 	// Steady starts the Monitor's steady-state probing cycle on connect.
 	Steady bool
-	// ObserveTimeout bounds one Observe round trip (default 2s).
+	// ObserveTimeout bounds one probe's observation (default 2s).
 	ObserveTimeout time.Duration
-	// RetryInterval paces probe re-injection within Observe (default:
-	// the Monitor's dynamic retry interval, 3ms).
-	RetryInterval time.Duration
-	// ObserveWindow caps the observations one ObserveBatch keeps in
-	// flight at once (default 64): the batch pipelines that many round
-	// trips instead of serializing inject→wait→inject.
-	ObserveWindow int
-	// ObserveRate paces batched observation starts in probes per second
-	// through a token bucket on the group's clock (0: unpaced). It
-	// bounds the PacketOut burst a sweep puts on the control channel so
-	// probes do not crowd out FlowMods.
-	ObserveRate float64
 	// Group shares an event loop and probe-routing Multiplexer with
 	// other backends (nil: a private group).
 	Group *ProxyGroup
@@ -262,7 +250,7 @@ type ProxyBackend struct {
 	connectMu sync.Mutex
 
 	// closedCh is closed by Close: it aborts reconnect backoff sleeps
-	// and resolves in-flight Observe waits.
+	// and resolves in-flight observation waits.
 	closedCh chan struct{}
 
 	mu        sync.Mutex
@@ -276,7 +264,7 @@ type ProxyBackend struct {
 	// its successor.
 	connGen uint64
 	// connLost is closed when the current transport fails (replaced on
-	// reconnect); in-flight Observe calls select on it so a drop
+	// reconnect); in-flight ObserveBatch calls select on it so a drop
 	// resolves them as unobserved instead of letting them hang out the
 	// full observation timeout.
 	connLost     chan struct{}
@@ -340,7 +328,7 @@ func (pb *ProxyBackend) SwitchID() uint32 { return pb.cfg.SwitchID }
 // the group's event-loop thread.
 func (pb *ProxyBackend) Monitor() *Monitor { return pb.mon }
 
-// SetObserveTimeout replaces the per-Observe round-trip bound at runtime
+// SetObserveTimeout replaces the per-probe observation bound at runtime
 // (non-positive values are ignored). The Service calls it when a
 // monitoring policy attaches a "confirm within" deadline to this switch;
 // in-flight observations keep the timeout they started with.
@@ -634,7 +622,7 @@ func (pb *ProxyBackend) Close() error {
 	pb.retained = false
 	swConn, ctrlLn, ctrlConn := pb.swConn, pb.ctrlLn, pb.ctrlConn
 	pb.swConn, pb.ctrlLn, pb.ctrlConn = nil, nil, nil
-	close(pb.closedCh) // aborts reconnect backoff and in-flight Observes
+	close(pb.closedCh) // aborts reconnect backoff and in-flight observations
 	pb.mu.Unlock()
 
 	if swConn != nil {
@@ -741,68 +729,9 @@ func (pb *ProxyBackend) Apply(op BackendOp) error {
 	return writeErr
 }
 
-// Observe implements Backend: the probe is injected through the switch's
-// control channel (PacketOut to OFPP_TABLE) and re-injected on the retry
-// interval until a catch settles the expectation or ObserveTimeout
-// elapses; with no catch at all, silence itself is judged (a probe whose
-// expected outcome is uncatchable confirms by silence).
+// Observe implements Backend as a batch of one.
 func (pb *ProxyBackend) Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error) {
-	pb.mu.Lock()
-	if pb.closed {
-		pb.mu.Unlock()
-		return VerdictUnexpected, ErrBackendClosed
-	}
-	if !pb.connected {
-		pb.mu.Unlock()
-		return VerdictUnexpected, ErrBackendDisconnected
-	}
-	connLost := pb.connLost
-	timeout := pb.cfg.ObserveTimeout
-	pb.mu.Unlock()
-
-	ch := make(chan Verdict, 1)
-	ok := pb.group.post(func() {
-		pb.mon.ObserveProbe(p, expect, pb.cfg.RetryInterval, timeout, func(v Verdict) {
-			ch <- v
-		})
-	})
-	if !ok {
-		return VerdictUnexpected, ErrBackendClosed
-	}
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-ctx.Done():
-		return VerdictUnexpected, ctx.Err()
-	case <-connLost:
-		// The transport dropped under this observation: resolve it as
-		// unobserved now instead of letting it hang out the observation
-		// timeout against a dead switch. (The Monitor's own deadline
-		// still cleans up the in-flight probe state.) A verdict that
-		// raced the drop still counts.
-		select {
-		case v := <-ch:
-			return v, nil
-		default:
-			return VerdictUnexpected, ErrBackendDisconnected
-		}
-	case <-pb.closedCh:
-		select {
-		case v := <-ch:
-			return v, nil
-		default:
-			return VerdictUnexpected, ErrBackendClosed
-		}
-	case <-pb.group.doneCh():
-		// The group's loop stopped under us (last backend closed). A
-		// verdict that raced the stop still counts.
-		select {
-		case v := <-ch:
-			return v, nil
-		default:
-			return VerdictUnexpected, ErrBackendClosed
-		}
-	}
+	return observeOne(ctx, pb, p, expect)
 }
 
 // errBatchPending marks a batch slot whose observation has not resolved
@@ -850,8 +779,7 @@ func (w *batchWait) resolve(i int, v Verdict) {
 }
 
 // abort fails every unresolved slot with cause. Verdicts that raced the
-// abort still count — only pending slots turn into errors, mirroring the
-// one-shot Observe's drop semantics.
+// abort still count — only pending slots turn into errors.
 func (w *batchWait) abort(cause error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -866,14 +794,16 @@ func (w *batchWait) abort(cause error) {
 	}
 }
 
-// ObserveBatch implements BatchObserver: the whole batch marshals onto
-// the event loop with a single post, where the Monitor pipelines up to
-// ObserveWindow observations at once under ObserveRate's token bucket —
-// one call, N judged probes, no per-probe post/channel/select round
-// trips. Failure semantics are positional and identical to N Observe
-// calls: a transport drop or close mid-batch fails the still-unresolved
-// probes with the same sentinel errors Observe returns, while verdicts
-// that already settled keep their values.
+// ObserveBatch implements Backend: each probe is injected through the
+// switch's control channel (PacketOut to OFPP_TABLE) and re-injected on
+// the Monitor's retry interval until a catch settles its expectation or
+// ObserveTimeout elapses; with no catch at all, silence itself is judged
+// (a probe whose expected outcome is uncatchable confirms by silence).
+// The whole batch marshals onto the event loop with a single post, where
+// the Monitor pipelines a window of 64 observations at once. Failures
+// are positional: a context abort, transport drop or close mid-batch
+// fails the still-unresolved probes with its cause, while verdicts that
+// already settled keep their values.
 func (pb *ProxyBackend) ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error) {
 	n := len(probes)
 	w := newBatchWait(n)
@@ -883,6 +813,9 @@ func (pb *ProxyBackend) ObserveBatch(ctx context.Context, probes []*Probe, expec
 	}
 	if n == 0 {
 		return w.verdicts, w.errs
+	}
+	if err := ctx.Err(); err != nil {
+		return failAll(err)
 	}
 
 	pb.mu.Lock()
@@ -898,7 +831,6 @@ func (pb *ProxyBackend) ObserveBatch(ctx context.Context, probes []*Probe, expec
 	timeout := pb.cfg.ObserveTimeout
 	pb.mu.Unlock()
 
-	pacing := imon.BatchPacing{Window: pb.cfg.ObserveWindow, Rate: pb.cfg.ObserveRate}
 	// The Monitor retains the batch past an abort (its timers keep
 	// driving the in-flight observations to their own deadlines), so it
 	// gets private copies: the caller may reuse its slices the moment
@@ -906,7 +838,7 @@ func (pb *ProxyBackend) ObserveBatch(ctx context.Context, probes []*Probe, expec
 	ps := append([]*Probe(nil), probes...)
 	exps := append([]Expectation(nil), expects...)
 	ok := pb.group.post(func() {
-		pb.mon.ObserveProbeBatch(ps, exps, pb.cfg.RetryInterval, timeout, pacing, w.resolve)
+		pb.mon.ObserveProbeBatch(ps, exps, timeout, w.resolve)
 	})
 	if !ok {
 		return failAll(ErrBackendClosed)
@@ -955,7 +887,7 @@ func (pb *ProxyBackend) Epoch() uint64 {
 // Events implements Backend.
 func (pb *ProxyBackend) Events() <-chan BackendEvent { return pb.ev.ch }
 
-// EventDrops implements EventDropCounter.
+// EventDrops implements Backend.
 func (pb *ProxyBackend) EventDrops() uint64 { return pb.ev.drops() }
 
 // CatchRules returns the catching rules this switch must carry for its

@@ -2,13 +2,16 @@ package monocle_test
 
 // Batch-observation seam tests: the differential proof that routing a
 // sweep's verdicts through ObserveBatch is bit-identical to the
-// sequential one-shot path (for any worker budget), the live-driver
+// sequential one-shot path (for any worker budget), the single-path
+// check that every driver's Observe is a batch of one, the live-driver
 // batch/one-shot equivalence over real TCP, the seam-overhead alloc
 // pin, and the zero-rule-round metrics guard.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -16,9 +19,9 @@ import (
 	"monocle"
 )
 
-// plainBackend forwards every Backend method to the wrapped driver but
-// deliberately does not implement BatchObserver, forcing the package
-// ObserveBatch helper onto its sequential one-shot fallback.
+// plainBackend forwards every Backend method to the wrapped driver
+// except ObserveBatch, which it runs as a sequential loop of one-probe
+// Observe calls — the reference the batched path is held to.
 type plainBackend struct{ inner monocle.Backend }
 
 func (p plainBackend) SwitchID() uint32                    { return p.inner.SwitchID() }
@@ -27,8 +30,17 @@ func (p plainBackend) Close() error                        { return p.inner.Clos
 func (p plainBackend) Apply(op monocle.BackendOp) error    { return p.inner.Apply(op) }
 func (p plainBackend) Epoch() uint64                       { return p.inner.Epoch() }
 func (p plainBackend) Events() <-chan monocle.BackendEvent { return p.inner.Events() }
+func (p plainBackend) EventDrops() uint64                  { return p.inner.EventDrops() }
 func (p plainBackend) Observe(ctx context.Context, pr *monocle.Probe, e monocle.Expectation) (monocle.Verdict, error) {
 	return p.inner.Observe(ctx, pr, e)
+}
+func (p plainBackend) ObserveBatch(ctx context.Context, probes []*monocle.Probe, expects []monocle.Expectation) ([]monocle.Verdict, []error) {
+	verdicts := make([]monocle.Verdict, len(probes))
+	errs := make([]error, len(probes))
+	for i, pr := range probes {
+		verdicts[i], errs[i] = p.Observe(ctx, pr, expects[i])
+	}
+	return verdicts, errs
 }
 
 // seamRule builds a plainly monitorable per-switch rule.
@@ -42,8 +54,8 @@ func seamRule(sw uint32, i uint64) *monocle.Rule {
 }
 
 // seamPath is a fleet of SimBackends folded through the batch seam; with
-// strip=true the backends are wrapped so the seam's sequential fallback
-// runs instead of the batched fast path.
+// strip=true the backends are wrapped so a sequential loop of one-probe
+// Observe calls runs instead of the batched path.
 type seamPath struct {
 	fleet  *monocle.Fleet
 	differ *monocle.Differ
@@ -184,6 +196,132 @@ func TestBatchObserveDifferential(t *testing.T) {
 	}
 	if perBudget[0] != perBudget[1] || perBudget[0] != perBudget[2] {
 		t.Fatal("sweep outputs differ across worker budgets")
+	}
+}
+
+// probePair installs a healthy and a soon-to-fail rule on switch sw —
+// in be's data plane and in a fresh Verifier built with opts — and
+// returns their confirmation probes.
+func probePair(t *testing.T, be monocle.Backend, sw uint32, opts ...monocle.Option) (healthy, failing *monocle.Probe) {
+	t.Helper()
+	v, err := monocle.NewVerifier(append([]monocle.Option{monocle.WithProbeTag(uint64(sw))}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probes [2]*monocle.Probe
+	for i := range probes {
+		r := seamRule(sw, uint64(i))
+		if err := be.Apply(monocle.BackendOp{Op: "add", Rule: r.Clone()}); err != nil {
+			t.Fatal(err)
+		}
+		if probes[i], err = v.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return probes[0], probes[1]
+}
+
+// TestObserveIsBatchOfOne: for every built-in driver, Observe equals
+// ObserveBatch of a batch of one, in verdict and in error, for a healthy
+// rule, a rule failed in the data plane, a cancelled context, and a
+// closed backend. The replay driver re-serves the record driver's trace.
+func TestObserveIsBatchOfOne(t *testing.T) {
+	ctx := context.Background()
+	var (
+		trace              bytes.Buffer
+		recHealthy, recBad *monocle.Probe
+	)
+	drivers := []struct {
+		name string
+		// open returns a connected driver with a healthy and a failed
+		// rule in its data plane, and their probes.
+		open func(t *testing.T) (be monocle.Backend, healthy, failed *monocle.Probe)
+	}{
+		{"sim", func(t *testing.T) (monocle.Backend, *monocle.Probe, *monocle.Probe) {
+			sim := monocle.NewSimBackend(1)
+			healthy, failed := probePair(t, sim, 1)
+			if err := sim.Apply(monocle.BackendOp{Op: "delete", ID: failed.RuleID}); err != nil {
+				t.Fatal(err)
+			}
+			return sim, healthy, failed
+		}},
+		{"proxy", func(t *testing.T) (monocle.Backend, *monocle.Probe, *monocle.Probe) {
+			ports := []monocle.PortID{1, 2, 3, 4}
+			srv, err := monocle.StartSwitchServer(monocle.SwitchServerConfig{ID: 9, Ports: ports})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			peers := map[monocle.PortID]uint32{1: 9, 2: 9, 3: 9, 4: 9}
+			pb := monocle.NewProxyBackend(monocle.ProxyConfig{
+				SwitchID: 9, SwitchAddr: srv.Addr(), ObserveTimeout: 300 * time.Millisecond,
+			}, monocle.WithPorts(ports...), monocle.WithPeers(peers))
+			if err := pb.Connect(ctx); err != nil {
+				t.Fatal(err)
+			}
+			healthy, failed := probePair(t, pb, 9, monocle.WithPorts(ports...), monocle.WithPeers(peers))
+			srv.FailRule(failed.RuleID)
+			return pb, healthy, failed
+		}},
+		{"record", func(t *testing.T) (monocle.Backend, *monocle.Probe, *monocle.Probe) {
+			sim := monocle.NewSimBackend(2)
+			recHealthy, recBad = probePair(t, sim, 2)
+			if err := sim.Apply(monocle.BackendOp{Op: "delete", ID: recBad.RuleID}); err != nil {
+				t.Fatal(err)
+			}
+			tw, err := monocle.NewTraceWriter(&trace, monocle.TraceHeader{Switch: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return monocle.NewRecordBackend(sim, tw), recHealthy, recBad
+		}},
+		{"replay", func(t *testing.T) (monocle.Backend, *monocle.Probe, *monocle.Probe) {
+			tr, err := monocle.DecodeTrace(bytes.NewReader(trace.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return monocle.NewReplayBackend(tr), recHealthy, recBad
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			be, healthy, failed := d.open(t)
+			defer be.Close()
+			if err := be.Connect(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			cases := []struct {
+				name    string
+				ctx     context.Context
+				probe   *monocle.Probe
+				before  func()
+				verdict monocle.Verdict
+				err     error
+			}{
+				{"healthy", ctx, healthy, nil, monocle.VerdictConfirmed, nil},
+				{"failed", ctx, failed, nil, monocle.VerdictAbsent, nil},
+				{"cancelled", cancelled, healthy, nil, monocle.VerdictUnexpected, context.Canceled},
+				{"closed", ctx, healthy, func() { be.Close() }, monocle.VerdictUnexpected, monocle.ErrBackendClosed},
+			}
+			for _, c := range cases {
+				if c.before != nil {
+					c.before()
+				}
+				v, err := be.Observe(c.ctx, c.probe, monocle.ExpectPresent)
+				vs, errs := be.ObserveBatch(c.ctx, []*monocle.Probe{c.probe}, []monocle.Expectation{monocle.ExpectPresent})
+				if len(vs) != 1 || len(errs) != 1 {
+					t.Fatalf("%s: batch of one returned %d verdicts, %d errors", c.name, len(vs), len(errs))
+				}
+				if v != vs[0] || err != errs[0] {
+					t.Fatalf("%s: Observe = (%v, %v), ObserveBatch of one = (%v, %v)", c.name, v, err, vs[0], errs[0])
+				}
+				if v != c.verdict || !errors.Is(err, c.err) {
+					t.Fatalf("%s: got (%v, %v), want (%v, %v)", c.name, v, err, c.verdict, c.err)
+				}
+			}
+		})
 	}
 }
 

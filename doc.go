@@ -15,31 +15,29 @@
 //     the changed rules.
 //
 //   - Fleet: multi-switch deployment. Fleet shards its member switches
-//     across a bounded solver-worker budget, runs concurrent steady-state
-//     sweeps (each switch through its own Verifier session cache), and
-//     streams ProbeResult events over a context-aware channel. Members
-//     pair a Verifier with a Backend driver (AddBackend), attach
-//     self-sweeping drivers (AttachBackend), or host raw proxy Monitors
-//     wired through one shared Multiplexer (AttachMonitor).
+//     across a bounded solver-worker budget and runs concurrent
+//     steady-state sweeps (each switch through its own Verifier session
+//     cache), returning one SweepEvent per rule (Sweep, SweepPlan).
+//     Members are bare Verifiers (AddSwitch), pair a Verifier with a
+//     Backend driver (AddBackend), or are self-sweeping drivers
+//     (AttachBackend).
 //
 //   - Backend: the switch-driver seam — connect/close the transport,
-//     apply rule operations to the data plane, inject and observe probes,
-//     and watch lifecycle events. SimBackend drives an in-memory simulated
+//     apply rule operations to the data plane, inject and observe probes
+//     (ObserveBatch; Observe is a batch of one), and watch lifecycle
+//     events. SimBackend drives an in-memory simulated
 //     data plane; ProxyBackend is the paper's live deployment, a TCP
 //     OpenFlow 1.0 proxy whose Monitor intercepts the controller-switch
 //     session (share an event loop and probe routing between backends
 //     with a ProxyGroup). Everything above the seam is driver-agnostic.
 //
-//   - ObserveBatch: the batched probe dataplane. Backends implementing
-//     the optional BatchObserver extension observe N probes per call —
-//     one marshal loop over pooled zero-alloc packet buffers, one
-//     event-loop post, and a rate-paced in-flight window of pipelined
-//     wire observations (ProxyConfig.ObserveWindow / ObserveRate) in
-//     place of inject→wait→inject. The package-level ObserveBatch
-//     helper falls back to sequential Observe for plain Backends;
-//     verdicts are bit-identical either way. Fleet sweeps and
-//     Service.SweepRound route through it (BENCH_probe.json records
-//     the throughput delta).
+//   - Backend.ObserveBatch: the one probe dataplane. Every driver
+//     observes N probes per call — on a ProxyBackend one marshal loop
+//     over pooled zero-alloc packet buffers, one event-loop post, and an
+//     in-flight window of 64 pipelined wire observations in place of
+//     inject→wait→inject. Service.SweepRound observes each switch's
+//     sweep as one batch and a rule-op confirmation as a batch of one
+//     (BENCH_probe.json records the throughput delta).
 //
 //   - Service: the long-running monocled fleet service. A Fleet of
 //     Backends, the cross-epoch diff engine (Differ) folding every sweep
@@ -101,7 +99,7 @@
 //		sw, _ := fleet.AddSwitch(id)
 //		sw.Install(rulesOf(id)...)
 //	}
-//	for ev := range fleet.Stream(ctx) {
+//	for _, ev := range fleet.Sweep(ctx) {
 //		fmt.Println(ev.Record()) // one JSON-able record per rule
 //	}
 //

@@ -2,12 +2,9 @@ package monocle
 
 // Fleet: the sharded multi-switch sweep service. The paper deploys one
 // Monocle proxy per switch-controller connection (§7); a production
-// deployment monitors a fleet. Fleet owns one Verifier per member switch,
-// shards a bounded solver-worker budget across concurrent per-switch
-// sweeps, and streams the per-rule results over a context-aware channel.
-// It can also host the proxy Monitors of a live deployment, wired through
-// one shared Multiplexer so probes caught at any member switch route back
-// to their owner.
+// deployment monitors a fleet. Fleet owns one Verifier (or self-sweeping
+// backend) per member switch and shards a bounded solver-worker budget
+// across concurrent per-switch sweeps.
 
 import (
 	"context"
@@ -15,41 +12,33 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	imon "monocle/internal/monocle"
 )
 
-// ErrDuplicateSwitch reports an AddSwitch/AttachMonitor id already
-// registered in the fleet.
+// ErrDuplicateSwitch reports an AddSwitch/AddBackend/AttachBackend id
+// already registered in the fleet.
 var ErrDuplicateSwitch = errors.New("monocle: switch already in the fleet")
 
 // Fleet verifies a fleet of switches. Members are added with AddSwitch
-// (offline/sweep verification) or AttachMonitor (live proxy monitoring);
-// Sweep, Stream, and Serve run steady-state probe generation across every
-// member under the fleet-wide worker budget (WithWorkers).
-//
-// Fleet is safe for concurrent use, with one carve-out: members attached
-// via AttachMonitor are swept on the calling goroutine, which must be the
-// monitors' event-loop thread (see Multiplexer's contract).
+// (offline/sweep verification), AddBackend (a Verifier paired with a
+// data-plane driver) or AttachBackend (a self-sweeping live driver); Sweep
+// and SweepPlan run steady-state probe generation across every member
+// under the fleet-wide worker budget (WithWorkers). Fleet is safe for
+// concurrent use.
 type Fleet struct {
 	set settings
 
 	mu      sync.Mutex
 	members []*fleetMember
 	byID    map[uint32]*fleetMember
-	mux     *imon.Multiplexer
 }
 
 // fleetMember is one monitored switch: verifier-backed (AddSwitch,
-// AddBackend), self-sweeping backend-backed (AttachBackend), or
-// monitor-backed (AttachMonitor). be, when set, is the data-plane driver
-// paired with the member.
+// AddBackend) or self-sweeping backend-backed (AttachBackend). be, when
+// set, is the data-plane driver paired with the member.
 type fleetMember struct {
-	id  uint32
-	v   *Verifier
-	mon *imon.Monitor
-	be  Backend
+	id uint32
+	v  *Verifier
+	be Backend
 }
 
 // SweepEvent is one per-rule result streamed from a fleet sweep.
@@ -65,14 +54,13 @@ type SweepEvent struct {
 }
 
 // NewFleet returns an empty fleet. WithWorkers bounds the total solver
-// budget its sweeps use; WithSteadyInterval paces Serve.
+// budget its sweeps use.
 func NewFleet(opts ...Option) *Fleet {
 	set := defaultSettings()
 	set.apply(opts)
 	return &Fleet{
 		set:  set,
 		byID: make(map[uint32]*fleetMember),
-		mux:  imon.NewMultiplexer(),
 	}
 }
 
@@ -94,27 +82,6 @@ func (f *Fleet) AddSwitch(id uint32, opts ...Option) (*Verifier, error) {
 	f.members = append(f.members, m)
 	f.byID[id] = m
 	return v, nil
-}
-
-// AttachMonitor registers a live proxy Monitor for cfg.SwitchID: the
-// monitor is created on the given virtual clock, wired into the fleet's
-// shared Multiplexer (probes caught at any attached switch route back to
-// their owner), and its expected table joins the fleet's sweeps. The
-// caller wires ToSwitch/ToController and drives the monitor from one
-// event-loop thread; fleet sweeps over attached monitors must run on that
-// same thread.
-func (f *Fleet) AttachMonitor(s *Sim, cfg MonitorConfig) (*Monitor, error) {
-	mon := imon.New(s, cfg)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, dup := f.byID[cfg.SwitchID]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrDuplicateSwitch, cfg.SwitchID)
-	}
-	f.mux.Register(mon)
-	m := &fleetMember{id: cfg.SwitchID, mon: mon}
-	f.members = append(f.members, m)
-	f.byID[cfg.SwitchID] = m
-	return mon, nil
 }
 
 // AddBackend registers switch backend be for sweep verification: the
@@ -172,9 +139,6 @@ func (f *Fleet) Backend(id uint32) (Backend, bool) {
 	}
 	return m.be, true
 }
-
-// Multiplexer returns the fleet's shared probe-routing multiplexer.
-func (f *Fleet) Multiplexer() *Multiplexer { return f.mux }
 
 // Verifier returns the Verifier of a switch added with AddSwitch.
 func (f *Fleet) Verifier(id uint32) (*Verifier, bool) {
@@ -255,90 +219,6 @@ func collectEvents(perMember [][]SweepEvent) []SweepEvent {
 	return out
 }
 
-// Stream runs one sweep like Sweep but streams events as each member
-// completes, over a channel that closes when the sweep finishes or the
-// context is cancelled. Fleets with attached Monitors should prefer the
-// synchronous Sweep from the monitors' event-loop thread.
-//
-// Cancellation is deterministic: once the context is cancelled the sweep
-// stops claiming members, delivery halts, and the channel closes promptly
-// whether or not the consumer keeps draining. At most the single event
-// already offered to the consumer at cancellation time is still
-// delivered; everything after it is dropped, never a random subset.
-func (f *Fleet) Stream(ctx context.Context) <-chan SweepEvent {
-	out := make(chan SweepEvent)
-	inner := make(chan SweepEvent)
-	members := f.snapshot()
-	go func() {
-		defer close(inner)
-		f.sweepInto(ctx, members, nil, func(_ int, evs []SweepEvent) {
-			for _, ev := range evs {
-				select {
-				case inner <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-		})
-	}()
-	go func() {
-		defer close(out)
-		// drain unblocks the producer side after cancellation so the
-		// sweep goroutines always exit, draining consumer or not.
-		drain := func() {
-			for range inner {
-			}
-		}
-		for {
-			// Poll cancellation first: a ready ctx.Done must win over a
-			// ready inner event, or a post-cancel drain would receive a
-			// nondeterministic subset of the in-flight events.
-			if ctx.Err() != nil {
-				drain()
-				return
-			}
-			select {
-			case <-ctx.Done():
-				drain()
-				return
-			case ev, ok := <-inner:
-				if !ok {
-					return
-				}
-				if ctx.Err() != nil {
-					drain()
-					return
-				}
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					drain()
-					return
-				}
-			}
-		}
-	}()
-	return out
-}
-
-// Serve runs steady-state sweeps every WithSteadyInterval until the
-// context is cancelled, delivering every event to sink (called from
-// Serve's goroutine). It returns the context's error.
-func (f *Fleet) Serve(ctx context.Context, sink func(SweepEvent)) error {
-	ticker := time.NewTicker(f.set.steadyInterval)
-	defer ticker.Stop()
-	for {
-		for _, ev := range f.Sweep(ctx) {
-			sink(ev)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
-}
-
 // snapshot copies the member list under the lock.
 func (f *Fleet) snapshot() []*fleetMember {
 	f.mu.Lock()
@@ -346,92 +226,68 @@ func (f *Fleet) snapshot() []*fleetMember {
 	return append([]*fleetMember(nil), f.members...)
 }
 
-// sweepInto sweeps every member, invoking done(i, events) once per member
-// (possibly concurrently for verifier- and sweeper-backend-backed
-// members). The worker budget B is sharded: with K = min(B, members)
-// member sweeps in flight, each gets B/K solver workers, so the fleet
-// never runs more than B solver goroutines at once. Monitor-backed
-// members sweep sequentially on the calling goroutine with the full
-// budget (their event-loop contract); self-sweeping backends marshal onto
-// their own loops internally, so they join the concurrent pool.
+// sweepInto sweeps every member concurrently, invoking done(i, events)
+// once per member. The worker budget B is sharded: with K = min(B,
+// members) member sweeps in flight, each gets B/K solver workers, so the
+// fleet never runs more than B solver goroutines at once. Self-sweeping
+// backends marshal onto their own loops internally, so they join the
+// same pool.
 //
 // sel, when non-nil, restricts each member to a rule-id subset (SweepPlan):
-// verifier-backed members generate only the subset; self-sweeping and
-// monitor-backed members sweep their own table and the events are filtered
-// afterwards (their table is theirs to enumerate).
+// verifier-backed members generate only the subset; self-sweeping members
+// sweep their own table and the events are filtered afterwards (their
+// table is theirs to enumerate).
 func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[uint32][]uint64, done func(int, []SweepEvent)) {
+	k := len(members)
+	if k == 0 {
+		return
+	}
 	budget := f.set.effectiveWorkers()
-
-	var vIdx []int
-	for i, m := range members {
-		if m.v != nil {
-			vIdx = append(vIdx, i)
-			continue
-		}
-		if _, ok := m.be.(Sweeper); ok {
-			vIdx = append(vIdx, i)
-		}
+	if k > budget {
+		k = budget
 	}
-	if k := len(vIdx); k > 0 {
-		if k > budget {
-			k = budget
-		}
-		share := budget / k
-		if share < 1 {
-			share = 1
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < k; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					// A cancelled sweep stops claiming members; rules of
-					// already-claimed members carry the context error.
-					if ctx.Err() != nil {
-						return
-					}
-					n := int(next.Add(1)) - 1
-					if n >= len(vIdx) {
-						return
-					}
-					i := vIdx[n]
-					m := members[i]
-					subset, limited := planSubset(sel, m.id)
-					var (
-						epoch   uint64
-						results []ProbeResult
-					)
-					switch {
-					case m.v != nil && limited:
-						epoch, results = m.v.sweepSubset(ctx, subset)
-					case m.v != nil:
-						epoch, results = m.v.sweepShard(ctx, share)
-					default:
-						epoch, results = m.be.(Sweeper).SweepExpected(ctx, share)
-						if limited {
-							results = filterResults(results, subset)
-						}
-					}
-					done(i, memberEvents(m.id, epoch, results))
+	share := budget / k
+	if share < 1 {
+		share = 1
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < k; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// A cancelled sweep stops claiming members; rules of
+				// already-claimed members carry the context error.
+				if ctx.Err() != nil {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				i := int(next.Add(1)) - 1
+				if i >= len(members) {
+					return
+				}
+				m := members[i]
+				subset, limited := planSubset(sel, m.id)
+				var (
+					epoch   uint64
+					results []ProbeResult
+				)
+				switch {
+				case m.v != nil && limited:
+					epoch, results = m.v.sweepSubset(ctx, subset)
+				case m.v != nil:
+					epoch, results = m.v.sweepShard(ctx, share)
+				default:
+					epoch, results = m.be.(Sweeper).SweepExpected(ctx, share)
+					if limited {
+						results = filterResults(results, subset)
+					}
+				}
+				done(i, memberEvents(m.id, epoch, results))
+			}
+		}()
 	}
-
-	for i, m := range members {
-		if m.mon == nil {
-			continue
-		}
-		epoch := m.mon.Epoch()
-		results := m.mon.SweepExpected(ctx, budget)
-		if subset, limited := planSubset(sel, m.id); limited {
-			results = filterResults(results, subset)
-		}
-		done(i, memberEvents(m.id, epoch, results))
-	}
+	wg.Wait()
 }
 
 // planSubset looks up one member's rule subset in a sweep plan. The second
@@ -472,9 +328,7 @@ func memberEvents(id uint32, epoch uint64, results []ProbeResult) []SweepEvent {
 }
 
 // memberEventPool recycles per-member event slice backing arrays across
-// sweep rounds. Stream's events are never recycled (they outlive the
-// sweep on the consumer's side of the channel by value, but the slices
-// are dropped mid-loop on cancellation), only Sweep/SweepPlan's.
+// sweep rounds.
 var memberEventPool sync.Pool
 
 // takeMemberEvents returns a zero-length event slice with capacity for

@@ -1,8 +1,8 @@
 package monocle_test
 
 // Facade-level tests: the fleet differential determinism guarantee, the
-// verifier dynamic-update lifecycle, sweep streaming, JSON records, and
-// the multiplexer's concurrent-routing contract.
+// verifier dynamic-update lifecycle, JSON records, and the multiplexer's
+// concurrent-routing contract.
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"monocle"
 	"monocle/internal/dataset"
@@ -120,84 +119,6 @@ func TestFleetSweepMatchesStandaloneVerifiers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFleetStreamDeliversAllAndHonorsContext: Stream must deliver every
-// event of a sweep and close; a cancelled context must terminate the
-// stream early without deadlocking.
-func TestFleetStreamDeliversAllAndHonorsContext(t *testing.T) {
-	fleet := monocle.NewFleet(monocle.WithWorkers(2))
-	total := 0
-	for id := uint32(1); id <= 3; id++ {
-		v, err := fleet.AddSwitch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rules := dataset.Generate(fleetProfile(id, 30))
-		if err := v.Install(rules...); err != nil {
-			t.Fatal(err)
-		}
-		total += len(rules)
-	}
-	n := 0
-	for range fleet.Stream(context.Background()) {
-		n++
-	}
-	if n != total {
-		t.Fatalf("stream delivered %d events for %d rules", n, total)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := fleet.Stream(ctx)
-	<-ch // at least one event flows
-	cancel()
-	for range ch { // must drain and close, not deadlock
-	}
-}
-
-// TestFleetStreamCancelDeterministic pins the cancellation contract: once
-// the context is cancelled, delivery stops deterministically. At most the
-// single event already offered to the consumer at cancellation time may
-// still arrive; after that the channel must close — even though the
-// consumer stopped draining for a while — instead of delivering a random
-// subset of the in-flight sweep results.
-func TestFleetStreamCancelDeterministic(t *testing.T) {
-	fleet := monocle.NewFleet(monocle.WithWorkers(2))
-	for id := uint32(1); id <= 4; id++ {
-		v, err := fleet.AddSwitch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rules := dataset.Generate(fleetProfile(id, 40))
-		if err := v.Install(rules...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 3; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		ch := fleet.Stream(ctx)
-		<-ch // the sweep is live
-		cancel()
-		// Deliberately no draining across the cancellation window: the
-		// stream must shut itself down rather than wait for a consumer.
-		time.Sleep(10 * time.Millisecond)
-		extra := 0
-		deadline := time.After(30 * time.Second)
-		for open := true; open; {
-			select {
-			case _, ok := <-ch:
-				if !ok {
-					open = false
-					break
-				}
-				if extra++; extra > 1 {
-					t.Fatalf("round %d: %d events delivered after cancellation; at most the one in-flight event may arrive", round, extra)
-				}
-			case <-deadline:
-				t.Fatalf("round %d: stream did not close after cancellation without a draining consumer", round)
-			}
-		}
 	}
 }
 

@@ -252,7 +252,7 @@ type inflightProbe struct {
 	dynamic  bool
 	epoch    uint64
 	attempt  *attempt       // steady-state attempt this probe belongs to
-	observer *probeObserver // ObserveProbe request this probe belongs to
+	observer *probeObserver // observeProbe request this probe belongs to
 }
 
 // New creates a Monitor. Wire ToSwitch/ToController/Mux before use.

@@ -15,8 +15,8 @@ package monocle
 // rule instead: RouteCaught delivers synchronously into the owning
 // Monitor (so it must run on that Monitor's event-loop thread), and
 // Register wires the monitor's Mux pointer (so a monitor must be
-// registered before its event loop starts delivering messages —
-// Fleet.AttachMonitor registers at construction time, satisfying this).
+// registered before its event loop starts delivering messages — the
+// proxy backend registers at construction time, satisfying this).
 // Sharing one event loop across every Monitor of a fleet, as cmd/monocle
 // does, satisfies the delivery rule trivially.
 

@@ -1,7 +1,7 @@
 package monocle
 
-// One-shot probe observation: ObserveProbe injects a probe into the
-// monitored switch's data plane and reports the verdict of the response,
+// Probe observation: ObserveProbeBatch injects probes into the monitored
+// switch's data plane and reports the verdict of each response,
 // independent of the dynamic-update and steady-state machinery. It is the
 // primitive the library's switch backends (the TCP proxy driver) use to
 // judge externally generated probes — a facade Verifier's sweep or
@@ -16,11 +16,11 @@ import (
 	"monocle/internal/sim"
 )
 
-// defaultObserveTimeout bounds one ObserveProbe round when the caller
+// defaultObserveTimeout bounds one probe observation when the caller
 // passes no timeout.
 const defaultObserveTimeout = 2 * time.Second
 
-// probeObserver tracks one ObserveProbe request across injections.
+// probeObserver tracks one probe observation across injections.
 type probeObserver struct {
 	probe    *probe.Probe
 	expect   packet.Expectation
@@ -36,22 +36,21 @@ type probeObserver struct {
 	seqs []uint64
 }
 
-// ObserveProbe injects probe p and reports, through done, the verdict of
+// observeProbe injects probe p and reports, through done, the verdict of
 // the data plane's response: the probe is re-injected every retry interval
 // until a catch settles the expectation (Present evidence for additions
 // and modifications, Absent evidence for deletions) or the timeout
-// elapses. On timeout the last observed verdict is reported; with no catch
-// at all the silence itself is judged — a probe whose expected outcome is
-// uncatchable (a drop, or every emission exiting toward hosts) confirms by
-// silence, anything else is VerdictUnexpected. Like every Monitor method,
-// it must run on the event-loop thread; done fires on that thread too.
-func (m *Monitor) ObserveProbe(p *probe.Probe, expect packet.Expectation, retry, timeout time.Duration, done func(Verdict)) {
-	if retry <= 0 {
-		retry = m.retryInterval()
-	}
+// (non-positive: defaultObserveTimeout) elapses. On timeout the last
+// observed verdict is reported; with no catch at all the silence itself is
+// judged — a probe whose expected outcome is uncatchable (a drop, or every
+// emission exiting toward hosts) confirms by silence, anything else is
+// VerdictUnexpected. It runs on the event-loop thread; done fires there
+// too.
+func (m *Monitor) observeProbe(p *probe.Probe, expect packet.Expectation, timeout time.Duration, done func(Verdict)) {
 	if timeout <= 0 {
 		timeout = defaultObserveTimeout
 	}
+	retry := m.retryInterval()
 	ob := &probeObserver{probe: p, expect: expect, done: done}
 	ob.deadline = m.Sim.After(timeout, func() {
 		m.finishObserver(ob, m.timeoutVerdict(ob))
@@ -116,110 +115,52 @@ func (m *Monitor) timeoutVerdict(ob *probeObserver) Verdict {
 	}
 }
 
-// defaultBatchWindow bounds the observations one ObserveProbeBatch keeps
-// in flight when the caller passes no window.
-const defaultBatchWindow = 64
-
-// BatchPacing configures ObserveProbeBatch's injection scheduling.
-type BatchPacing struct {
-	// Window caps the observations in flight at once (<= 0: 64).
-	Window int
-	// Rate paces observation starts, in probes per second, through a
-	// token bucket on the Monitor's clock (<= 0: unpaced). Pacing bounds
-	// the PacketOut burst a batch puts on the control channel, so probes
-	// do not crowd out FlowMods (§8.4's interference concern).
-	Rate float64
-}
+// observeWindow caps the observations one ObserveProbeBatch keeps in
+// flight at once.
+const observeWindow = 64
 
 // batchRun drives one ObserveProbeBatch: an in-flight window of
-// concurrent ObserveProbe observations, refilled as each completes, with
-// token-bucket pacing of the starts. All state is event-loop-owned.
+// concurrent observeProbe observations, refilled as each completes. All
+// state is event-loop-owned.
 type batchRun struct {
-	m              *Monitor
-	probes         []*probe.Probe
-	expects        []packet.Expectation
-	retry, timeout time.Duration
-	done           func(int, Verdict)
+	m       *Monitor
+	probes  []*probe.Probe
+	expects []packet.Expectation
+	timeout time.Duration
+	done    func(int, Verdict)
 
-	next     int // next probe index to start
-	active   int // observations in flight
-	window   int
-	interval time.Duration // token refill gap (0: unpaced)
-	nextTok  sim.Time      // earliest time the next token is available
-	pacer    *sim.Timer    // reused pacing timer (re-armed, never stacked)
-	filling  bool          // re-entrance guard for fill
-	again    bool
+	next    int  // next probe index to start
+	active  int  // observations in flight
+	filling bool // re-entrance guard for fill
 }
 
-// ObserveProbeBatch judges probes[i] against expects[i] exactly like N
-// ObserveProbe calls, but pipelined: up to pacing.Window observations run
-// concurrently — an in-flight window instead of inject→wait→inject — and
-// observation starts are paced by pacing.Rate's token bucket, so one
-// batch call replaces N round trips without flooding the control
-// channel. done(i, v) fires once per probe on the event-loop thread, in
-// completion order. retry and timeout clamp exactly as in ObserveProbe
-// (non-positive values fall back to the defaults). len(expects) must
-// equal len(probes). Like every Monitor method, it must run on the
-// event-loop thread.
-func (m *Monitor) ObserveProbeBatch(probes []*probe.Probe, expects []packet.Expectation, retry, timeout time.Duration, pacing BatchPacing, done func(int, Verdict)) {
-	if len(probes) == 0 {
-		return
-	}
-	br := &batchRun{
-		m: m, probes: probes, expects: expects,
-		retry: retry, timeout: timeout, done: done,
-		window: pacing.Window,
-	}
-	if br.window <= 0 {
-		br.window = defaultBatchWindow
-	}
-	if pacing.Rate > 0 {
-		br.interval = time.Duration(float64(time.Second) / pacing.Rate)
-	}
+// ObserveProbeBatch judges probes[i] against expects[i], pipelined: up to
+// observeWindow observations run concurrently — an in-flight window
+// instead of inject→wait→inject — so one batch call replaces N round
+// trips. done(i, v) fires once per probe on the event-loop thread, in
+// completion order. A non-positive timeout means defaultObserveTimeout.
+// len(expects) must equal len(probes). Like every Monitor method, it
+// must run on the event-loop thread.
+func (m *Monitor) ObserveProbeBatch(probes []*probe.Probe, expects []packet.Expectation, timeout time.Duration, done func(int, Verdict)) {
+	br := &batchRun{m: m, probes: probes, expects: expects, timeout: timeout, done: done}
 	br.fill()
 }
 
-// fill tops the in-flight window back up. The guard flattens the
-// recursion of synchronously-finishing observations (a probe that cannot
-// be crafted resolves inside ObserveProbe) into a loop.
+// fill tops the in-flight window back up. An observation that finishes
+// synchronously (a probe that cannot be crafted resolves inside
+// observeProbe) re-enters fill from within the loop; the guard returns
+// early there, and the running loop re-checks the window and claims the
+// freed slot itself.
 func (br *batchRun) fill() {
 	if br.filling {
-		br.again = true
 		return
 	}
 	br.filling = true
-	for {
-		br.again = false
-		br.launch()
-		if !br.again {
-			break
-		}
-	}
-	br.filling = false
-}
-
-// launch starts observations until the window is full, the batch is
-// exhausted, or the token bucket runs dry (in which case the reused
-// pacing timer re-arms for the next token).
-func (br *batchRun) launch() {
-	for br.next < len(br.probes) && br.active < br.window {
-		if br.interval > 0 {
-			now := br.m.Sim.Now()
-			if now < br.nextTok {
-				if br.pacer == nil || !br.pacer.Pending() {
-					br.pacer = br.m.Sim.After(time.Duration(br.nextTok-now), br.fill)
-				}
-				return
-			}
-			if br.nextTok < now {
-				br.nextTok = now // idle bucket: no credit for elapsed time
-			}
-			br.nextTok += sim.Time(br.interval)
-		}
+	for br.next < len(br.probes) && br.active < observeWindow {
 		i := br.next
 		br.next++
 		br.active++
-		br.m.ObserveProbe(br.probes[i], br.expects[i], br.retry, br.timeout, func(v Verdict) {
+		br.m.observeProbe(br.probes[i], br.expects[i], br.timeout, func(v Verdict) {
 			br.active--
 			if br.done != nil {
 				br.done(i, v)
@@ -227,6 +168,7 @@ func (br *batchRun) launch() {
 			br.fill()
 		})
 	}
+	br.filling = false
 }
 
 // finishObserver reports the verdict once and releases the observer's

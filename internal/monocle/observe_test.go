@@ -1,9 +1,9 @@
 package monocle
 
-// Tests for one-shot and batched probe observation: the timeout clamp
+// Tests for single and batched probe observation: the timeout clamp
 // regression (a non-positive timeout must mean the default, never an
-// instant or infinite deadline), batch/one-shot verdict equivalence
-// across window sizes, and token-bucket pacing of batch injections.
+// instant or infinite deadline) and batch/one-shot verdict equivalence
+// across several refills of the in-flight window.
 
 import (
 	"context"
@@ -31,7 +31,7 @@ func sweepProbes(t *testing.T, tb *lineTestbed, minID uint64) []*probe.Probe {
 	return out
 }
 
-// TestObserveProbeClampsNonPositiveTimeout: ObserveProbe with timeout
+// TestObserveProbeClampsNonPositiveTimeout: observeProbe with timeout
 // <= 0 must clamp to defaultObserveTimeout — resolving neither
 // immediately (timeout taken literally) nor never (deadline never
 // armed) — and ObserveProbeBatch must clamp identically.
@@ -51,7 +51,7 @@ func TestObserveProbeClampsNonPositiveTimeout(t *testing.T) {
 	start := tb.sim.Now()
 	var doneAt sim.Time = -1
 	var got Verdict
-	tb.mon[2].ObserveProbe(probes[0], packet.ExpectPresent, 0, 0, func(v Verdict) {
+	tb.mon[2].observeProbe(probes[0], packet.ExpectPresent, 0, func(v Verdict) {
 		got, doneAt = v, tb.sim.Now()
 	})
 	tb.sim.RunUntil(start + sim.Time(defaultObserveTimeout)/2)
@@ -73,7 +73,7 @@ func TestObserveProbeClampsNonPositiveTimeout(t *testing.T) {
 	start = tb.sim.Now()
 	batchAt := sim.Time(-1)
 	var batchV Verdict
-	tb.mon[2].ObserveProbeBatch(probes, []packet.Expectation{packet.ExpectPresent}, 0, 0, BatchPacing{}, func(_ int, v Verdict) {
+	tb.mon[2].ObserveProbeBatch(probes, []packet.Expectation{packet.ExpectPresent}, 0, func(_ int, v Verdict) {
 		batchV, batchAt = v, tb.sim.Now()
 	})
 	tb.sim.RunUntil(start + 2*sim.Time(defaultObserveTimeout))
@@ -89,20 +89,22 @@ func TestObserveProbeClampsNonPositiveTimeout(t *testing.T) {
 }
 
 // TestObserveProbeBatchMatchesOneShot: the pipelined batch reports the
-// same per-probe verdicts as sequential one-shot observations, for any
-// in-flight window.
+// same per-probe verdicts as sequential one-shot observations. The batch
+// holds more than twice observeWindow probes, so the window refills at
+// least twice mid-batch.
 func TestObserveProbeBatchMatchesOneShot(t *testing.T) {
 	const timeout = 200 * time.Millisecond
+	const n = 2*observeWindow + 12
 	tb := newLineTestbed(t, switchsim.Ideal(), nil)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < n; i++ {
 		tb.mon[2].OnControllerMessage(addFM(t, uint64(500+i), 10, ip4(10, 9, 1, uint64(i)), 2), uint32(i))
 	}
 	tb.sim.RunUntil(time.Second)
 	probes := sweepProbes(t, tb, 500)
-	if len(probes) != 12 {
-		t.Fatalf("want 12 probes, got %d", len(probes))
+	if len(probes) != n {
+		t.Fatalf("want %d probes, got %d", n, len(probes))
 	}
-	for _, id := range []uint64{502, 507, 511} {
+	for _, id := range []uint64{502, 507, 511, 500 + observeWindow, 500 + 2*observeWindow + 3} {
 		tb.sw[2].FailRule(id)
 	}
 	expects := make([]packet.Expectation, len(probes))
@@ -114,7 +116,7 @@ func TestObserveProbeBatchMatchesOneShot(t *testing.T) {
 	oneShot := make([]Verdict, len(probes))
 	for i, p := range probes {
 		resolved := false
-		tb.mon[2].ObserveProbe(p, expects[i], 0, timeout, func(v Verdict) {
+		tb.mon[2].observeProbe(p, expects[i], timeout, func(v Verdict) {
 			oneShot[i], resolved = v, true
 		})
 		tb.sim.RunUntil(tb.sim.Now() + 2*sim.Time(timeout))
@@ -123,66 +125,30 @@ func TestObserveProbeBatchMatchesOneShot(t *testing.T) {
 		}
 	}
 
-	for _, window := range []int{1, 4, 64} {
-		batch := make([]Verdict, len(probes))
-		seen := make([]bool, len(probes))
-		n := 0
-		tb.mon[2].ObserveProbeBatch(probes, expects, 0, timeout, BatchPacing{Window: window}, func(i int, v Verdict) {
-			if seen[i] {
-				t.Fatalf("window %d: verdict for probe %d delivered twice", window, i)
-			}
-			batch[i], seen[i] = v, true
-			n++
-		})
-		tb.sim.RunUntil(tb.sim.Now() + sim.Time(len(probes))*2*sim.Time(timeout))
-		if n != len(probes) {
-			t.Fatalf("window %d: %d/%d verdicts delivered", window, n, len(probes))
+	batch := make([]Verdict, len(probes))
+	seen := make([]bool, len(probes))
+	delivered := 0
+	tb.mon[2].ObserveProbeBatch(probes, expects, timeout, func(i int, v Verdict) {
+		if seen[i] {
+			t.Fatalf("verdict for probe %d delivered twice", i)
 		}
-		for i := range probes {
-			if batch[i] != oneShot[i] {
-				t.Fatalf("window %d: probe %d verdict %v != one-shot %v", window, i, batch[i], oneShot[i])
-			}
-		}
-	}
-}
-
-// TestObserveProbeBatchPacing: a positive Rate spreads injection starts
-// through the token bucket — the batch cannot finish before the last
-// token is issued.
-func TestObserveProbeBatchPacing(t *testing.T) {
-	tb := newLineTestbed(t, switchsim.Ideal(), nil)
-	for i := 0; i < 10; i++ {
-		tb.mon[2].OnControllerMessage(addFM(t, uint64(500+i), 10, ip4(10, 9, 2, uint64(i)), 2), uint32(i))
-	}
-	tb.sim.RunUntil(time.Second)
-	probes := sweepProbes(t, tb, 500)
-	if len(probes) != 10 {
-		t.Fatalf("want 10 probes, got %d", len(probes))
-	}
-	expects := make([]packet.Expectation, len(probes))
-	for i := range expects {
-		expects[i] = packet.ExpectPresent
-	}
-
-	start := tb.sim.Now()
-	var lastAt sim.Time
-	n := 0
-	// 100 probes/s: tokens at 0ms, 10ms, ..., 90ms.
-	tb.mon[2].ObserveProbeBatch(probes, expects, 0, time.Second, BatchPacing{Rate: 100}, func(_ int, v Verdict) {
-		if v != VerdictConfirmed {
-			t.Fatalf("healthy rule judged %v", v)
-		}
-		lastAt = tb.sim.Now()
-		n++
+		batch[i], seen[i] = v, true
+		delivered++
 	})
-	tb.sim.RunUntil(start + 5*sim.Time(time.Second))
-	if n != len(probes) {
-		t.Fatalf("%d/%d verdicts delivered", n, len(probes))
+	tb.sim.RunUntil(tb.sim.Now() + sim.Time(len(probes))*2*sim.Time(timeout))
+	if delivered != len(probes) {
+		t.Fatalf("%d/%d verdicts delivered", delivered, len(probes))
 	}
-	if elapsed := lastAt - start; elapsed < 90*time.Millisecond {
-		t.Fatalf("batch finished after %v: pacing at 100/s cannot issue the 10th token before 90ms", elapsed)
+	absent := 0
+	for i := range probes {
+		if batch[i] != oneShot[i] {
+			t.Fatalf("probe %d verdict %v != one-shot %v", i, batch[i], oneShot[i])
+		}
+		if batch[i] == VerdictAbsent {
+			absent++
+		}
 	}
-	if elapsed := lastAt - start; elapsed > 500*time.Millisecond {
-		t.Fatalf("paced batch took %v: pacing should gap starts by 10ms, not serialize timeouts", elapsed)
+	if absent != 5 {
+		t.Fatalf("%d probes judged absent, want the 5 failed rules", absent)
 	}
 }

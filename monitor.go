@@ -39,7 +39,8 @@ const HostPeer = imon.HostPeer
 
 // NewMonitor creates a Monitor on the given virtual clock. Wire
 // ToSwitch/ToController (and a Multiplexer for multi-switch deployments)
-// before delivering messages. Prefer Fleet.AttachMonitor for fleets.
+// before delivering messages. Prefer NewProxyBackend for live switches:
+// it owns the event loop, the Multiplexer wiring and the transports.
 func NewMonitor(s *Sim, cfg MonitorConfig) *Monitor { return imon.New(s, cfg) }
 
 // NewMultiplexer returns an empty probe-routing multiplexer.

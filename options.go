@@ -170,8 +170,8 @@ func WithPeers(peers map[PortID]uint32) Option {
 // all CPUs.
 func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
 
-// WithSteadyInterval sets the cadence of Fleet.Serve steady-state sweeps
-// (default 2s).
+// WithSteadyInterval sets the cadence of Service.Run's steady-state sweep
+// rounds (default 2s).
 func WithSteadyInterval(d time.Duration) Option {
 	return func(s *settings) { s.steadyInterval = d }
 }

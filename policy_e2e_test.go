@@ -397,6 +397,7 @@ func (b *blockingBackend) Connect(context.Context) error       { return nil }
 func (b *blockingBackend) Apply(monocle.BackendOp) error       { return nil }
 func (b *blockingBackend) Epoch() uint64                       { return 0 }
 func (b *blockingBackend) Events() <-chan monocle.BackendEvent { return b.events }
+func (b *blockingBackend) EventDrops() uint64                  { return 0 }
 func (b *blockingBackend) Close() error {
 	b.closed.Do(func() { close(b.events) })
 	return nil
@@ -405,6 +406,14 @@ func (b *blockingBackend) Observe(ctx context.Context, _ *monocle.Probe, _ monoc
 	b.enter.Do(func() { close(b.entered) })
 	<-ctx.Done()
 	return monocle.VerdictUnexpected, ctx.Err()
+}
+func (b *blockingBackend) ObserveBatch(ctx context.Context, probes []*monocle.Probe, expects []monocle.Expectation) ([]monocle.Verdict, []error) {
+	verdicts := make([]monocle.Verdict, len(probes))
+	errs := make([]error, len(probes))
+	for i, p := range probes {
+		verdicts[i], errs[i] = b.Observe(ctx, p, expects[i])
+	}
+	return verdicts, errs
 }
 
 // TestRunCancellation pins the drain path: cancelling Run's context must

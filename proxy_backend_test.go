@@ -100,14 +100,24 @@ func (s *tcpSimSwitch) healRule(id uint64) {
 
 // drop forcibly closes the current proxy connection — a switch-side TCP
 // drop mid-flight. The switch keeps its data plane and listener, so a
-// reconnecting driver finds the same switch state on re-dial.
+// reconnecting driver finds the same switch state on re-dial. The switch
+// records an accepted connection on its own loop, so a drop right after
+// the proxy's dial first waits for that connection to exist.
 func (s *tcpSimSwitch) drop() {
-	s.wmu.Lock()
-	conn := s.conn
-	s.conn = nil
-	s.wmu.Unlock()
-	if conn != nil {
-		conn.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.wmu.Lock()
+		conn := s.conn
+		s.conn = nil
+		s.wmu.Unlock()
+		if conn != nil {
+			conn.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			s.t.Fatal("drop: the switch never accepted a connection")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -344,28 +344,17 @@ func (rb *RecordBackend) Apply(op BackendOp) error {
 	return err
 }
 
-// Observe implements Backend, recording the probe (its header is the
-// replay matching key), the expectation, and the verdict or error.
+// Observe implements Backend as a batch of one (one observe record).
 func (rb *RecordBackend) Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error) {
-	v, err := rb.inner.Observe(ctx, p, expect)
-	rb.append(TraceRecord{
-		Kind:    TraceKindObserve,
-		Probe:   newProbeRecord(p),
-		RuleID:  p.RuleID,
-		Expect:  expectName(expect),
-		Verdict: v.String(),
-		Err:     traceErr(err),
-	})
-	return v, err
+	return observeOne(ctx, rb, p, expect)
 }
 
-// ObserveBatch implements BatchObserver: the batch takes the wrapped
-// driver's fast path (through the package-level ObserveBatch seam) and
-// is captured as one TraceKindObserve record per probe in submission
-// order — so a trace recorded through the batch path is byte-compatible
-// with one-shot recordings and replays through either path.
+// ObserveBatch implements Backend: the batch takes the wrapped driver's
+// path and is captured as one TraceKindObserve record per probe in
+// submission order — the probe (its header is the replay matching key),
+// the expectation, and the verdict or error.
 func (rb *RecordBackend) ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error) {
-	verdicts, errs := ObserveBatch(ctx, rb.inner, probes, expects)
+	verdicts, errs := rb.inner.ObserveBatch(ctx, probes, expects)
 	for i, p := range probes {
 		rb.append(TraceRecord{
 			Kind:    TraceKindObserve,
@@ -389,15 +378,8 @@ func (rb *RecordBackend) Epoch() uint64 {
 // Events implements Backend.
 func (rb *RecordBackend) Events() <-chan BackendEvent { return rb.events.ch }
 
-// EventDrops implements EventDropCounter, including the wrapped driver's
-// own drops.
-func (rb *RecordBackend) EventDrops() uint64 {
-	d := rb.events.drops()
-	if dc, ok := rb.inner.(EventDropCounter); ok {
-		d += dc.EventDrops()
-	}
-	return d
-}
+// EventDrops implements Backend, including the wrapped driver's own drops.
+func (rb *RecordBackend) EventDrops() uint64 { return rb.events.drops() + rb.inner.EventDrops() }
 
 // RecordSpec annotates the trace with the switch's registration spec, so
 // an offline replay can rebuild the same Service-side configuration.
@@ -576,36 +558,17 @@ func (rb *ReplayBackend) Apply(op BackendOp) error {
 	return errFromTrace(rec.Err)
 }
 
-// Observe implements Backend by serving the next recorded observation:
-// the probe's header and the expectation must match the recording, and
-// the recorded verdict (or error) is returned. Solver-internal stats are
-// deliberately not part of the match, so a replay survives solver
-// evolution as long as the probe stream itself is unchanged.
+// Observe implements Backend as a batch of one.
 func (rb *ReplayBackend) Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error) {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	if rb.closed {
-		return VerdictUnexpected, ErrBackendClosed
-	}
-	hm := headerMap(p.Header)
-	got := fmt.Sprintf("observe rule %d expect %s", p.RuleID, expectName(expect))
-	rec, err := rb.serveLocked(TraceKindObserve, got, func(r *TraceRecord) bool {
-		return r.Probe != nil && r.Expect == expectName(expect) && headerMapsEqual(r.Probe.Header, hm)
-	})
-	if err != nil {
-		return VerdictUnexpected, err
-	}
-	if rec.Err != "" {
-		return VerdictUnexpected, errFromTrace(rec.Err)
-	}
-	return verdictFromName(rec.Verdict), nil
+	return observeOne(ctx, rb, p, expect)
 }
 
-// ObserveBatch implements BatchObserver: the batch is served as N
-// consecutive observe records under one lock acquisition, with exactly
-// the per-probe matching of Observe — a trace recorded one-shot replays
-// through the batch path and vice versa, because both paths produce the
-// same flat record stream.
+// ObserveBatch implements Backend by serving the next N recorded
+// observations under one lock acquisition: each probe's header and
+// expectation must match its recording, and the recorded verdict (or
+// error) is returned. Solver-internal stats are deliberately not part of
+// the match, so a replay survives solver evolution as long as the probe
+// stream itself is unchanged.
 func (rb *ReplayBackend) ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error) {
 	verdicts := make([]Verdict, len(probes))
 	errs := make([]error, len(probes))
@@ -649,7 +612,7 @@ func (rb *ReplayBackend) Epoch() uint64 {
 // Events implements Backend.
 func (rb *ReplayBackend) Events() <-chan BackendEvent { return rb.events.ch }
 
-// EventDrops implements EventDropCounter.
+// EventDrops implements Backend.
 func (rb *ReplayBackend) EventDrops() uint64 { return rb.events.drops() }
 
 // Close implements Backend: trailing recorded events re-emit, then the

@@ -620,26 +620,12 @@ func (t *backendTap) pump() {
 // Unwrap returns the wrapped driver (see UnwrapBackend).
 func (t *backendTap) Unwrap() Backend { return t.Backend }
 
-// ObserveBatch implements BatchObserver by forwarding through the
-// package seam: the embedded interface would hide the wrapped driver's
-// batch fast path from type assertions on the tap, so the tap forwards
-// explicitly (falling back to sequential Observe for plain drivers).
-func (t *backendTap) ObserveBatch(ctx context.Context, probes []*Probe, expects []Expectation) ([]Verdict, []error) {
-	return ObserveBatch(ctx, t.Backend, probes, expects)
-}
-
 // Events implements Backend with the tap's re-emitted stream.
 func (t *backendTap) Events() <-chan BackendEvent { return t.events.ch }
 
-// EventDrops implements EventDropCounter: the tap's own drops plus the
-// wrapped driver's.
-func (t *backendTap) EventDrops() uint64 {
-	d := t.events.drops()
-	if c, ok := t.Backend.(EventDropCounter); ok {
-		d += c.EventDrops()
-	}
-	return d
-}
+// EventDrops implements Backend: the tap's own drops plus the wrapped
+// driver's.
+func (t *backendTap) EventDrops() uint64 { return t.events.drops() + t.Backend.EventDrops() }
 
 // Close implements Backend, waiting for the pump to drain so every event
 // the driver emitted reaches the diff-engine queue before Close returns.
@@ -717,6 +703,13 @@ func (s *Service) InstallRuleSpecs(id uint32, specs ...RuleSpec) error {
 // driver) per op.Dataplane, and judges the dynamic-update confirmation
 // probe against the data plane.
 func (s *Service) ApplyRule(id uint32, op RuleOp) (UpdateReply, error) {
+	return s.applyRule(context.Background(), id, op)
+}
+
+// applyRule is ApplyRule with the confirmation observation bounded by
+// ctx: an HTTP rule op passes its request context, so a client that goes
+// away cannot hold the handler on a data plane that never settles.
+func (s *Service) applyRule(ctx context.Context, id uint32, op RuleOp) (UpdateReply, error) {
 	v, ok := s.fleet.Verifier(id)
 	if !ok {
 		return UpdateReply{}, ErrNotFound
@@ -831,12 +824,13 @@ func (s *Service) ApplyRule(id uint32, op RuleOp) (UpdateReply, error) {
 	case p != nil && hasBE:
 		rec := NewResultRecord(id, v.Epoch(), ProbeResult{Rule: &Rule{ID: ruleID}, Probe: p})
 		reply.Record = &rec
-		verdict, err := be.Observe(context.Background(), p, expect)
+		verdict, err := be.Observe(ctx, p, expect)
 		if err != nil {
 			// The table mutation already committed on both sides; only
 			// the confirmation observation failed (backend closed or
-			// disconnected mid-window). The operation must not turn into
-			// an HTTP error — a retry would re-apply a committed change.
+			// disconnected mid-window, or the request went away). The
+			// operation must not turn into an HTTP error — a retry would
+			// re-apply a committed change.
 			reply.Verdict = "unobserved"
 			break
 		}
@@ -961,14 +955,12 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 		return abort()
 	}
 
-	// The fold routes observation through the batch seam: sweep events
-	// arrive contiguous per switch (Fleet concatenates per-member
-	// slices), so each run becomes one ObserveBatch call — one event-loop
-	// post and a pipelined in-flight window on a ProxyBackend instead of
-	// len(run) serialized round trips. Verdicts fold in the original
-	// event order through exactly the branches of the one-shot path, so
-	// the alert stream is bit-identical. The record slice and batch
-	// collation scratch are pooled (see sweepBufs).
+	// Sweep events arrive contiguous per switch (Fleet concatenates
+	// per-member slices), so each run becomes one ObserveBatch call — one
+	// event-loop post and a pipelined in-flight window on a ProxyBackend
+	// instead of len(run) serialized round trips. Verdicts fold in the
+	// original event order. The record slice and batch collation scratch
+	// are pooled (see sweepBufs).
 	recs := s.sweepBufs[s.sweepBufIdx][:0]
 	if cap(recs) < len(evs) {
 		recs = make([]ResultRecord, 0, len(evs))
@@ -997,7 +989,7 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 			obsErrs  []error
 		)
 		if len(s.batchProbes) > 0 {
-			verdicts, obsErrs = ObserveBatch(ctx, be, s.batchProbes, s.batchExpects)
+			verdicts, obsErrs = be.ObserveBatch(ctx, s.batchProbes, s.batchExpects)
 		}
 		j := 0
 		for i := lo; i < hi; i++ {
@@ -1503,14 +1495,12 @@ func (s *Service) Metrics() ServiceMetrics {
 	return m
 }
 
-// switchMetrics builds one switch's metrics slice, including the event
-// drop count of drivers that report one.
+// switchMetrics builds one switch's metrics slice, including its driver's
+// event drop count.
 func (s *Service) switchMetrics(id uint32, v *Verifier) SwitchMetrics {
 	sm := SwitchMetrics{Switch: id, Epoch: v.Epoch(), Rules: v.Len(), Cache: v.CacheStats()}
 	if be, ok := s.fleet.Backend(id); ok {
-		if c, ok := be.(EventDropCounter); ok {
-			sm.EventsDropped = c.EventDrops()
-		}
+		sm.EventsDropped = be.EventDrops()
 	}
 	return sm
 }
@@ -1594,7 +1584,7 @@ func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	reply, err := s.ApplyRule(uint32(id64), op)
+	reply, err := s.applyRule(r.Context(), uint32(id64), op)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {

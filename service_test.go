@@ -326,3 +326,88 @@ func TestServiceSweepEndpointAndErrors(t *testing.T) {
 		t.Fatalf("manual sweep alerts: %+v", round.Alerts)
 	}
 }
+
+// TestRuleOpObservesUnderRequestContext: an HTTP rule op's confirmation
+// observation runs under the request context. On a data plane that never
+// settles, a request that goes away must end the handler with the
+// mutation committed and the verdict "unobserved" instead of holding it
+// forever.
+func TestRuleOpObservesUnderRequestContext(t *testing.T) {
+	svc := monocle.NewService()
+	defer svc.Close()
+	be := &blockingBackend{id: 7, entered: make(chan struct{}), events: make(chan monocle.BackendEvent)}
+	v, err := svc.Fleet().AddBackend(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body := `{"op":"add","rule":{"id":1,"priority":10,"match":{"dl_type":"0x800","nw_dst":"10.0.0.0/24"},"actions":[{"output":2}]}}`
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/switches/7/rules", strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.Handler().ServeHTTP(rec, req)
+	}()
+	select {
+	case <-be.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the rule op never reached Observe")
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still blocked after its request context was cancelled")
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var reply monocle.UpdateReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Verdict != "unobserved" {
+		t.Fatalf("verdict %q, want unobserved", reply.Verdict)
+	}
+	if _, ok := v.Rule(1); !ok {
+		t.Fatal("the rule op's mutation was not committed")
+	}
+}
+
+// embeddingBackend is a decorator that embeds its driver, the way
+// timing and logging wrappers do.
+type embeddingBackend struct{ monocle.Backend }
+
+// TestEventDropsThroughEmbeddingWrapper: a wrapper that embeds Backend
+// still reports its driver's event drops in Service.Metrics.
+func TestEventDropsThroughEmbeddingWrapper(t *testing.T) {
+	svc := monocle.NewService()
+	defer svc.Close()
+	sim := monocle.NewSimBackend(3)
+	// Nothing drains a driver registered on the Fleet directly, so
+	// connects past the event buffer's capacity overflow it.
+	for i := 0; i < 100; i++ {
+		if err := sim.Connect(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drops := sim.EventDrops()
+	if drops == 0 {
+		t.Fatal("no events dropped: the setup did not overflow the event buffer")
+	}
+	if _, err := svc.Fleet().AddBackend(embeddingBackend{sim}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sm := range svc.Metrics().Switches {
+		if sm.Switch == 3 {
+			if sm.EventsDropped != drops {
+				t.Fatalf("events_dropped %d, want the driver's %d", sm.EventsDropped, drops)
+			}
+			return
+		}
+	}
+	t.Fatal("switch 3 missing from metrics")
+}
