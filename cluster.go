@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,9 +38,6 @@ type ClusterConfig struct {
 	// Client is the HTTP client used to reach replicas (default: a client
 	// with a 10s timeout).
 	Client *http.Client
-	// CheckInterval is the background health-check cadence of Run
-	// (default 2s).
-	CheckInterval time.Duration
 }
 
 // ReplicaHealth is one replica's slice of the cluster health view.
@@ -140,10 +138,6 @@ type Coordinator struct {
 	names    []string
 	byName   map[string]ReplicaSpec
 	client   *http.Client
-	interval time.Duration
-
-	mu     sync.Mutex
-	health map[string]ReplicaHealth
 }
 
 // NewCoordinator validates the membership and returns a coordinator.
@@ -172,17 +166,11 @@ func NewCoordinator(cfg ClusterConfig) (*Coordinator, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	interval := cfg.CheckInterval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
 	return &Coordinator{
 		replicas: append([]ReplicaSpec(nil), cfg.Replicas...),
 		names:    names,
 		byName:   byName,
 		client:   client,
-		interval: interval,
-		health:   make(map[string]ReplicaHealth),
 	}, nil
 }
 
@@ -192,30 +180,6 @@ func (c *Coordinator) Owner(id uint32) ReplicaSpec {
 	return c.byName[cluster.Owner(c.names, id)]
 }
 
-// ShardMap returns the membership's shard map (Switches unset; the
-// GET /shards endpoint populates it from a live fan-in).
-func (c *Coordinator) ShardMap() ShardMap {
-	return ShardMap{Replicas: append([]string(nil), c.names...)}
-}
-
-// Run health-checks every replica each CheckInterval until ctx is done,
-// keeping the cached health view (served to callers that want a recent
-// snapshot without a probe) fresh. It always returns nil; cancelling ctx
-// is the normal shutdown.
-func (c *Coordinator) Run(ctx context.Context) error {
-	ticker := time.NewTicker(c.interval)
-	defer ticker.Stop()
-	c.Health(ctx)
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-			c.Health(ctx)
-		}
-	}
-}
-
 // Close releases the coordinator's idle replica connections. It is safe
 // to call more than once.
 func (c *Coordinator) Close() error {
@@ -223,48 +187,27 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// Health probes every replica now and returns the fleet view. The result
-// is also cached for LastHealth.
-func (c *Coordinator) Health(ctx context.Context) ClusterHealth {
-	results := make([]ReplicaHealth, len(c.replicas))
+// fanOut runs fn once per replica, all replicas concurrently, and returns
+// the results in membership order.
+func fanOut[T any](c *Coordinator, fn func(ReplicaSpec) T) []T {
+	out := make([]T, len(c.replicas))
 	var wg sync.WaitGroup
 	for i, rep := range c.replicas {
 		wg.Add(1)
-		go func(i int, rep ReplicaSpec) {
+		go func() {
 			defer wg.Done()
-			results[i] = c.probe(ctx, rep)
-		}(i, rep)
+			out[i] = fn(rep)
+		}()
 	}
 	wg.Wait()
-	out := ClusterHealth{OK: true, Ready: true, Replicas: results}
-	c.mu.Lock()
-	for _, h := range results {
-		c.health[h.Name] = h
-		if !h.Alive {
-			out.OK = false
-		}
-		if !h.Alive || !h.Ready {
-			out.Ready = false
-			out.Degraded = append(out.Degraded, h.Name)
-		}
-	}
-	c.mu.Unlock()
-	sort.Strings(out.Degraded)
 	return out
 }
 
-// LastHealth returns the most recent cached health view without probing
-// (zero-valued entries before the first probe of a replica).
-func (c *Coordinator) LastHealth() ClusterHealth {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// health probes every replica now and returns the fleet view.
+func (c *Coordinator) health(ctx context.Context) ClusterHealth {
 	out := ClusterHealth{OK: true, Ready: true}
-	for _, rep := range c.replicas {
-		h, ok := c.health[rep.Name]
-		if !ok {
-			h = ReplicaHealth{Name: rep.Name, URL: rep.URL}
-		}
-		out.Replicas = append(out.Replicas, h)
+	out.Replicas = fanOut(c, func(rep ReplicaSpec) ReplicaHealth { return c.probe(ctx, rep) })
+	for _, h := range out.Replicas {
 		if !h.Alive {
 			out.OK = false
 		}
@@ -281,29 +224,18 @@ func (c *Coordinator) LastHealth() ClusterHealth {
 // ReplicaHealth. Any transport error means not alive (and therefore a
 // degraded shard); a 503 means alive but not routable yet.
 func (c *Coordinator) probe(ctx context.Context, rep ReplicaSpec) ReplicaHealth {
-	h := ReplicaHealth{Name: rep.Name, URL: rep.URL}
 	body, status, err := c.call(ctx, rep, http.MethodGet, "/readyz", "", nil)
+	var h ReplicaHealth // the readyz body carries ready/resuming/draining/rounds/switches
+	if err == nil {
+		if err = json.Unmarshal(body, &h); err != nil {
+			err = fmt.Errorf("bad readyz body: %v", err)
+		}
+	}
 	if err != nil {
-		h.Error = err.Error()
-		return h
+		return ReplicaHealth{Name: rep.Name, URL: rep.URL, Error: err.Error()}
 	}
-	var detail struct {
-		Ready    bool   `json:"ready"`
-		Resuming bool   `json:"resuming"`
-		Draining bool   `json:"draining"`
-		Rounds   uint64 `json:"rounds"`
-		Switches int    `json:"switches"`
-	}
-	if err := json.Unmarshal(body, &detail); err != nil {
-		h.Error = fmt.Sprintf("bad readyz body: %v", err)
-		return h
-	}
-	h.Alive = true
-	h.Ready = status == http.StatusOK && detail.Ready
-	h.Resuming = detail.Resuming
-	h.Draining = detail.Draining
-	h.Rounds = detail.Rounds
-	h.Switches = detail.Switches
+	h.Name, h.URL, h.Alive = rep.Name, rep.URL, true
+	h.Ready = status == http.StatusOK && h.Ready
 	return h
 }
 
@@ -334,37 +266,36 @@ func (c *Coordinator) call(ctx context.Context, rep ReplicaSpec, method, path, c
 	return b, resp.StatusCode, nil
 }
 
-// errShardDegraded marks a routing failure: the owning replica is down or
-// not ready, so the op cannot be applied without losing it.
-type errShardDegraded struct {
-	shard  string
-	reason string
-}
-
-func (e errShardDegraded) Error() string {
-	return fmt.Sprintf("shard %s degraded: %s", e.shard, e.reason)
-}
-
-// requireRoutable synchronously re-probes one replica and returns an
-// errShardDegraded unless the replica can safely accept routed ops: it
-// answers, it is not mid-Resume (WAL replay), and it is not draining.
+// unroutable synchronously re-probes one replica and returns why it
+// cannot safely accept routed ops, or "" when it can: it answers, it is
+// not mid-Resume (WAL replay), and it is not draining.
 // Note this is deliberately weaker than full /readyz readiness — a fresh
 // replica has not finished its first round yet, but it must accept the
 // switch registrations that make the first round possible.
-func (c *Coordinator) requireRoutable(ctx context.Context, rep ReplicaSpec) error {
+func (c *Coordinator) unroutable(ctx context.Context, rep ReplicaSpec) string {
 	h := c.probe(ctx, rep)
-	c.mu.Lock()
-	c.health[h.Name] = h
-	c.mu.Unlock()
 	switch {
 	case !h.Alive:
-		return errShardDegraded{shard: rep.Name, reason: h.Error}
+		return h.Error
 	case h.Resuming:
-		return errShardDegraded{shard: rep.Name, reason: "resuming (WAL replay in progress)"}
+		return "resuming (WAL replay in progress)"
 	case h.Draining:
-		return errShardDegraded{shard: rep.Name, reason: "draining"}
+		return "draining"
 	}
-	return nil
+	return ""
+}
+
+// firstUnroutable gates a fleet-wide op: a partial sweep or policy update
+// would silently skip (or diverge) a shard, so every replica must be
+// routable. It names the first one in membership order that is not, and
+// why ("" when all are).
+func (c *Coordinator) firstUnroutable(ctx context.Context) (shard, reason string) {
+	for _, rep := range c.replicas {
+		if reason := c.unroutable(ctx, rep); reason != "" {
+			return rep.Name, reason
+		}
+	}
+	return "", ""
 }
 
 // Handler returns the coordinator's aggregated HTTP surface — the same
@@ -390,6 +321,7 @@ func (c *Coordinator) requireRoutable(ctx context.Context, rep ReplicaSpec) erro
 // view of the live shards and an X-Monocle-Degraded header naming the
 // missing ones. Mutating ops are gated on the owning shard's readiness
 // and fail 503 with the shard name instead of silently dropping work.
+// Replica health is probed live on every request that depends on it.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /switches", c.handleAddSwitch)
@@ -402,21 +334,18 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /alerts", c.handleAlerts)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /livez", c.handleLivez)
+	mux.HandleFunc("GET /livez", handleLivez)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	mux.HandleFunc("GET /shards", c.handleShards)
 	return mux
 }
 
-func (c *Coordinator) degradedError(w http.ResponseWriter, err error) {
-	var deg errShardDegraded
-	if errors.As(err, &deg) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": deg.Error(), "shard": deg.shard, "degraded": true,
-		})
-		return
-	}
-	httpError(w, http.StatusBadGateway, err)
+// writeDegraded answers 503 for an op the named shard cannot take now,
+// instead of silently dropping it.
+func writeDegraded(w http.ResponseWriter, shard, reason string) {
+	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		"error": fmt.Sprintf("shard %s degraded: %s", shard, reason), "shard": shard, "degraded": true,
+	})
 }
 
 // relay copies a replica response (status and body) to the client.
@@ -426,10 +355,25 @@ func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-func (c *Coordinator) handleAddSwitch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+// forward POSTs a client's JSON body to path on the replica owning switch
+// id, once that replica is routable, and relays the replica's answer.
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id uint32, path string, body []byte) {
+	owner := c.Owner(id)
+	if reason := c.unroutable(r.Context(), owner); reason != "" {
+		writeDegraded(w, owner.Name, reason)
+		return
+	}
+	resp, status, err := c.call(r.Context(), owner, http.MethodPost, path, "application/json", body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeDegraded(w, owner.Name, err.Error())
+		return
+	}
+	relay(w, status, resp)
+}
+
+func (c *Coordinator) handleAddSwitch(w http.ResponseWriter, r *http.Request) {
+	var body json.RawMessage
+	if !decodeJSONBody(w, r, &body) {
 		return
 	}
 	var peek struct {
@@ -439,17 +383,7 @@ func (c *Coordinator) handleAddSwitch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	owner := c.Owner(peek.ID)
-	if err := c.requireRoutable(r.Context(), owner); err != nil {
-		c.degradedError(w, err)
-		return
-	}
-	resp, status, err := c.call(r.Context(), owner, http.MethodPost, "/switches", "application/json", body)
-	if err != nil {
-		c.degradedError(w, errShardDegraded{shard: owner.Name, reason: err.Error()})
-		return
-	}
-	relay(w, status, resp)
+	c.forward(w, r, peek.ID, "/switches", body)
 }
 
 func (c *Coordinator) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -458,49 +392,26 @@ func (c *Coordinator) handleRules(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad switch id: %w", err))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	var body json.RawMessage
+	if !decodeJSONBody(w, r, &body) {
 		return
 	}
-	owner := c.Owner(uint32(id64))
-	if err := c.requireRoutable(r.Context(), owner); err != nil {
-		c.degradedError(w, err)
-		return
-	}
-	resp, status, err := c.call(r.Context(), owner, http.MethodPost, "/switches/"+r.PathValue("id")+"/rules", "application/json", body)
-	if err != nil {
-		c.degradedError(w, errShardDegraded{shard: owner.Name, reason: err.Error()})
-		return
-	}
-	relay(w, status, resp)
+	c.forward(w, r, uint32(id64), "/switches/"+r.PathValue("id")+"/rules", body)
 }
 
-// fanIn performs one GET against every replica concurrently and returns
-// the bodies in membership order (nil body for a failed replica) plus the
-// sorted names of the replicas that failed.
+// fanIn GETs path from every replica concurrently and returns the bodies
+// in membership order (nil for a replica that failed or answered non-200)
+// plus the sorted names of the replicas that failed.
 func (c *Coordinator) fanIn(ctx context.Context, path string) (bodies [][]byte, degraded []string) {
-	bodies = make([][]byte, len(c.replicas))
-	errs := make([]error, len(c.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range c.replicas {
-		wg.Add(1)
-		go func(i int, rep ReplicaSpec) {
-			defer wg.Done()
-			body, status, err := c.call(ctx, rep, http.MethodGet, path, "", nil)
-			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("replica %s: %s returned %d", rep.Name, path, status)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			bodies[i] = body
-		}(i, rep)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	bodies = fanOut(c, func(rep ReplicaSpec) []byte {
+		body, status, err := c.call(ctx, rep, http.MethodGet, path, "", nil)
+		if err != nil || status != http.StatusOK {
+			return nil
+		}
+		return body
+	})
+	for i, body := range bodies {
+		if body == nil {
 			degraded = append(degraded, c.replicas[i].Name)
 		}
 	}
@@ -508,50 +419,64 @@ func (c *Coordinator) fanIn(ctx context.Context, path string) (bodies [][]byte, 
 	return bodies, degraded
 }
 
-func markDegraded(w http.ResponseWriter, degraded []string) {
-	if len(degraded) > 0 {
-		w.Header().Set("X-Monocle-Degraded", joinNames(degraded))
-	}
-}
-
-func joinNames(names []string) string {
-	var b bytes.Buffer
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(n)
-	}
-	return b.String()
-}
-
-func (c *Coordinator) handleListSwitches(w http.ResponseWriter, r *http.Request) {
-	bodies, degraded := c.fanIn(r.Context(), "/switches")
-	var merged []SwitchMetrics
+// fanInSwitches merges every live replica's GET /switches list, ascending
+// by switch id.
+func (c *Coordinator) fanInSwitches(ctx context.Context) (merged []SwitchMetrics, degraded []string, err error) {
+	bodies, degraded := c.fanIn(ctx, "/switches")
 	for _, body := range bodies {
 		if body == nil {
 			continue
 		}
 		var part []SwitchMetrics
 		if err := json.Unmarshal(body, &part); err != nil {
-			httpError(w, http.StatusBadGateway, err)
-			return
+			return nil, nil, err
 		}
 		merged = append(merged, part...)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Switch < merged[j].Switch })
+	sortSwitches(merged)
+	return merged, degraded, nil
+}
+
+// fanInLines GETs an ndjson stream from every replica and calls fn on
+// every non-blank line of the live ones, in membership order, stopping at
+// fn's first error. It returns the sorted names of the failed replicas.
+func (c *Coordinator) fanInLines(ctx context.Context, path string, fn func(line []byte) error) ([]string, error) {
+	bodies, degraded := c.fanIn(ctx, path)
+	for _, body := range bodies {
+		sc := bufio.NewScanner(bytes.NewReader(body))
+		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+		for sc.Scan() {
+			if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+				continue
+			}
+			if err := fn(sc.Bytes()); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return degraded, nil
+}
+
+func markDegraded(w http.ResponseWriter, degraded []string) {
+	if len(degraded) > 0 {
+		w.Header().Set("X-Monocle-Degraded", strings.Join(degraded, ","))
+	}
+}
+
+func (c *Coordinator) handleListSwitches(w http.ResponseWriter, r *http.Request) {
+	merged, degraded, err := c.fanInSwitches(r.Context())
+	if err != nil {
+		httpError(w, http.StatusBadGateway, err)
+		return
+	}
 	markDegraded(w, degraded)
 	writeJSON(w, http.StatusOK, merged)
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	// A partial sweep would silently skip a shard's switches, so the whole
-	// fleet must be routable before any replica sweeps.
-	for _, rep := range c.replicas {
-		if err := c.requireRoutable(r.Context(), rep); err != nil {
-			c.degradedError(w, err)
-			return
-		}
+	if shard, reason := c.firstUnroutable(r.Context()); reason != "" {
+		writeDegraded(w, shard, reason)
+		return
 	}
 	path := "/sweep"
 	if r.URL.RawQuery != "" {
@@ -561,45 +486,29 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Round  uint64  `json:"round"`
 		Rules  int     `json:"rules"`
 		Alerts []Alert `json:"alerts"`
+		err    error
 	}
-	replies := make([]*sweepReply, len(c.replicas))
-	errs := make([]error, len(c.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range c.replicas {
-		wg.Add(1)
-		go func(i int, rep ReplicaSpec) {
-			defer wg.Done()
-			body, status, err := c.call(r.Context(), rep, http.MethodPost, path, "", nil)
-			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("replica %s: sweep returned %d: %s", rep.Name, status, body)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var sr sweepReply
-			if err := json.Unmarshal(body, &sr); err != nil {
-				errs[i] = err
-				return
-			}
-			replies[i] = &sr
-		}(i, rep)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			c.degradedError(w, errShardDegraded{shard: c.replicas[i].Name, reason: err.Error()})
-			return
+	replies := fanOut(c, func(rep ReplicaSpec) (sr sweepReply) {
+		body, status, err := c.call(r.Context(), rep, http.MethodPost, path, "", nil)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("replica %s: sweep returned %d: %s", rep.Name, status, body)
 		}
-	}
+		if err == nil {
+			err = json.Unmarshal(body, &sr)
+		}
+		sr.err = err
+		return sr
+	})
 	var out sweepReply
 	var merged []Alert
-	for _, rep := range replies {
-		if rep.Round > out.Round {
-			out.Round = rep.Round
+	for i, sr := range replies {
+		if sr.err != nil {
+			writeDegraded(w, c.replicas[i].Name, sr.err.Error())
+			return
 		}
-		out.Rules += rep.Rules
-		merged = append(merged, rep.Alerts...)
+		out.Round = max(out.Round, sr.Round)
+		out.Rules += sr.Rules
+		merged = append(merged, sr.Alerts...)
 	}
 	sortAlerts(merged)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -625,31 +534,22 @@ func (c *Coordinator) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	// Validate locally first: a policy that does not parse must not reach
 	// any replica, or shards would diverge on which policy is active.
-	if len(bytes.TrimSpace(body)) > 0 {
+	cleared := len(bytes.TrimSpace(body)) == 0
+	if !cleared {
 		if _, err := ParsePolicy(string(body)); err != nil {
-			var perr *PolicyError
-			if errors.As(err, &perr) {
-				writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-					"error": perr.Error(), "line": perr.Line, "column": perr.Col,
-				})
-			} else {
-				httpError(w, http.StatusUnprocessableEntity, err)
-			}
+			writePolicyError(w, err)
 			return
 		}
 	}
-	for _, rep := range c.replicas {
-		if err := c.requireRoutable(r.Context(), rep); err != nil {
-			c.degradedError(w, err)
-			return
-		}
+	if shard, reason := c.firstUnroutable(r.Context()); reason != "" {
+		writeDegraded(w, shard, reason)
+		return
 	}
 	type putReply struct {
 		Groups      []string            `json:"groups"`
@@ -657,14 +557,13 @@ func (c *Coordinator) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	var groups []string
 	mergedAsn := make(map[string][]uint32)
-	cleared := len(bytes.TrimSpace(body)) == 0
 	for _, rep := range c.replicas {
 		resp, status, err := c.call(r.Context(), rep, http.MethodPut, "/policy", "text/plain", body)
 		if err != nil || status != http.StatusOK {
 			if err == nil {
 				err = fmt.Errorf("replica %s: policy update returned %d: %s", rep.Name, status, resp)
 			}
-			c.degradedError(w, errShardDegraded{shard: rep.Name, reason: err.Error()})
+			writeDegraded(w, rep.Name, err.Error())
 			return
 		}
 		if cleared {
@@ -706,26 +605,16 @@ func sortAlerts(alerts []Alert) {
 }
 
 func (c *Coordinator) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	bodies, degraded := c.fanIn(r.Context(), "/alerts")
 	var merged []Alert
-	for _, body := range bodies {
-		if body == nil {
-			continue
-		}
-		sc := bufio.NewScanner(bytes.NewReader(body))
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			var a Alert
-			if err := json.Unmarshal(line, &a); err != nil {
-				httpError(w, http.StatusBadGateway, err)
-				return
-			}
-			merged = append(merged, a)
-		}
+	degraded, err := c.fanInLines(r.Context(), "/alerts", func(line []byte) error {
+		var a Alert
+		err := json.Unmarshal(line, &a)
+		merged = append(merged, a)
+		return err
+	})
+	if err != nil {
+		httpError(w, http.StatusBadGateway, err)
+		return
 	}
 	sortAlerts(merged)
 	// Renumber Seq along the merged global order: per-replica sequence
@@ -737,13 +626,10 @@ func (c *Coordinator) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		merged[i].Seq = uint64(i + 1)
 	}
 	markDegraded(w, degraded)
-	writeJSONLines(w, len(merged), func(enc *json.Encoder, i int) error {
-		return enc.Encode(merged[i])
-	})
+	writeJSONLines(w, merged)
 }
 
 func (c *Coordinator) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	bodies, degraded := c.fanIn(r.Context(), "/sweeps")
 	// Sweep records pass through as raw lines: switch ownership is
 	// disjoint and each replica emits its switches in ascending id order,
 	// so a stable merge on the peeked switch id reproduces the standalone
@@ -753,26 +639,17 @@ func (c *Coordinator) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		line []byte
 	}
 	var lines []rawLine
-	for _, body := range bodies {
-		if body == nil {
-			continue
+	degraded, err := c.fanInLines(r.Context(), "/sweeps", func(line []byte) error {
+		var peek struct {
+			Switch uint32 `json:"switch"`
 		}
-		sc := bufio.NewScanner(bytes.NewReader(body))
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var peek struct {
-				Switch uint32 `json:"switch"`
-			}
-			if err := json.Unmarshal(line, &peek); err != nil {
-				httpError(w, http.StatusBadGateway, err)
-				return
-			}
-			lines = append(lines, rawLine{sw: peek.Switch, line: append([]byte(nil), line...)})
-		}
+		err := json.Unmarshal(line, &peek)
+		lines = append(lines, rawLine{sw: peek.Switch, line: append([]byte(nil), line...)})
+		return err
+	})
+	if err != nil {
+		httpError(w, http.StatusBadGateway, err)
+		return
 	}
 	sort.SliceStable(lines, func(i, j int) bool { return lines[i].sw < lines[j].sw })
 	markDegraded(w, degraded)
@@ -794,47 +671,31 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) clusterMetrics(ctx context.Context) ClusterMetrics {
-	bodies := make([][]byte, len(c.replicas))
-	errs := make([]error, len(c.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range c.replicas {
-		wg.Add(1)
-		go func(i int, rep ReplicaSpec) {
-			defer wg.Done()
-			body, status, err := c.call(ctx, rep, http.MethodGet, "/metrics", "", nil)
-			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("metrics returned %d", status)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			bodies[i] = body
-		}(i, rep)
-	}
-	wg.Wait()
 	out := ClusterMetrics{AlertsByType: make(map[string]uint64)}
-	for i, rep := range c.replicas {
+	out.Replicas = fanOut(c, func(rep ReplicaSpec) ReplicaMetrics {
 		rm := ReplicaMetrics{Name: rep.Name, URL: rep.URL}
-		if errs[i] != nil {
-			rm.Error = errs[i].Error()
-			out.Degraded = append(out.Degraded, rep.Name)
-			out.Replicas = append(out.Replicas, rm)
-			continue
+		body, status, err := c.call(ctx, rep, http.MethodGet, "/metrics", "", nil)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("metrics returned %d", status)
 		}
 		var sm ServiceMetrics
-		if err := json.Unmarshal(bodies[i], &sm); err != nil {
+		if err == nil {
+			err = json.Unmarshal(body, &sm)
+		}
+		if err != nil {
 			rm.Error = err.Error()
-			out.Degraded = append(out.Degraded, rep.Name)
-			out.Replicas = append(out.Replicas, rm)
+			return rm
+		}
+		rm.Alive, rm.Metrics = true, &sm
+		return rm
+	})
+	for _, rm := range out.Replicas {
+		sm := rm.Metrics
+		if sm == nil {
+			out.Degraded = append(out.Degraded, rm.Name)
 			continue
 		}
-		rm.Alive = true
-		rm.Metrics = &sm
-		out.Replicas = append(out.Replicas, rm)
-		if sm.Rounds > out.Rounds {
-			out.Rounds = sm.Rounds
-		}
+		out.Rounds = max(out.Rounds, sm.Rounds)
 		out.RulesSwept += sm.RulesSwept
 		out.AlertsTotal += sm.AlertsTotal
 		out.SinkErrors += sm.SinkErrors
@@ -856,82 +717,68 @@ func (c *Coordinator) clusterMetrics(ctx context.Context) ClusterMetrics {
 // series in the Prometheus text exposition format. Per-switch series keep
 // both the switch and the owning replica as labels.
 func writeClusterPrometheus(w http.ResponseWriter, m ClusterMetrics) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b bytes.Buffer
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("monocle_cluster_sweep_rounds_total", "Completed sweep rounds (max across replicas).", m.Rounds)
-	counter("monocle_cluster_rules_swept_total", "Per-rule results across all replicas.", m.RulesSwept)
-	counter("monocle_cluster_alerts_total", "Alerts raised across all replicas.", m.AlertsTotal)
-	counter("monocle_cluster_sink_errors_total", "Failed alert-sink deliveries across all replicas.", m.SinkErrors)
-	counter("monocle_cluster_store_errors_total", "Failed persistence-store writes across all replicas.", m.StoreErrors)
-	fmt.Fprintf(&b, "# HELP monocle_cluster_switches Registered switches across all replicas.\n# TYPE monocle_cluster_switches gauge\nmonocle_cluster_switches %d\n", m.Switches)
-	fmt.Fprintf(&b, "# HELP monocle_cluster_degraded_shards Replicas currently unreachable.\n# TYPE monocle_cluster_degraded_shards gauge\nmonocle_cluster_degraded_shards %d\n", len(m.Degraded))
+	var p promWriter
+	p.metric("monocle_cluster_sweep_rounds_total", "counter", "Completed sweep rounds (max across replicas).", m.Rounds)
+	p.metric("monocle_cluster_rules_swept_total", "counter", "Per-rule results across all replicas.", m.RulesSwept)
+	p.metric("monocle_cluster_alerts_total", "counter", "Alerts raised across all replicas.", m.AlertsTotal)
+	p.metric("monocle_cluster_sink_errors_total", "counter", "Failed alert-sink deliveries across all replicas.", m.SinkErrors)
+	p.metric("monocle_cluster_store_errors_total", "counter", "Failed persistence-store writes across all replicas.", m.StoreErrors)
+	p.metric("monocle_cluster_policy_errors_total", "counter", "Rejected monitoring-policy loads across all replicas.", m.PolicyErrors)
+	p.metric("monocle_cluster_switches", "gauge", "Registered switches across all replicas.", m.Switches)
+	p.metric("monocle_cluster_degraded_shards", "gauge", "Replicas currently unreachable.", len(m.Degraded))
 
-	fmt.Fprintf(&b, "# HELP monocle_replica_up Replica answered its last metrics fan-in.\n# TYPE monocle_replica_up gauge\n")
+	p.family("monocle_replica_up", "gauge", "Replica answered its last metrics fan-in.")
 	for _, rm := range m.Replicas {
 		up := 0
 		if rm.Alive {
 			up = 1
 		}
-		fmt.Fprintf(&b, "monocle_replica_up{replica=%q} %d\n", rm.Name, up)
+		p.sample("monocle_replica_up", up, "replica", rm.Name)
 	}
-	perReplica := func(name, help, kind string, value func(*ServiceMetrics) string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	perReplica := func(name, kind, help string, value func(*ServiceMetrics) any) {
+		p.family(name, kind, help)
+		for _, rm := range m.Replicas {
+			if rm.Metrics != nil {
+				p.sample(name, value(rm.Metrics), "replica", rm.Name)
+			}
+		}
+	}
+	perReplica("monocle_sweep_rounds_total", "counter", "Completed sweep rounds per replica.",
+		func(sm *ServiceMetrics) any { return sm.Rounds })
+	perReplica("monocle_rules_swept_total", "counter", "Per-rule results per replica across all rounds.",
+		func(sm *ServiceMetrics) any { return sm.RulesSwept })
+	perReplica("monocle_alerts_raised_total", "counter", "Alerts raised per replica.",
+		func(sm *ServiceMetrics) any { return sm.AlertsTotal })
+	perReplica("monocle_last_round_rules", "gauge", "Result count of the replica's most recent round.",
+		func(sm *ServiceMetrics) any { return sm.LastRoundRules })
+	perReplica("monocle_last_round_us_per_rule", "gauge", "Per-rule cost of the replica's most recent round in microseconds.",
+		func(sm *ServiceMetrics) any { return sm.LastRoundMicrosPerRule })
+
+	perSwitch := func(name, help string, value func(SwitchMetrics) any) {
+		p.family(name, "gauge", help)
 		for _, rm := range m.Replicas {
 			if rm.Metrics == nil {
 				continue
 			}
-			fmt.Fprintf(&b, "%s{replica=%q} %s\n", name, rm.Name, value(rm.Metrics))
+			sortSwitches(rm.Metrics.Switches)
+			for _, sw := range rm.Metrics.Switches {
+				p.sample(name, value(sw), "replica", rm.Name, "switch", strconv.FormatUint(uint64(sw.Switch), 10))
+			}
 		}
 	}
-	perReplica("monocle_sweep_rounds_total", "Completed sweep rounds per replica.", "counter",
-		func(sm *ServiceMetrics) string { return strconv.FormatUint(sm.Rounds, 10) })
-	perReplica("monocle_rules_swept_total", "Per-rule results per replica across all rounds.", "counter",
-		func(sm *ServiceMetrics) string { return strconv.FormatUint(sm.RulesSwept, 10) })
-	perReplica("monocle_alerts_raised_total", "Alerts raised per replica.", "counter",
-		func(sm *ServiceMetrics) string { return strconv.FormatUint(sm.AlertsTotal, 10) })
-	perReplica("monocle_last_round_rules", "Result count of the replica's most recent round.", "gauge",
-		func(sm *ServiceMetrics) string { return strconv.Itoa(sm.LastRoundRules) })
-	perReplica("monocle_last_round_us_per_rule", "Per-rule cost of the replica's most recent round in microseconds.", "gauge",
-		func(sm *ServiceMetrics) string { return strconv.FormatFloat(sm.LastRoundMicrosPerRule, 'g', -1, 64) })
-
-	fmt.Fprintf(&b, "# HELP monocle_switch_epoch Table-change epoch per switch.\n# TYPE monocle_switch_epoch gauge\n")
-	for _, rm := range m.Replicas {
-		if rm.Metrics == nil {
-			continue
-		}
-		sws := append([]SwitchMetrics(nil), rm.Metrics.Switches...)
-		sort.Slice(sws, func(i, j int) bool { return sws[i].Switch < sws[j].Switch })
-		for _, sw := range sws {
-			fmt.Fprintf(&b, "monocle_switch_epoch{replica=%q,switch=\"%d\"} %d\n", rm.Name, sw.Switch, sw.Epoch)
-		}
-	}
-	fmt.Fprintf(&b, "# HELP monocle_switch_rules Installed rules per switch.\n# TYPE monocle_switch_rules gauge\n")
-	for _, rm := range m.Replicas {
-		if rm.Metrics == nil {
-			continue
-		}
-		sws := append([]SwitchMetrics(nil), rm.Metrics.Switches...)
-		sort.Slice(sws, func(i, j int) bool { return sws[i].Switch < sws[j].Switch })
-		for _, sw := range sws {
-			fmt.Fprintf(&b, "monocle_switch_rules{replica=%q,switch=\"%d\"} %d\n", rm.Name, sw.Switch, sw.Rules)
-		}
-	}
-	w.Write(b.Bytes())
+	perSwitch("monocle_switch_epoch", "Table-change epoch per switch.",
+		func(sw SwitchMetrics) any { return sw.Epoch })
+	perSwitch("monocle_switch_rules", "Installed rules per switch.",
+		func(sw SwitchMetrics) any { return sw.Rules })
+	p.send(w)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Health(r.Context()))
-}
-
-func (c *Coordinator) handleLivez(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	writeJSON(w, http.StatusOK, c.health(r.Context()))
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	h := c.Health(r.Context())
+	h := c.health(r.Context())
 	status := http.StatusOK
 	if !h.Ready {
 		status = http.StatusServiceUnavailable
@@ -940,22 +787,14 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
-	bodies, degraded := c.fanIn(r.Context(), "/switches")
-	m := c.ShardMap()
-	m.Degraded = degraded
-	m.Switches = make(map[uint32]string)
-	for _, body := range bodies {
-		if body == nil {
-			continue
-		}
-		var part []SwitchMetrics
-		if err := json.Unmarshal(body, &part); err != nil {
-			httpError(w, http.StatusBadGateway, err)
-			return
-		}
-		for _, sw := range part {
-			m.Switches[sw.Switch] = m.Owner(sw.Switch)
-		}
+	switches, degraded, err := c.fanInSwitches(r.Context())
+	if err != nil {
+		httpError(w, http.StatusBadGateway, err)
+		return
+	}
+	m := ShardMap{Replicas: c.names, Switches: make(map[uint32]string), Degraded: degraded}
+	for _, sw := range switches {
+		m.Switches[sw.Switch] = m.Owner(sw.Switch)
 	}
 	markDegraded(w, degraded)
 	writeJSON(w, http.StatusOK, m)

@@ -291,6 +291,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	for _, want := range []string{
 		"monocle_cluster_sweep_rounds_total 1",
 		"monocle_cluster_switches 4",
+		"monocle_cluster_policy_errors_total 0",
 		`monocle_replica_up{replica="shard-0"} 1`,
 		`monocle_replica_up{replica="shard-1"} 1`,
 		`monocle_sweep_rounds_total{replica="shard-0"} 1`,

@@ -97,7 +97,9 @@ func main() {
 			log.Printf("monocled resume (continuing): %v", err)
 		}
 	}
-	srv := &http.Server{Addr: *listen, Handler: svc.Handler()}
+	// Header-read and keep-alive idle timeouts: a slow or idle client
+	// cannot pin a connection forever.
+	srv := &http.Server{Addr: *listen, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -26,6 +26,11 @@
 //
 // On SIGINT/SIGTERM spawn-mode replicas drain their in-flight rounds and
 // every HTTP server shuts down gracefully.
+//
+// The coordinator keeps no cached health view: routing a mutation, a
+// fleet-wide sweep or policy update, and every GET /healthz or /readyz
+// probe the replicas' /readyz live, so a replica that dies or comes back
+// is seen on the very next request.
 package main
 
 import (
@@ -46,16 +51,15 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", ":8866", "coordinator HTTP listen address")
-		replicas  = flag.Int("replicas", 0, "spawn mode: run this many in-process replicas (shard-0..shard-N-1)")
-		repHost   = flag.String("replica-host", "127.0.0.1", "spawn mode: host replicas bind to")
-		repBase   = flag.Int("replica-base-port", 8871, "spawn mode: first replica port (shard-i listens on base+i)")
-		join      = flag.String("join", "", "join mode: comma-separated name=url static membership of running monocled replicas")
-		interval  = flag.Duration("interval", 2*time.Second, "spawn mode: steady-state sweep interval per replica")
-		workers   = flag.Int("workers", 0, "spawn mode: per-replica solver-worker budget (0 = all CPUs)")
-		debounce  = flag.Int("debounce", 1, "spawn mode: consecutive failing sweeps before a rule alert")
-		stateDir  = flag.String("state-dir", "", "spawn mode: per-shard WAL directories under <dir>/<shard>; replicas resume from them on start")
-		checkIntv = flag.Duration("check-interval", 2*time.Second, "replica health-check cadence")
+		listen   = flag.String("listen", ":8866", "coordinator HTTP listen address")
+		replicas = flag.Int("replicas", 0, "spawn mode: run this many in-process replicas (shard-0..shard-N-1)")
+		repHost  = flag.String("replica-host", "127.0.0.1", "spawn mode: host replicas bind to")
+		repBase  = flag.Int("replica-base-port", 8871, "spawn mode: first replica port (shard-i listens on base+i)")
+		join     = flag.String("join", "", "join mode: comma-separated name=url static membership of running monocled replicas")
+		interval = flag.Duration("interval", 2*time.Second, "spawn mode: steady-state sweep interval per replica")
+		workers  = flag.Int("workers", 0, "spawn mode: per-replica solver-worker budget (0 = all CPUs)")
+		debounce = flag.Int("debounce", 1, "spawn mode: consecutive failing sweeps before a rule alert")
+		stateDir = flag.String("state-dir", "", "spawn mode: per-shard WAL directories under <dir>/<shard>; replicas resume from them on start")
 	)
 	flag.Parse()
 	if (*replicas > 0) == (*join != "") {
@@ -88,7 +92,7 @@ func main() {
 				}
 			}
 			addr := fmt.Sprintf("%s:%d", *repHost, *repBase+i)
-			srv := &http.Server{Addr: addr, Handler: svc.Handler()}
+			srv := newServer(addr, svc.Handler())
 			servers = append(servers, srv)
 			go func(name string) {
 				if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -115,17 +119,13 @@ func main() {
 		}
 	}
 
-	coord, err := monocle.NewCoordinator(monocle.ClusterConfig{
-		Replicas:      specs,
-		CheckInterval: *checkIntv,
-	})
+	coord, err := monocle.NewCoordinator(monocle.ClusterConfig{Replicas: specs})
 	if err != nil {
 		log.Fatalf("monocluster: %v", err)
 	}
 	defer coord.Close()
-	go coord.Run(ctx)
 
-	srv := &http.Server{Addr: *listen, Handler: coord.Handler()}
+	srv := newServer(*listen, coord.Handler())
 	go func() {
 		log.Printf("monocluster coordinator on %s fronting %d replicas", *listen, len(specs))
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -143,4 +143,10 @@ func main() {
 			log.Printf("monocluster shutdown: %v", err)
 		}
 	}
+}
+
+// newServer returns an HTTP server with header-read and keep-alive idle
+// timeouts, so a slow or idle client cannot pin a connection forever.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }

@@ -9,8 +9,6 @@
 // test) computes the same shard map from the same membership list.
 package cluster
 
-import "sort"
-
 // fnv1a64 constants (FNV-1a, 64 bit).
 const (
 	fnvOffset = 14695981039346656037
@@ -61,24 +59,6 @@ func Owner(replicas []string, id uint32) string {
 		}
 	}
 	return best
-}
-
-// Assignments groups the switch ids by owning replica. Every replica in
-// the membership list gets an entry (possibly empty), and each id list is
-// sorted ascending, so the result is canonical for a given input set.
-func Assignments(replicas []string, ids []uint32) map[string][]uint32 {
-	out := make(map[string][]uint32, len(replicas))
-	for _, name := range replicas {
-		out[name] = nil
-	}
-	for _, id := range ids {
-		o := Owner(replicas, id)
-		out[o] = append(out[o], id)
-	}
-	for name := range out {
-		sort.Slice(out[name], func(i, j int) bool { return out[name][i] < out[name][j] })
-	}
-	return out
 }
 
 // Key is the total order a coordinator merges per-replica alert streams

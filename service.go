@@ -1540,7 +1540,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /sweeps", s.handleSweeps)
 	mux.HandleFunc("GET /alerts", s.handleAlerts)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /livez", s.handleLivez)
+	mux.HandleFunc("GET /livez", handleLivez)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -1548,8 +1548,7 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handleAddSwitch(w http.ResponseWriter, r *http.Request) {
 	var spec SwitchSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSONBody(w, r, &spec) {
 		return
 	}
 	if _, err := s.AddSwitch(spec); err != nil {
@@ -1580,8 +1579,7 @@ func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var op RuleOp
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSONBody(w, r, &op) {
 		return
 	}
 	reply, err := s.applyRule(r.Context(), uint32(id64), op)
@@ -1632,9 +1630,8 @@ func (s *Service) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
 // line and column, and the running plan stays untouched. An empty body
 // clears the active policy.
 func (s *Service) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if strings.TrimSpace(string(body)) == "" {
@@ -1644,14 +1641,7 @@ func (s *Service) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := ParsePolicy(string(body))
 	if err != nil {
-		var perr *PolicyError
-		if errors.As(err, &perr) {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"error": perr.Error(), "line": perr.Line, "column": perr.Col,
-			})
-		} else {
-			httpError(w, http.StatusUnprocessableEntity, err)
-		}
+		writePolicyError(w, err)
 		return
 	}
 	s.SetPolicy(p)
@@ -1670,16 +1660,11 @@ func (s *Service) handleSweeps(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	recs := append([]ResultRecord(nil), s.lastSweep...)
 	s.mu.Unlock()
-	writeJSONLines(w, len(recs), func(enc *json.Encoder, i int) error {
-		return enc.Encode(recs[i])
-	})
+	writeJSONLines(w, recs)
 }
 
 func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	alerts := s.Alerts()
-	writeJSONLines(w, len(alerts), func(enc *json.Encoder, i int) error {
-		return enc.Encode(alerts[i])
-	})
+	writeJSONLines(w, s.Alerts())
 }
 
 // healthState is one consistent snapshot of the liveness/readiness axes.
@@ -1729,8 +1714,8 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleLivez reports process liveness only: if this handler runs at all,
 // the process is alive — restarts are for the orchestrator to decide on
-// timeouts, not on body content.
-func (s *Service) handleLivez(w http.ResponseWriter, _ *http.Request) {
+// timeouts, not on body content. A monocled and a coordinator share it.
+func handleLivez(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
@@ -1774,69 +1759,152 @@ func wantsPrometheus(accept string) bool {
 }
 
 // writePrometheus renders the service counters in the Prometheus text
-// exposition format (version 0.0.4): sweep-round totals, alert counts by
-// type, the last round's per-rule cost, and per-switch epoch/rule/cache
-// gauges.
+// exposition format: sweep-round totals, alert counts by type, the last
+// round's per-rule cost, per-group counters under a policy, and
+// per-switch epoch/rule/cache gauges.
 func (s *Service) writePrometheus(w http.ResponseWriter) {
 	m := s.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("monocle_sweep_rounds_total", "Completed sweep rounds.", m.Rounds)
-	counter("monocle_rules_swept_total", "Per-rule results across all rounds.", m.RulesSwept)
-	counter("monocle_sink_errors_total", "Failed alert-sink deliveries.", m.SinkErrors)
-	counter("monocle_store_errors_total", "Failed persistence-store writes.", m.StoreErrors)
-	counter("monocle_policy_errors_total", "Rejected monitoring-policy loads.", m.PolicyErrors)
+	var p promWriter
+	p.metric("monocle_sweep_rounds_total", "counter", "Completed sweep rounds.", m.Rounds)
+	p.metric("monocle_rules_swept_total", "counter", "Per-rule results across all rounds.", m.RulesSwept)
+	p.metric("monocle_sink_errors_total", "counter", "Failed alert-sink deliveries.", m.SinkErrors)
+	p.metric("monocle_store_errors_total", "counter", "Failed persistence-store writes.", m.StoreErrors)
+	p.metric("monocle_policy_errors_total", "counter", "Rejected monitoring-policy loads.", m.PolicyErrors)
 
-	fmt.Fprintf(&b, "# HELP monocle_alerts_total Alerts raised, by type.\n# TYPE monocle_alerts_total counter\n")
+	p.family("monocle_alerts_total", "counter", "Alerts raised, by type.")
 	for t := AlertRuleFailing; t <= AlertBackendFlapping; t++ {
-		fmt.Fprintf(&b, "monocle_alerts_total{type=%q} %d\n", t.String(), m.AlertsByType[t.String()])
+		p.sample("monocle_alerts_total", m.AlertsByType[t.String()], "type", t.String())
 	}
 
-	fmt.Fprintf(&b, "# HELP monocle_last_round_rules Result count of the most recent round.\n# TYPE monocle_last_round_rules gauge\nmonocle_last_round_rules %d\n", m.LastRoundRules)
-	fmt.Fprintf(&b, "# HELP monocle_last_round_us_per_rule Per-rule cost of the most recent round in microseconds.\n# TYPE monocle_last_round_us_per_rule gauge\nmonocle_last_round_us_per_rule %g\n", m.LastRoundMicrosPerRule)
+	p.metric("monocle_last_round_rules", "gauge", "Result count of the most recent round.", m.LastRoundRules)
+	p.metric("monocle_last_round_us_per_rule", "gauge", "Per-rule cost of the most recent round in microseconds.", m.LastRoundMicrosPerRule)
 
 	if len(m.Groups) > 0 {
-		perGroup := func(name, help, kind string, value func(GroupMetrics) string) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+		perGroup := func(name, kind, help string, value func(GroupMetrics) any) {
+			p.family(name, kind, help)
 			for _, g := range m.Groups {
-				fmt.Fprintf(&b, "%s{group=%q} %s\n", name, g.Group, value(g))
+				p.sample(name, value(g), "group", g.Group)
 			}
 		}
-		perGroup("monocle_group_switches", "Fleet members per policy group.", "gauge",
-			func(g GroupMetrics) string { return strconv.Itoa(g.Switches) })
-		perGroup("monocle_group_rounds_total", "Completed sweep rounds per policy group.", "counter",
-			func(g GroupMetrics) string { return strconv.FormatUint(g.Rounds, 10) })
-		perGroup("monocle_group_rules_covered_total", "Per-rule results per policy group across all rounds.", "counter",
-			func(g GroupMetrics) string { return strconv.FormatUint(g.RulesCovered, 10) })
-		perGroup("monocle_group_last_round_us_per_rule", "Per-rule cost of the group's most recent round in microseconds.", "gauge",
-			func(g GroupMetrics) string { return strconv.FormatFloat(g.LastRoundMicrosPerRule, 'g', -1, 64) })
+		perGroup("monocle_group_switches", "gauge", "Fleet members per policy group.",
+			func(g GroupMetrics) any { return g.Switches })
+		perGroup("monocle_group_rounds_total", "counter", "Completed sweep rounds per policy group.",
+			func(g GroupMetrics) any { return g.Rounds })
+		perGroup("monocle_group_rules_covered_total", "counter", "Per-rule results per policy group across all rounds.",
+			func(g GroupMetrics) any { return g.RulesCovered })
+		perGroup("monocle_group_last_round_us_per_rule", "gauge", "Per-rule cost of the group's most recent round in microseconds.",
+			func(g GroupMetrics) any { return g.LastRoundMicrosPerRule })
 	}
 
-	sort.Slice(m.Switches, func(i, j int) bool { return m.Switches[i].Switch < m.Switches[j].Switch })
-	perSwitch := func(name, help, kind string, value func(SwitchMetrics) int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	sortSwitches(m.Switches)
+	perSwitch := func(name, kind, help string, value func(SwitchMetrics) any) {
+		p.family(name, kind, help)
 		for _, sw := range m.Switches {
-			fmt.Fprintf(&b, "%s{switch=\"%d\"} %d\n", name, sw.Switch, value(sw))
+			p.sample(name, value(sw), "switch", strconv.FormatUint(uint64(sw.Switch), 10))
 		}
 	}
-	perSwitch("monocle_switch_epoch", "Table-change epoch per switch.", "gauge",
-		func(sw SwitchMetrics) int64 { return int64(sw.Epoch) })
-	perSwitch("monocle_switch_rules", "Installed rules per switch.", "gauge",
-		func(sw SwitchMetrics) int64 { return int64(sw.Rules) })
-	perSwitch("monocle_switch_cache_hits_total", "Session-cache hits per switch.", "counter",
-		func(sw SwitchMetrics) int64 { return int64(sw.Cache.Hits) })
-	perSwitch("monocle_switch_cache_syncs_total", "Session-cache epoch syncs per switch.", "counter",
-		func(sw SwitchMetrics) int64 { return int64(sw.Cache.Syncs) })
-	perSwitch("monocle_switch_cache_delta_rules_total", "Incrementally recompiled rules per switch.", "counter",
-		func(sw SwitchMetrics) int64 { return int64(sw.Cache.DeltaRules) })
-	perSwitch("monocle_switch_cache_rebuilds_total", "Full library rebuilds per switch.", "counter",
-		func(sw SwitchMetrics) int64 { return int64(sw.Cache.Rebuilds) })
-	perSwitch("monocle_backend_events_dropped_total", "Driver lifecycle events dropped from the backend event stream per switch.", "counter",
-		func(sw SwitchMetrics) int64 { return int64(sw.EventsDropped) })
-	w.Write([]byte(b.String()))
+	perSwitch("monocle_switch_epoch", "gauge", "Table-change epoch per switch.",
+		func(sw SwitchMetrics) any { return sw.Epoch })
+	perSwitch("monocle_switch_rules", "gauge", "Installed rules per switch.",
+		func(sw SwitchMetrics) any { return sw.Rules })
+	perSwitch("monocle_switch_cache_hits_total", "counter", "Session-cache hits per switch.",
+		func(sw SwitchMetrics) any { return sw.Cache.Hits })
+	perSwitch("monocle_switch_cache_syncs_total", "counter", "Session-cache epoch syncs per switch.",
+		func(sw SwitchMetrics) any { return sw.Cache.Syncs })
+	perSwitch("monocle_switch_cache_delta_rules_total", "counter", "Incrementally recompiled rules per switch.",
+		func(sw SwitchMetrics) any { return sw.Cache.DeltaRules })
+	perSwitch("monocle_switch_cache_rebuilds_total", "counter", "Full library rebuilds per switch.",
+		func(sw SwitchMetrics) any { return sw.Cache.Rebuilds })
+	perSwitch("monocle_backend_events_dropped_total", "counter", "Driver lifecycle events dropped from the backend event stream per switch.",
+		func(sw SwitchMetrics) any { return sw.EventsDropped })
+	p.send(w)
+}
+
+// sortSwitches orders per-switch metrics by ascending switch id.
+func sortSwitches(sws []SwitchMetrics) {
+	sort.Slice(sws, func(i, j int) bool { return sws[i].Switch < sws[j].Switch })
+}
+
+// promWriter accumulates the Prometheus text exposition format (version
+// 0.0.4) for a monocled's and a coordinator's GET /metrics: metric
+// families, each a # HELP/# TYPE header followed by its samples.
+type promWriter struct{ strings.Builder }
+
+// family writes the header of metric family name; kind is its TYPE.
+func (p *promWriter) family(name, kind, help string) {
+	fmt.Fprintf(p, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+}
+
+// sample writes one sample of family name. labels alternate label names
+// and values; v is formatted with %v (decimal integers, shortest floats).
+func (p *promWriter) sample(name string, v any, labels ...string) {
+	p.WriteString(name)
+	sep := "{"
+	for i := 0; i+1 < len(labels); i += 2 {
+		p.WriteString(sep + labels[i] + "=" + strconv.Quote(labels[i+1]))
+		sep = ","
+	}
+	if sep == "," {
+		p.WriteByte('}')
+	}
+	fmt.Fprintf(p, " %v\n", v)
+}
+
+// metric writes a family holding a single unlabelled sample.
+func (p *promWriter) metric(name, kind, help string, v any) {
+	p.family(name, kind, help)
+	p.sample(name, v)
+}
+
+// send writes the accumulated text as the response.
+func (p *promWriter) send(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	io.WriteString(w, p.String())
+}
+
+// maxBodyBytes caps every request body the HTTP surfaces read.
+const maxBodyBytes = 1 << 20
+
+// decodeJSONBody decodes the request's JSON body into v under the
+// maxBodyBytes cap. It answers 413 for an oversized body and 400 for any
+// other decode error, and reports whether v was decoded.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	return bodyOK(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v))
+}
+
+// readBody reads the whole request body under the same cap, answering a
+// failure like decodeJSONBody.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return body, bodyOK(w, err)
+}
+
+// bodyOK reports whether reading a request body succeeded, answering 413
+// (oversized) or 400 (anything else) when it did not.
+func bodyOK(w http.ResponseWriter, err error) bool {
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+	default:
+		httpError(w, http.StatusBadRequest, err)
+	}
+	return false
+}
+
+// writePolicyError answers a policy that does not parse: 422 carrying the
+// offending source line and column.
+func writePolicyError(w http.ResponseWriter, err error) {
+	var perr *PolicyError
+	if errors.As(err, &perr) {
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
+			"error": perr.Error(), "line": perr.Line, "column": perr.Col,
+		})
+		return
+	}
+	httpError(w, http.StatusUnprocessableEntity, err)
 }
 
 // httpError writes a JSON error body.
@@ -1851,12 +1919,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeJSONLines writes n JSON lines (ndjson).
-func writeJSONLines(w http.ResponseWriter, n int, line func(*json.Encoder, int) error) {
+// writeJSONLines writes items as JSON lines (ndjson).
+func writeJSONLines[T any](w http.ResponseWriter, items []T) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	for i := 0; i < n; i++ {
-		if err := line(enc, i); err != nil {
+	for _, it := range items {
+		if enc.Encode(it) != nil {
 			return
 		}
 	}
