@@ -46,10 +46,9 @@ type Backend interface {
 	// which is how every built-in driver implements it.
 	Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error)
 	// ObserveBatch injects probes[i] into the data plane and judges the
-	// response against the probe's two hypotheses: VerdictConfirmed for
-	// the rule-present outcome, VerdictAbsent for rule-absent,
-	// VerdictUnexpected for neither. Live drivers re-inject until a catch
-	// settles expects[i] or their observation timeout elapses, keeping a
+	// response against the probe's two hypotheses, as Verdict defines.
+	// Live drivers re-inject until a catch settles expects[i] or their
+	// observation timeout elapses, keeping a
 	// window of observations in flight so a large sweep pipelines its
 	// round trips instead of serializing them. Verdicts and per-probe
 	// errors (errs[i] nil on success) are positional; len(expects) must
@@ -354,8 +353,9 @@ func (b *SimBackend) Observe(ctx context.Context, p *Probe, expect Expectation) 
 }
 
 // ObserveBatch implements Backend by evaluating every probe against the
-// simulated table under one lock acquisition; the data plane is
-// deterministic, so no retries are needed and expects is not consulted.
+// simulated table under one lock acquisition (EvaluateProbe, verdicts as
+// Verdict defines). expects is unused: a deterministic table answers at
+// once, so there is nothing to settle and no retry to stop early.
 // The seam itself adds only the two result-slice allocations on top of
 // the per-probe evaluation cost — the alloc pin in the batch tests leans
 // on this.

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	imon "monocle/internal/monocle"
 )
 
 // RuleStatus classifies one rule's state in one sweep snapshot.
@@ -801,21 +803,13 @@ func (d *Differ) Restore(st DifferState) {
 // EvaluateProbe judges a generated probe against an actual data-plane
 // table, simulating its injection: the probe packet is looked up in
 // actual, the matched rule's emissions are observed, and the observation
-// set is classified against the probe's two hypotheses. It is how the
-// monocled service (and any consumer holding a model of the hardware
-// state) turns sweep probes into verdicts without a live switch.
+// set is classified against the probe's two hypotheses as Verdict
+// defines. It is how the monocled service (and any consumer holding a
+// model of the hardware state) turns sweep probes into verdicts without a
+// live switch.
 func EvaluateProbe(p *Probe, actual *Table) Verdict {
 	ems := tableEmissions(actual, p.Header)
-	present := outcomeConsistent(p.Present, ems)
-	absent := outcomeConsistent(p.Absent, ems)
-	switch {
-	case present && !absent:
-		return VerdictConfirmed
-	case absent && !present:
-		return VerdictAbsent
-	default:
-		return VerdictUnexpected
-	}
+	return imon.Classify(outcomeConsistent(p.Present, ems), outcomeConsistent(p.Absent, ems))
 }
 
 // tableEmissions computes what the table's data plane emits for packet h.

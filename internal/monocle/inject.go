@@ -24,10 +24,13 @@ import (
 // capped by DynamicProbeRate, so a burst of updates (the §8.4 batched
 // scenario) does not crowd FlowMods out of the switch's control channel.
 func (m *Monitor) startPending(ruleID uint64, p *probe.Probe, kind packet.Expectation) *pendingUpdate {
-	pu := &pendingUpdate{ruleID: ruleID, probe: p, kind: kind, issuedAt: m.Sim.Now()}
 	// The probe is ready for injection after the modeled generation
 	// latency (Table 2).
-	pu.eligibleAt = m.Sim.Now() + m.Cfg.GenDelay
+	pu := &pendingUpdate{ruleID: ruleID, eligibleAt: m.Sim.Now() + m.Cfg.GenDelay}
+	// Whatever finishes the observation releases the update: settling
+	// evidence, or a probe that cannot be crafted or can never settle,
+	// which is released unverified like an unmonitorable rule.
+	pu.ob = &observation{probe: p, expect: kind, gap: m.retryInterval(), done: func(Verdict) { m.confirmRule(pu) }}
 	m.pending[ruleID] = pu
 	m.dynQueue = append(m.dynQueue, ruleID)
 	if m.Cfg.DynamicTimeout > 0 {
@@ -71,9 +74,9 @@ func (m *Monitor) retryInterval() time.Duration {
 // dynamicTick probes the oldest eligible pending update first: updates
 // are forwarded to the switch in arrival order and commit in roughly that
 // order, so the head of the queue is the rule most likely to have just
-// landed in the data plane. Silence-confirmable updates (drops, deletions
-// falling through to a drop) confirm when a full retry interval passes
-// without any catch.
+// landed in the data plane. Each visit consults the observation's silence
+// rule, so updates whose settling outcome is uncatchable (drops,
+// deletions falling through to a drop) confirm by silence.
 func (m *Monitor) dynamicTick() {
 	if len(m.pending) == 0 {
 		m.dynQueue = m.dynQueue[:0]
@@ -86,22 +89,24 @@ func (m *Monitor) dynamicTick() {
 		id := m.dynQueue[scanned]
 		scanned++
 		pu, ok := m.pending[id]
-		if !ok {
-			continue // confirmed; lazily compacted below
+		if !ok || now < pu.eligibleAt {
+			continue // confirmed (lazily compacted below), or not yet generated
 		}
-		if now < pu.eligibleAt {
+		ob := pu.ob
+		if m.silent(ob) {
+			// A probe whose outcomes are both silent can never settle:
+			// its silence releases the update unverified, as an
+			// unmonitorable rule is released.
+			v := m.silenceVerdict(ob.probe)
+			if m.catch(ob, v) || m.outcomeSilent(ob.probe.Present) && m.outcomeSilent(ob.probe.Absent) {
+				m.finish(ob, v)
+				continue
+			}
+		}
+		if len(ob.seqs) > 0 && now-ob.sentAt < ob.gap {
 			continue
 		}
-		if m.confirmsBySilence(pu) && pu.lastInject > 0 && pu.lastCatch < pu.lastInject &&
-			now-pu.lastInject >= m.retryInterval() {
-			m.confirmRule(pu)
-			continue
-		}
-		if pu.lastInject > 0 && now-pu.lastInject < m.retryInterval() {
-			continue
-		}
-		m.injectProbe(pu.probe, true, pu.kind)
-		pu.lastInject = now
+		m.inject(ob)
 		injected = true
 	}
 	// Compact confirmed entries off the head, and fully once the queue
@@ -127,19 +132,6 @@ func (m *Monitor) dynamicTick() {
 }
 
 const defaultRetryInterval = 3 * time.Millisecond
-
-// confirmsBySilence reports whether the update's expected post-state
-// produces no catchable probe, so absence of evidence is the confirmation
-// signal (§3.3's negative probing, applied to dynamic mode).
-func (m *Monitor) confirmsBySilence(pu *pendingUpdate) bool {
-	switch pu.kind {
-	case packet.ExpectPresent, packet.ExpectModified:
-		return m.outcomeSilent(pu.probe.Present)
-	case packet.ExpectAbsent:
-		return m.outcomeSilent(pu.probe.Absent)
-	}
-	return false
-}
 
 // outcomeSilent reports whether no emission of the outcome can reach a
 // catcher (drop, or every emission exits toward hosts).
@@ -169,19 +161,20 @@ func (m *Monitor) catcherFor(p flowtable.PortID) uint32 {
 	return HostPeer
 }
 
-// injectProbe crafts and PacketOuts one probe; it returns the sequence
-// number (0 on crafting failure). The frame, metadata payload, and
-// PacketOut are built in Monitor-owned scratch buffers reused across
-// injections (see the ToSwitch contract): a 10k-probe sweep injects with
-// zero per-probe buffer allocations.
-func (m *Monitor) injectProbe(p *probe.Probe, dynamic bool, kind packet.Expectation) uint64 {
+// inject crafts and PacketOuts one copy of the observation's probe; it
+// reports whether the observation is still open. The frame, metadata
+// payload, and PacketOut are built in Monitor-owned scratch buffers reused
+// across injections (see the ToSwitch contract): a 10k-probe sweep
+// injects with zero per-probe buffer allocations.
+func (m *Monitor) inject(ob *observation) bool {
+	p := ob.probe
 	m.nextSeq++
 	seq := m.nextSeq
 	meta := packet.Metadata{
 		RuleID:   p.RuleID,
 		Seq:      seq,
 		SwitchID: m.Cfg.SwitchID,
-		Expect:   kind,
+		Expect:   ob.expect,
 		Nonce:    m.nonce,
 	}
 	if cap(m.metaBuf) == 0 {
@@ -192,10 +185,15 @@ func (m *Monitor) injectProbe(p *probe.Probe, dynamic bool, kind packet.Expectat
 	m.metaBuf = meta.AppendTo(m.metaBuf[:0])
 	frame, err := packet.CraftInto(m.frameBuf[:0], p.Header, m.metaBuf)
 	if err != nil {
-		return 0
+		// The probe packet cannot be crafted onto the wire (non-IPv4
+		// header): a live driver cannot verify this rule.
+		m.finish(ob, VerdictUnexpected)
+		return false
 	}
 	m.frameBuf = frame
-	m.inflight[seq] = &inflightProbe{seq: seq, ruleID: p.RuleID, dynamic: dynamic, epoch: m.updateEpoch}
+	m.inflight[seq] = ob
+	ob.seqs = append(ob.seqs, seq)
+	ob.sentAt = m.Sim.Now()
 	m.Stats.ProbesSent++
 	m.scratchPO = openflow.PacketOut{
 		BufferID: openflow.BufferNone,
@@ -204,7 +202,7 @@ func (m *Monitor) injectProbe(p *probe.Probe, dynamic bool, kind packet.Expectat
 		Data:     frame,
 	}
 	m.forwardToSwitch(&m.scratchPO, m.virtXID())
-	return seq
+	return !ob.finished
 }
 
 // handleCaughtProbe inspects a PacketIn arriving from this Monitor's
@@ -239,66 +237,19 @@ func (m *Monitor) OnProbeCaught(meta packet.Metadata, catcher uint32, obs header
 		m.Stats.ProbesStale++
 		return
 	}
-	fl, ok := m.inflight[meta.Seq]
+	ob, ok := m.inflight[meta.Seq]
 	if !ok {
 		m.Stats.ProbesStale++
 		return
 	}
 	delete(m.inflight, meta.Seq)
-
-	if fl.observer != nil {
-		m.observerCatch(fl.observer, catcher, obs)
-		return
-	}
-	if fl.dynamic {
-		pu := m.pending[fl.ruleID]
-		if pu == nil {
-			return // confirmed by an earlier probe
-		}
-		pu.lastCatch = m.Sim.Now()
-		switch judgeForKind(pu.kind, m.judge(pu.probe, catcher, obs)) {
-		case VerdictConfirmed:
-			m.confirmRule(pu)
-		case VerdictAbsent, VerdictUnexpected:
-			// Transient inconsistency: keep retrying (§4.1 — do not
-			// raise an alarm instantly in dynamic mode).
-		}
-		return
-	}
-	m.steadyVerdict(fl, catcher, obs)
+	m.catch(ob, m.judge(ob.probe, catcher, obs))
 }
 
-// judge classifies an observation against the pending update's semantics:
-// for additions/modifications the Present outcome confirms; for deletions
-// the Absent outcome does.
+// judge classifies an observation by which of the probe's outcomes it
+// shows (Classify).
 func (m *Monitor) judge(p *probe.Probe, catcher uint32, obs header.Header) Verdict {
-	matchesPresent := m.outcomeMatches(p.Present, catcher, obs)
-	matchesAbsent := m.outcomeMatches(p.Absent, catcher, obs)
-	switch {
-	case matchesPresent && !matchesAbsent:
-		return VerdictConfirmed
-	case matchesAbsent && !matchesPresent:
-		return VerdictAbsent
-	case matchesPresent && matchesAbsent:
-		// Cannot happen for a valid probe (outcomes distinguishable).
-		return VerdictUnexpected
-	default:
-		return VerdictUnexpected
-	}
-}
-
-// judgeForKind maps raw present/absent evidence to confirmation for the
-// update kind.
-func judgeForKind(kind packet.Expectation, v Verdict) Verdict {
-	if kind == packet.ExpectAbsent {
-		switch v {
-		case VerdictConfirmed:
-			return VerdictAbsent // rule still present
-		case VerdictAbsent:
-			return VerdictConfirmed // deletion took effect
-		}
-	}
-	return v
+	return Classify(m.outcomeMatches(p.Present, catcher, obs), m.outcomeMatches(p.Absent, catcher, obs))
 }
 
 // outcomeMatches checks one observation against an expected outcome: the

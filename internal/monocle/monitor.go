@@ -18,7 +18,6 @@ import (
 	"monocle/internal/flowtable"
 	"monocle/internal/header"
 	"monocle/internal/openflow"
-	"monocle/internal/packet"
 	"monocle/internal/probe"
 	"monocle/internal/sim"
 )
@@ -111,19 +110,34 @@ func DefaultConfig(switchID uint32) Config {
 	}
 }
 
-// Verdict classifies one probe observation.
+// Verdict names which of a probe's outcomes an observation showed. It is
+// evidence-relative; the root monocle package's Verdict documents the
+// definition, and Classify is the one function that computes it.
 type Verdict int
 
 const (
-	// VerdictConfirmed: observation matches the Present outcome.
+	// VerdictConfirmed: the observation shows the Present outcome.
 	VerdictConfirmed Verdict = iota
-	// VerdictAbsent: observation matches the Absent outcome (rule
-	// missing, or deletion/modification not yet applied).
+	// VerdictAbsent: the observation shows the Absent outcome.
 	VerdictAbsent
-	// VerdictUnexpected: observation matches neither outcome (rule
-	// misbehaving, or a stale in-flight probe).
+	// VerdictUnexpected: the observation shows neither outcome.
 	VerdictUnexpected
 )
+
+// Classify maps whether an observation matches a probe's Present and
+// Absent outcomes to its verdict. It is the one judge: the Monitor's
+// catches and silence, the root package's Judge and EvaluateProbe all
+// classify through it.
+func Classify(matchesPresent, matchesAbsent bool) Verdict {
+	switch {
+	case matchesPresent && !matchesAbsent:
+		return VerdictConfirmed
+	case matchesAbsent && !matchesPresent:
+		return VerdictAbsent
+	default:
+		return VerdictUnexpected
+	}
+}
 
 // String names the verdict.
 func (v Verdict) String() string {
@@ -175,7 +189,7 @@ type Monitor struct {
 
 	// Steady-state monitoring state.
 	steady      *steadyState
-	inflight    map[uint64]*inflightProbe // by probe seq
+	inflight    map[uint64]*observation // unanswered probe copies, by seq
 	nextSeq     uint64
 	nonce       uint64
 	updateEpoch uint64 // bumped on table changes; invalidates cached probes
@@ -210,11 +224,7 @@ type MonitorStats struct {
 // pendingUpdate tracks one not-yet-confirmed rule update.
 type pendingUpdate struct {
 	ruleID     uint64
-	probe      *probe.Probe
-	kind       packet.Expectation
-	issuedAt   sim.Time
-	lastInject sim.Time
-	lastCatch  sim.Time
+	ob         *observation
 	eligibleAt sim.Time
 	deadline   *sim.Timer // DynamicTimeout
 	postponed  *postponedDrop
@@ -244,17 +254,6 @@ type pendingBarrier struct {
 	waitingRules map[uint64]bool
 }
 
-// inflightProbe tracks one injected steady-state, dynamic, or observed
-// probe.
-type inflightProbe struct {
-	seq      uint64
-	ruleID   uint64
-	dynamic  bool
-	epoch    uint64
-	attempt  *attempt       // steady-state attempt this probe belongs to
-	observer *probeObserver // observeProbe request this probe belongs to
-}
-
 // New creates a Monitor. Wire ToSwitch/ToController/Mux before use.
 func New(s *sim.Sim, cfg Config) *Monitor {
 	if cfg.ProbeField == 0 {
@@ -268,7 +267,7 @@ func New(s *sim.Sim, cfg Config) *Monitor {
 		Sim:      s,
 		expected: flowtable.New(),
 		pending:  make(map[uint64]*pendingUpdate),
-		inflight: make(map[uint64]*inflightProbe),
+		inflight: make(map[uint64]*observation),
 		nonce:    uint64(cfg.SwitchID)<<32 | 1,
 	}
 	m.gen = probe.NewGenerator(m.generatorConfig())

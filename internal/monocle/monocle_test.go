@@ -1,6 +1,7 @@
 package monocle
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"monocle/internal/header"
 	"monocle/internal/openflow"
 	"monocle/internal/packet"
+	"monocle/internal/probe"
 	"monocle/internal/sim"
 	"monocle/internal/switchsim"
 )
@@ -433,5 +435,118 @@ func TestCatchRuleGeneration(t *testing.T) {
 	last := rules2[len(rules2)-1]
 	if !last.IsDrop() || last.Priority != dropPriority {
 		t.Fatalf("drop-postpone catch set missing special drop: %v", last)
+	}
+}
+
+// ruleProbe returns the monitored switch's current probe for rule id.
+func ruleProbe(t *testing.T, tb *lineTestbed, id uint64) *probe.Probe {
+	t.Helper()
+	for _, res := range tb.mon[2].SweepExpected(context.Background(), 1) {
+		if res.Probe != nil && res.Probe.RuleID == id {
+			return res.Probe
+		}
+	}
+	t.Fatalf("no probe for rule %d", id)
+	return nil
+}
+
+// observeOnce runs one observation to its end and returns its verdict.
+func observeOnce(t *testing.T, tb *lineTestbed, p *probe.Probe, expect packet.Expectation, timeout time.Duration) Verdict {
+	t.Helper()
+	var got Verdict
+	done := false
+	tb.mon[2].observeProbe(p, expect, timeout, func(v Verdict) { got, done = v, true })
+	tb.sim.RunUntil(tb.sim.Now() + 2*sim.Time(timeout))
+	if !done {
+		t.Fatal("observation never resolved")
+	}
+	return got
+}
+
+// TestDeleteStaleCatchThenSilence: a delete observation whose first copy
+// beats the delete and catches the Present outcome, and whose later
+// copies fall through to a drop, resolves Absent — the stale catch must
+// not outlive the silence that follows it.
+func TestDeleteStaleCatchThenSilence(t *testing.T) {
+	tb := newLineTestbed(t, switchsim.Ideal(), nil)
+	tb.mon[2].OnControllerMessage(addFM(t, 100, 10, ip4(10, 0, 9, 1), 2), 1)
+	tb.sim.RunUntil(time.Second)
+	p := ruleProbe(t, tb, 100)
+	if !p.Absent.Drop {
+		t.Fatalf("test premise: the deleted rule's probe must fall through to a drop, got %+v", p.Absent)
+	}
+	// The data plane loses the rule one millisecond in: after the first
+	// copy's round trip, before the second copy.
+	tb.sim.After(time.Millisecond, func() { tb.sw[2].FailRule(100) })
+	caught := tb.mon[2].Stats.ProbesCaught
+	if v := observeOnce(t, tb, p, packet.ExpectAbsent, 200*time.Millisecond); v != VerdictAbsent {
+		t.Fatalf("verdict %v, want %v", v, VerdictAbsent)
+	}
+	if tb.mon[2].Stats.ProbesCaught != caught+1 {
+		t.Fatalf("want exactly the one stale catch, got %d", tb.mon[2].Stats.ProbesCaught-caught)
+	}
+}
+
+// TestLateContraryCatchIsNotSilence: with the catcher link slower than
+// the re-injection gap, a faulted drop rule's contrary catches arrive
+// after the next copy has gone out. The newest copy is then always
+// unanswered when the window closes, but the one before it is not, so
+// the observation keeps its contrary verdict instead of reading the late
+// catches as silence. The steady prober alarms on the same rule.
+func TestLateContraryCatchIsNotSilence(t *testing.T) {
+	var alarms []uint64
+	tb := newLineTestbed(t, switchsim.Ideal(), func(c *Config) {
+		c.OnAlarm = func(ruleID uint64, at sim.Time) { alarms = append(alarms, ruleID) }
+	})
+	tb.mon[2].OnControllerMessage(addFM(t, 501, 5, ip4(10, 0, 3, 1), 2), 1)
+	tb.sim.RunUntil(time.Second)
+	tb.mon[2].OnControllerMessage(addFM(t, 500, 10, ip4(10, 0, 3, 1), 0), 2)
+	tb.sim.RunUntil(2 * time.Second)
+	p := ruleProbe(t, tb, 500)
+	if !p.Present.Drop {
+		t.Fatalf("test premise: rule 500 must be a drop, got %+v", p.Present)
+	}
+	gap := tb.mon[2].retryInterval()
+	switchsim.Connect(tb.sw[2], 2, tb.sw[3], 1, gap+2*time.Millisecond)
+	tb.sw[2].FailRule(500)
+	if v := observeOnce(t, tb, p, packet.ExpectPresent, 200*time.Millisecond); v != VerdictAbsent {
+		t.Fatalf("verdict %v, want %v: late contrary catches were read as silence", v, VerdictAbsent)
+	}
+	tb.mon[2].StartSteadyState()
+	tb.sim.RunUntil(tb.sim.Now() + time.Second)
+	if len(alarms) == 0 || alarms[0] != 500 {
+		t.Fatalf("steady alarms %v, want rule 500", alarms)
+	}
+}
+
+// TestHostFacingRuleNoSteadyAlarm: a healthy rule forwarding out a
+// host-facing port is confirmed by silence on the dynamic path, and the
+// steady prober agrees: no alarm.
+func TestHostFacingRuleNoSteadyAlarm(t *testing.T) {
+	var confirms, alarms []uint64
+	tb := newLineTestbed(t, switchsim.Ideal(), func(c *Config) {
+		c.Ports = append(c.Ports, 3)
+		c.PortPeer[3] = HostPeer
+		c.OnRuleConfirmed = func(ruleID uint64, at sim.Time) { confirms = append(confirms, ruleID) }
+		c.OnAlarm = func(ruleID uint64, at sim.Time) { alarms = append(alarms, ruleID) }
+	})
+	tb.mon[2].OnControllerMessage(addFM(t, 701, 5, ip4(10, 0, 8, 1), 2), 1)
+	tb.sim.RunUntil(time.Second)
+	tb.mon[2].OnControllerMessage(addFM(t, 700, 10, ip4(10, 0, 8, 1), 3), 2)
+	tb.sim.RunUntil(2 * time.Second)
+	if len(confirms) != 2 || confirms[1] != 700 {
+		t.Fatalf("confirms %v, want rule 700 confirmed by silence", confirms)
+	}
+	if p := ruleProbe(t, tb, 700); !tb.mon[2].outcomeSilent(p.Present) || tb.mon[2].outcomeSilent(p.Absent) {
+		t.Fatalf("test premise: rule 700's Present must be silent and its Absent catchable: %+v", p)
+	}
+	sent := tb.mon[2].Stats.ProbesSent
+	tb.mon[2].StartSteadyState()
+	tb.sim.RunUntil(5 * time.Second)
+	if len(alarms) != 0 {
+		t.Fatalf("false steady alarms on %v; stats=%+v", alarms, tb.mon[2].Stats)
+	}
+	if tb.mon[2].Stats.ProbesSent-sent < 40 {
+		t.Fatalf("prober barely ran: %+v", tb.mon[2].Stats)
 	}
 }

@@ -1,16 +1,16 @@
 package monocle
 
-// Probe observation: ObserveProbeBatch injects probes into the monitored
-// switch's data plane and reports the verdict of each response,
-// independent of the dynamic-update and steady-state machinery. It is the
-// primitive the library's switch backends (the TCP proxy driver) use to
-// judge externally generated probes — a facade Verifier's sweep or
-// confirmation probe — against live hardware.
+// Probe observation: the one inject/catch/settle lifecycle every client of
+// the Monitor shares. Sweep and rule-op observations (observeProbe and
+// ObserveProbeBatch, the primitive the library's TCP proxy driver judges
+// externally generated probes with), steady-state attempts (§8.1.1) and
+// pending §4.1 updates each own an observation; they differ only in their
+// scheduler — when copies are injected and whether a window closes — and
+// in the callback that receives the verdict.
 
 import (
 	"time"
 
-	"monocle/internal/header"
 	"monocle/internal/packet"
 	"monocle/internal/probe"
 	"monocle/internal/sim"
@@ -20,99 +20,120 @@ import (
 // passes no timeout.
 const defaultObserveTimeout = 2 * time.Second
 
-// probeObserver tracks one probe observation across injections.
-type probeObserver struct {
-	probe    *probe.Probe
-	expect   packet.Expectation
-	done     func(Verdict)
-	finished bool
+// observation tracks one probe across its injected copies and settles it
+// by one rule:
+//
+//  1. a catch showing the expected evidence — Present for additions and
+//     modifications, Absent for deletions — finishes it at once;
+//  2. a contrary catch is recorded and never finishes it early (§4.1: the
+//     update may not have reached the data plane yet);
+//  3. it is silent when its last two copies are unanswered and the newer
+//     is at least one gap old; two, not one, so a catch arriving later
+//     than the gap is not mistaken for silence. Silence is evidence of
+//     whichever outcome cannot reach a catcher (silenceVerdict, §3.3's
+//     negative probing);
+//  4. when a bounded window closes, a silent observation, or one that
+//     never caught anything, reports the silence verdict; any other
+//     reports its last catch.
+//
+// Bounded observations consult rule 3 only when their window closes; the
+// unbounded pending update consults it at every prober visit.
+type observation struct {
+	probe  *probe.Probe
+	expect packet.Expectation
+	gap    time.Duration // spacing of the copies
+	done   func(Verdict)
+
+	seqs     []uint64 // injected copies, oldest first
+	sentAt   sim.Time // when the newest copy went out
 	caught   bool
 	last     Verdict
+	finished bool
 	retry    *sim.Timer
 	deadline *sim.Timer
-	// seqs are the observer's injected sequence numbers, so release is
-	// O(injections) instead of a scan of the whole inflight map — the
-	// scan was quadratic across a large ObserveProbeBatch.
-	seqs []uint64
 }
 
-// observeProbe injects probe p and reports, through done, the verdict of
-// the data plane's response: the probe is re-injected every retry interval
-// until a catch settles the expectation (Present evidence for additions
-// and modifications, Absent evidence for deletions) or the timeout
-// (non-positive: defaultObserveTimeout) elapses. On timeout the last
-// observed verdict is reported; with no catch at all the silence itself is
-// judged — a probe whose expected outcome is uncatchable (a drop, or every
-// emission exiting toward hosts) confirms by silence, anything else is
-// VerdictUnexpected. It runs on the event-loop thread; done fires there
-// too.
-func (m *Monitor) observeProbe(p *probe.Probe, expect packet.Expectation, timeout time.Duration, done func(Verdict)) {
-	if timeout <= 0 {
-		timeout = defaultObserveTimeout
+// catch applies rules 1 and 2 to one piece of evidence; it reports
+// whether the evidence settled the observation.
+func (m *Monitor) catch(ob *observation, v Verdict) bool {
+	ob.caught, ob.last = true, v
+	settles := v == VerdictConfirmed && ob.expect != packet.ExpectAbsent ||
+		v == VerdictAbsent && ob.expect == packet.ExpectAbsent
+	if settles {
+		m.finish(ob, v)
 	}
-	retry := m.retryInterval()
-	ob := &probeObserver{probe: p, expect: expect, done: done}
-	ob.deadline = m.Sim.After(timeout, func() {
-		m.finishObserver(ob, m.timeoutVerdict(ob))
-	})
+	return settles
+}
+
+// silent applies rule 3. A copy is unanswered while its inflight entry
+// stands: a catch removes it.
+func (m *Monitor) silent(ob *observation) bool {
+	n := len(ob.seqs)
+	if n < 2 || m.Sim.Now()-ob.sentAt < ob.gap {
+		return false
+	}
+	_, newer := m.inflight[ob.seqs[n-1]]
+	_, older := m.inflight[ob.seqs[n-2]]
+	return newer && older
+}
+
+// silenceVerdict judges silence as an observation of the outcomes no
+// catcher can see: a probe whose Present outcome is uncatchable (a drop,
+// or every emission exiting toward hosts) and whose Absent outcome is not
+// shows Present by silence, and vice versa.
+func (m *Monitor) silenceVerdict(p *probe.Probe) Verdict {
+	return Classify(m.outcomeSilent(p.Present), m.outcomeSilent(p.Absent))
+}
+
+// closeWindow applies rule 4.
+func (m *Monitor) closeWindow(ob *observation) {
+	if ob.caught && !m.silent(ob) {
+		m.finish(ob, ob.last)
+		return
+	}
+	m.finish(ob, m.silenceVerdict(ob.probe))
+}
+
+// observeFor is the bounded scheduler: it injects a copy every gap
+// while the copy can still be a gap old when the window closes, and
+// closes the window after `window`.
+func (m *Monitor) observeFor(ob *observation, window time.Duration) {
+	copies := max(1, int(window/ob.gap))
+	ob.deadline = m.Sim.After(window, func() { m.closeWindow(ob) })
 	var tick func()
 	tick = func() {
-		if ob.finished {
-			return
-		}
-		m.injectForObserver(ob)
-		if !ob.finished {
-			ob.retry = m.Sim.After(retry, tick)
+		if m.inject(ob) && len(ob.seqs) < copies {
+			ob.retry = m.Sim.After(ob.gap, tick)
 		}
 	}
 	tick()
 }
 
-// injectForObserver sends one probe copy and tags its inflight entry with
-// the observer so the catch routes back here.
-func (m *Monitor) injectForObserver(ob *probeObserver) {
-	seq := m.injectProbe(ob.probe, false, ob.expect)
-	if seq == 0 {
-		// The probe packet cannot be crafted onto the wire (non-IPv4
-		// header): a live driver cannot verify this rule.
-		m.finishObserver(ob, VerdictUnexpected)
-		return
-	}
-	m.inflight[seq].observer = ob
-	ob.seqs = append(ob.seqs, seq)
-}
-
-// observerCatch judges a caught probe owned by an observer. Evidence that
-// settles the expectation finishes the observation; anything else keeps
-// the retries going (the update may not have committed yet).
-func (m *Monitor) observerCatch(ob *probeObserver, catcher uint32, obs header.Header) {
+// finish reports the verdict once and releases the observation's timers
+// and inflight entries; a later catch of one of its copies is stale.
+func (m *Monitor) finish(ob *observation, v Verdict) {
 	if ob.finished {
 		return
 	}
-	v := m.judge(ob.probe, catcher, obs)
-	ob.caught = true
-	ob.last = v
-	if judgeForKind(ob.expect, v) == VerdictConfirmed {
-		m.finishObserver(ob, v)
+	ob.finished = true
+	ob.retry.Cancel()
+	ob.deadline.Cancel()
+	for _, seq := range ob.seqs {
+		delete(m.inflight, seq)
 	}
+	ob.done(v)
 }
 
-// timeoutVerdict resolves an observation window that ended without a
-// settling catch.
-func (m *Monitor) timeoutVerdict(ob *probeObserver) Verdict {
-	if ob.caught {
-		return ob.last
+// observeProbe injects probe p and reports, through done, the verdict of
+// the data plane's response: copies go out every retry interval and the
+// observation settles by the observation rule within the timeout
+// (non-positive: defaultObserveTimeout). It runs on the event-loop
+// thread; done fires there too.
+func (m *Monitor) observeProbe(p *probe.Probe, expect packet.Expectation, timeout time.Duration, done func(Verdict)) {
+	if timeout <= 0 {
+		timeout = defaultObserveTimeout
 	}
-	presentSilent := m.outcomeSilent(ob.probe.Present)
-	absentSilent := m.outcomeSilent(ob.probe.Absent)
-	switch {
-	case presentSilent && !absentSilent:
-		return VerdictConfirmed
-	case absentSilent && !presentSilent:
-		return VerdictAbsent
-	default:
-		return VerdictUnexpected
-	}
+	m.observeFor(&observation{probe: p, expect: expect, gap: m.retryInterval(), done: done}, timeout)
 }
 
 // observeWindow caps the observations one ObserveProbeBatch keeps in
@@ -169,27 +190,4 @@ func (br *batchRun) fill() {
 		})
 	}
 	br.filling = false
-}
-
-// finishObserver reports the verdict once and releases the observer's
-// timers and inflight entries.
-func (m *Monitor) finishObserver(ob *probeObserver, v Verdict) {
-	if ob.finished {
-		return
-	}
-	ob.finished = true
-	if ob.retry != nil {
-		ob.retry.Cancel()
-	}
-	if ob.deadline != nil {
-		ob.deadline.Cancel()
-	}
-	for _, seq := range ob.seqs {
-		if fl, ok := m.inflight[seq]; ok && fl.observer == ob {
-			delete(m.inflight, seq)
-		}
-	}
-	if ob.done != nil {
-		ob.done(v)
-	}
 }

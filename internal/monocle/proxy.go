@@ -83,14 +83,11 @@ func (m *Monitor) overlapsPending(fm *openflow.FlowMod) bool {
 		}
 		// Deleted rules are no longer in expected; conservative check
 		// against the probe's rule match via pending probes.
-		if pu := m.pending[id]; pu != nil && pu.probe != nil {
-			// The probe header matches the pending rule by
-			// construction, so an overlap with the probe header is an
-			// overlap with the rule.
-			var h = pu.probe.Header
-			if match.Covers(h) {
-				return true
-			}
+		// The probe header matches the pending rule by construction,
+		// so an overlap with the probe header is an overlap with the
+		// rule.
+		if match.Covers(m.pending[id].ob.probe.Header) {
+			return true
 		}
 	}
 	return false

@@ -10,7 +10,6 @@ import (
 	"context"
 	"time"
 
-	"monocle/internal/header"
 	"monocle/internal/packet"
 	"monocle/internal/probe"
 	"monocle/internal/sim"
@@ -21,7 +20,7 @@ type steadyState struct {
 	order   []uint64 // rule id cycle
 	idx     int
 	cache   map[uint64]*cachedProbe
-	active  map[uint64]*attempt
+	active  map[uint64]bool // rules with an attempt in flight
 	failed  map[uint64]bool // already-alarmed rules (no duplicate alarms)
 	ticker  *sim.Timer
 	running bool
@@ -32,24 +31,13 @@ type cachedProbe struct {
 	dirty bool
 }
 
-// attempt tracks one rule's in-progress verification.
-type attempt struct {
-	ruleID    uint64
-	firstSent sim.Time
-	resends   int
-	negative  bool
-	confirmed bool
-	alarm     *sim.Timer
-	retry     *sim.Timer
-}
-
 // StartSteadyState begins (or restarts) cycling over all rules currently
 // in the expected table plus rules added later.
 func (m *Monitor) StartSteadyState() {
 	if m.steady == nil {
 		m.steady = &steadyState{
 			cache:  make(map[uint64]*cachedProbe),
-			active: make(map[uint64]*attempt),
+			active: make(map[uint64]bool),
 			failed: make(map[uint64]bool),
 		}
 	}
@@ -169,7 +157,7 @@ func (m *Monitor) nextSteadyRule() (uint64, bool) {
 			if _, pending := m.pending[id]; pending {
 				continue
 			}
-			if _, busy := st.active[id]; busy {
+			if st.active[id] {
 				continue
 			}
 			if _, ok := m.expected.Get(id); !ok {
@@ -190,102 +178,25 @@ func (m *Monitor) nextSteadyRule() (uint64, bool) {
 	return 0, false
 }
 
-// beginAttempt sends the first probe of an attempt and arms retry/alarm
-// timers. Negative probes (drop rules) invert the logic: silence until
-// AlarmTimeout confirms, a caught Absent observation alarms.
+// beginAttempt verifies one rule: Retries+1 copies of its probe spaced
+// AlarmTimeout/(Retries+1), settled by the observation rule when they
+// confirm or when the AlarmTimeout window closes. A confirmed rule heals;
+// anything else alarms.
 func (m *Monitor) beginAttempt(ruleID uint64, p *probe.Probe) {
 	st := m.steady
-	at := &attempt{ruleID: ruleID, firstSent: m.Sim.Now(), negative: p.Negative}
-	st.active[ruleID] = at
-	m.sendSteadyProbe(at, p)
-
-	retryGap := m.Cfg.AlarmTimeout / time.Duration(m.Cfg.Retries+1)
-	if retryGap <= 0 {
-		retryGap = 50 * time.Millisecond
+	gap := m.Cfg.AlarmTimeout / time.Duration(m.Cfg.Retries+1)
+	if gap <= 0 {
+		gap = 50 * time.Millisecond
 	}
-	var rearm func()
-	rearm = func() {
-		if at.confirmed || st.active[ruleID] != at {
-			return
-		}
-		if at.resends >= m.Cfg.Retries {
-			return
-		}
-		at.resends++
-		m.sendSteadyProbe(at, p)
-		at.retry = m.Sim.After(retryGap, rearm)
-	}
-	at.retry = m.Sim.After(retryGap, rearm)
-	at.alarm = m.Sim.After(m.Cfg.AlarmTimeout, func() {
-		if st.active[ruleID] != at {
-			return
-		}
+	st.active[ruleID] = true
+	m.observeFor(&observation{probe: p, expect: packet.ExpectPresent, gap: gap, done: func(v Verdict) {
 		delete(st.active, ruleID)
-		if at.retry != nil {
-			at.retry.Cancel()
-		}
-		if at.negative {
-			// Silence is the expected (present) outcome for drop rules.
+		if v == VerdictConfirmed {
+			delete(st.failed, ruleID) // rule healed
 			return
 		}
-		if !at.confirmed {
-			m.raiseAlarm(ruleID)
-		}
-	})
-}
-
-func (m *Monitor) sendSteadyProbe(at *attempt, p *probe.Probe) {
-	seq := m.injectProbe(p, false, packet.ExpectPresent)
-	if seq == 0 {
-		return
-	}
-	m.inflight[seq].attempt = at
-}
-
-// steadyVerdict resolves a caught steady-state probe.
-func (m *Monitor) steadyVerdict(fl *inflightProbe, catcher uint32, obs header.Header) {
-	st := m.steady
-	if st == nil {
-		return
-	}
-	at := fl.attempt
-	if at == nil || st.active[at.ruleID] != at {
-		m.Stats.ProbesStale++
-		return
-	}
-	cp := st.cache[at.ruleID]
-	if cp == nil || cp.p == nil {
-		return
-	}
-	switch m.judge(cp.p, catcher, obs) {
-	case VerdictConfirmed:
-		at.confirmed = true
-		delete(st.active, at.ruleID)
-		if at.alarm != nil {
-			at.alarm.Cancel()
-		}
-		if at.retry != nil {
-			at.retry.Cancel()
-		}
-		delete(st.failed, at.ruleID) // rule healed
-	case VerdictAbsent, VerdictUnexpected:
-		if at.negative {
-			// A drop-rule probe that reappears proves the rule is not
-			// dropping: immediate alarm.
-			delete(st.active, at.ruleID)
-			if at.alarm != nil {
-				at.alarm.Cancel()
-			}
-			if at.retry != nil {
-				at.retry.Cancel()
-			}
-			m.raiseAlarm(at.ruleID)
-			return
-		}
-		// Definitive negative evidence still waits for the timeout
-		// (retries may reveal a transient), matching the paper's
-		// timeout-driven detection latency.
-	}
+		m.raiseAlarm(ruleID)
+	}}, m.Cfg.AlarmTimeout)
 }
 
 func (m *Monitor) raiseAlarm(ruleID uint64) {

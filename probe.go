@@ -44,59 +44,38 @@ var (
 	ErrRewritesProbeField = probe.ErrRewritesProbeField
 )
 
-// Verdict classifies one probe observation against the probe's expected
-// outcomes.
+// Verdict names which of a probe's two outcomes the data plane showed.
+// This is the one definition every verdict in the library follows — the
+// Monitor's observations, Judge, EvaluateProbe, every Backend's
+// ObserveBatch and UpdateReply.Verdict:
+//
+//   - VerdictConfirmed ("confirmed"): the observation matches the Present
+//     outcome and not the Absent one;
+//   - VerdictAbsent ("absent"): it matches the Absent outcome and not the
+//     Present one;
+//   - VerdictUnexpected ("unexpected"): it matches neither, or both.
+//
+// Silence is evidence too: a probe that is never caught shows whichever
+// outcome no catcher can see (a drop, or emissions toward hosts only).
+// Verdicts are evidence-relative, not expectation-relative, so success
+// depends on the operation: "confirmed" for additions, modifications and
+// sweeps, "absent" for deletions (the probe fell through the deleted
+// rule).
 type Verdict = imon.Verdict
 
-// Verdict values.
+// Verdict values; see Verdict for the definition.
 const (
-	// VerdictConfirmed: the observation matches the Present outcome.
-	VerdictConfirmed = imon.VerdictConfirmed
-	// VerdictAbsent: the observation matches the Absent outcome (rule
-	// missing, or a deletion that took effect).
-	VerdictAbsent = imon.VerdictAbsent
-	// VerdictUnexpected: the observation matches neither outcome (rule
-	// misbehaving, or a stale probe).
+	VerdictConfirmed  = imon.VerdictConfirmed
+	VerdictAbsent     = imon.VerdictAbsent
 	VerdictUnexpected = imon.VerdictUnexpected
 )
 
 // Judge classifies an observed (port, header) pair against a probe's two
-// outcomes. For additions and modifications, VerdictConfirmed means the
-// update reached the data plane; for deletions, VerdictAbsent does (the
-// probe fell through to the underlying rule). VerdictUnexpected means the
-// observation matches neither hypothesis.
+// outcomes, as Verdict defines. The ingress port of the observing switch
+// is not part of the emitted packet, so in_port is masked on both sides,
+// as the proxy Monitor does.
 func Judge(p *Probe, port PortID, obs Header) Verdict {
-	// The ingress port of the observing switch is not part of the
-	// emitted packet: compare with in_port masked on both sides, as the
-	// proxy Monitor does.
-	obs.Set(InPort, 0)
-	matchesPresent := outcomeMatches(p.Present, port, obs)
-	matchesAbsent := outcomeMatches(p.Absent, port, obs)
-	switch {
-	case matchesPresent && !matchesAbsent:
-		return VerdictConfirmed
-	case matchesAbsent && !matchesPresent:
-		return VerdictAbsent
-	default:
-		return VerdictUnexpected
-	}
-}
-
-// outcomeMatches checks one (port, header) observation against an expected
-// outcome, ignoring in_port.
-func outcomeMatches(o Outcome, port PortID, obs Header) bool {
-	if o.Drop {
-		return false
-	}
-	for _, e := range o.Emissions {
-		if e.Port != port {
-			continue
-		}
-		want := e.Header
-		want.Set(InPort, 0)
-		if want == obs {
-			return true
-		}
-	}
-	return false
+	seen := Emission{Port: port, Header: obs}
+	matches := func(o Outcome) bool { return !o.Drop && emissionExpected(o.Emissions, seen) }
+	return imon.Classify(matches(p.Present), matches(p.Absent))
 }

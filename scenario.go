@@ -355,7 +355,7 @@ func runChurn(e *scenarioEnv, id uint32, r *chaos.Rand, slots, n, sweepEvery int
 			specs[op.Slot] = spec
 		case chaos.OpDelete:
 			spec := specs[op.Slot]
-			if err := e.apply(id, RuleOp{Op: "delete", ID: spec.ID}, "confirmed"); err != nil {
+			if err := e.apply(id, RuleOp{Op: "delete", ID: spec.ID}, "absent"); err != nil {
 				return nil, fmt.Errorf("plan op %d: %w", i, err)
 			}
 			delete(specs, op.Slot)

@@ -257,12 +257,12 @@ type UpdateReply struct {
 	Rule   uint64 `json:"rule"`
 	Op     string `json:"op"`
 	// Verdict is the dynamic-update confirmation probe's judgement
-	// against the data plane ("confirmed"/"absent"/"unexpected"), or
-	// "unmonitorable"/"none" when no probe exists, or "unobserved" when
-	// the mutation committed but the confirmation probe could not be
-	// observed (backend closed or disconnected mid-window). For
-	// deletions, "absent" is the success verdict — the probe fell
-	// through.
+	// against the data plane ("confirmed"/"absent"/"unexpected", as the
+	// Verdict type defines), or "unmonitorable"/"none" when no probe
+	// exists, or "unobserved" when the mutation committed but the
+	// confirmation probe could not be observed (backend closed or
+	// disconnected mid-window). For deletions, "absent" is the success
+	// verdict — the probe fell through.
 	Verdict string `json:"verdict,omitempty"`
 	// Record is the confirmation probe's result record, when one exists.
 	Record *ResultRecord `json:"record,omitempty"`
