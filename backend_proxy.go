@@ -165,7 +165,9 @@ func resetTimer(t *time.Timer, d time.Duration) {
 // run drives the virtual clock against wall time: external events are
 // posted through the channel, timers fire when their virtual due time
 // passes. All Monitor state machines of the group stay single-threaded
-// inside this loop.
+// inside this loop. Posts run before the timers that fell due while they
+// waited, so a stalled loop never fires an observation's deadline ahead
+// of a catch that arrived in time.
 func (g *ProxyGroup) run(done chan struct{}) {
 	// One timer reused across iterations: time.After here would allocate
 	// a timer per loop turn that lives until it fires — with a ~1ms floor
@@ -174,8 +176,12 @@ func (g *ProxyGroup) run(done chan struct{}) {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		now := time.Since(g.start)
-		g.clock.RunUntil(Time(now))
+		// A turn runs at most a channel's worth of posts before timers.
+		for n := 0; n < cap(g.ch) && len(g.ch) > 0; n++ {
+			g.advance()
+			(<-g.ch)()
+		}
+		g.clock.RunUntil(Time(time.Since(g.start)))
 		var wait time.Duration = 50 * time.Millisecond
 		if at, ok := g.clock.NextEventAt(); ok {
 			if d := at - g.clock.Now(); d < wait {
@@ -199,11 +205,21 @@ func (g *ProxyGroup) run(done chan struct{}) {
 				}
 			}
 		case fn := <-g.ch:
-			g.clock.RunUntil(Time(time.Since(g.start)))
+			g.advance()
 			fn()
 		case <-timer.C:
 		}
 	}
+}
+
+// advance moves the virtual clock toward wall time, stopping short of
+// the next due timer: it fires nothing.
+func (g *ProxyGroup) advance() {
+	to := Time(time.Since(g.start))
+	if at, ok := g.clock.NextEventAt(); ok && at <= to {
+		to = at - 1
+	}
+	g.clock.RunUntil(to)
 }
 
 // ProxyConfig configures one ProxyBackend.

@@ -28,9 +28,12 @@ func (m *Monitor) startPending(ruleID uint64, p *probe.Probe, kind packet.Expect
 	// latency (Table 2).
 	pu := &pendingUpdate{ruleID: ruleID, eligibleAt: m.Sim.Now() + m.Cfg.GenDelay}
 	// Whatever finishes the observation releases the update: settling
-	// evidence, or a probe that cannot be crafted or can never settle,
-	// which is released unverified like an unmonitorable rule.
-	pu.ob = &observation{probe: p, expect: kind, gap: m.retryInterval(), done: func(Verdict) { m.confirmRule(pu) }}
+	// evidence, or silence for a probe that can never settle. A probe
+	// that cannot be crafted finishes before its first copy goes out;
+	// its update is released unverified, like an unmonitorable rule.
+	pu.ob = &observation{probe: p, expect: kind, gap: m.retryInterval(), done: func(Verdict) {
+		m.confirmRule(pu, len(pu.ob.copies) > 0)
+	}}
 	m.pending[ruleID] = pu
 	m.dynQueue = append(m.dynQueue, ruleID)
 	if m.Cfg.DynamicTimeout > 0 {
@@ -103,7 +106,7 @@ func (m *Monitor) dynamicTick() {
 				continue
 			}
 		}
-		if len(ob.seqs) > 0 && now-ob.sentAt < ob.gap {
+		if n := len(ob.copies); n > 0 && now-ob.copies[n-1].at < ob.gap {
 			continue
 		}
 		m.inject(ob)
@@ -192,8 +195,7 @@ func (m *Monitor) inject(ob *observation) bool {
 	}
 	m.frameBuf = frame
 	m.inflight[seq] = ob
-	ob.seqs = append(ob.seqs, seq)
-	ob.sentAt = m.Sim.Now()
+	ob.copies = append(ob.copies, sentCopy{seq, m.Sim.Now()})
 	m.Stats.ProbesSent++
 	m.scratchPO = openflow.PacketOut{
 		BufferID: openflow.BufferNone,
@@ -243,6 +245,7 @@ func (m *Monitor) OnProbeCaught(meta packet.Metadata, catcher uint32, obs header
 		return
 	}
 	delete(m.inflight, meta.Seq)
+	m.caughtCopy(ob, meta.Seq)
 	m.catch(ob, m.judge(ob.probe, catcher, obs))
 }
 

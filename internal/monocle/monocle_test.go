@@ -488,29 +488,37 @@ func TestDeleteStaleCatchThenSilence(t *testing.T) {
 }
 
 // TestLateContraryCatchIsNotSilence: with the catcher link slower than
-// the re-injection gap, a faulted drop rule's contrary catches arrive
-// after the next copy has gone out. The newest copy is then always
-// unanswered when the window closes, but the one before it is not, so
-// the observation keeps its contrary verdict instead of reading the late
-// catches as silence. The steady prober alarms on the same rule.
+// the re-injection gap, every contrary catch arrives after later copies
+// have gone out, so the newest copies are always unanswered when the
+// window closes. The observation measures those late round trips and
+// keeps its contrary verdict instead of reading them as silence: a
+// faulted drop rule is not confirmed, and a delete that never took
+// effect is not reported absent. The steady prober alarms on the faulted
+// drop rule.
 func TestLateContraryCatchIsNotSilence(t *testing.T) {
 	var alarms []uint64
 	tb := newLineTestbed(t, switchsim.Ideal(), func(c *Config) {
 		c.OnAlarm = func(ruleID uint64, at sim.Time) { alarms = append(alarms, ruleID) }
 	})
 	tb.mon[2].OnControllerMessage(addFM(t, 501, 5, ip4(10, 0, 3, 1), 2), 1)
+	tb.mon[2].OnControllerMessage(addFM(t, 502, 5, ip4(10, 0, 4, 1), 2), 2)
 	tb.sim.RunUntil(time.Second)
-	tb.mon[2].OnControllerMessage(addFM(t, 500, 10, ip4(10, 0, 3, 1), 0), 2)
+	tb.mon[2].OnControllerMessage(addFM(t, 500, 10, ip4(10, 0, 3, 1), 0), 3)
 	tb.sim.RunUntil(2 * time.Second)
-	p := ruleProbe(t, tb, 500)
-	if !p.Present.Drop {
-		t.Fatalf("test premise: rule 500 must be a drop, got %+v", p.Present)
+	drop, kept := ruleProbe(t, tb, 500), ruleProbe(t, tb, 502)
+	if !drop.Present.Drop || !kept.Absent.Drop {
+		t.Fatalf("test premise: rule 500 must be a drop and rule 502 must fall through to one, got %+v and %+v", drop.Present, kept.Absent)
 	}
-	gap := tb.mon[2].retryInterval()
-	switchsim.Connect(tb.sw[2], 2, tb.sw[3], 1, gap+2*time.Millisecond)
 	tb.sw[2].FailRule(500)
-	if v := observeOnce(t, tb, p, packet.ExpectPresent, 200*time.Millisecond); v != VerdictAbsent {
-		t.Fatalf("verdict %v, want %v: late contrary catches were read as silence", v, VerdictAbsent)
+	gap := tb.mon[2].retryInterval()
+	for _, delay := range []time.Duration{gap + 2*time.Millisecond, 4 * gap, 20 * gap} {
+		switchsim.Connect(tb.sw[2], 2, tb.sw[3], 1, delay)
+		if v := observeOnce(t, tb, drop, packet.ExpectPresent, 200*time.Millisecond); v != VerdictAbsent {
+			t.Fatalf("link delay %v: faulted drop rule verdict %v, want %v", delay, v, VerdictAbsent)
+		}
+		if v := observeOnce(t, tb, kept, packet.ExpectAbsent, 200*time.Millisecond); v != VerdictConfirmed {
+			t.Fatalf("link delay %v: undeleted rule verdict %v, want %v", delay, v, VerdictConfirmed)
+		}
 	}
 	tb.mon[2].StartSteadyState()
 	tb.sim.RunUntil(tb.sim.Now() + time.Second)
@@ -548,5 +556,33 @@ func TestHostFacingRuleNoSteadyAlarm(t *testing.T) {
 	}
 	if tb.mon[2].Stats.ProbesSent-sent < 40 {
 		t.Fatalf("prober barely ran: %+v", tb.mon[2].Stats)
+	}
+}
+
+// TestUncraftableProbeReleasesUnverified: a probe the wire cannot carry
+// (a non-IPv4 header) never goes out. A pending update holding one is
+// released like an unmonitorable rule — OnRuleConfirmed fires, but no
+// confirmation is counted — and a sweep observation reports it
+// unexpected at once.
+func TestUncraftableProbeReleasesUnverified(t *testing.T) {
+	var confirms []uint64
+	tb := newLineTestbed(t, switchsim.Ideal(), func(c *Config) {
+		c.OnRuleConfirmed = func(ruleID uint64, at sim.Time) { confirms = append(confirms, ruleID) }
+	})
+	m := tb.mon[2]
+	p := &probe.Probe{RuleID: 900}
+	p.Header.Set(header.EthType, header.EthTypeARP)
+	m.startPending(900, p, packet.ExpectPresent)
+	tb.sim.RunUntil(time.Second)
+	if len(confirms) != 1 || confirms[0] != 900 || m.Stats.Confirmations != 0 || m.Stats.ProbesSent != 0 {
+		t.Fatalf("confirms %v, stats %+v: want rule 900 released with nothing sent and nothing confirmed", confirms, m.Stats)
+	}
+	if len(m.pending) != 0 {
+		t.Fatalf("update still pending: %v", m.pending)
+	}
+	var got Verdict = -1
+	m.observeProbe(p, packet.ExpectPresent, time.Second, func(v Verdict) { got = v })
+	if got != VerdictUnexpected {
+		t.Fatalf("sweep verdict %v, want %v at once", got, VerdictUnexpected)
 	}
 }

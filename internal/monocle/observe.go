@@ -27,11 +27,13 @@ const defaultObserveTimeout = 2 * time.Second
 //     modifications, Absent for deletions — finishes it at once;
 //  2. a contrary catch is recorded and never finishes it early (§4.1: the
 //     update may not have reached the data plane yet);
-//  3. it is silent when its last two copies are unanswered and the newer
-//     is at least one gap old; two, not one, so a catch arriving later
-//     than the gap is not mistaken for silence. Silence is evidence of
-//     whichever outcome cannot reach a catcher (silenceVerdict, §3.3's
-//     negative probing);
+//  3. it is silent when the newest two of its due copies are unanswered.
+//     A copy is due once it is older than the longest round trip the
+//     observation's own catches have measured, plus one gap, so late
+//     catches are not mistaken for silence; two, not one, so a single
+//     catch slower than any measured before is not either. Silence is
+//     evidence of whichever outcome cannot reach a catcher
+//     (silenceVerdict, §3.3's negative probing);
 //  4. when a bounded window closes, a silent observation, or one that
 //     never caught anything, reports the silence verdict; any other
 //     reports its last catch.
@@ -44,13 +46,30 @@ type observation struct {
 	gap    time.Duration // spacing of the copies
 	done   func(Verdict)
 
-	seqs     []uint64 // injected copies, oldest first
-	sentAt   sim.Time // when the newest copy went out
+	copies   []sentCopy    // injected copies, oldest first
+	rtt      time.Duration // longest round trip of a caught copy
 	caught   bool
 	last     Verdict
 	finished bool
 	retry    *sim.Timer
 	deadline *sim.Timer
+}
+
+// sentCopy is one injected copy of an observation's probe.
+type sentCopy struct {
+	seq uint64
+	at  sim.Time
+}
+
+// caughtCopy records the round trip of the copy seq that was just
+// caught.
+func (m *Monitor) caughtCopy(ob *observation, seq uint64) {
+	for i := len(ob.copies) - 1; i >= 0; i-- {
+		if ob.copies[i].seq == seq {
+			ob.rtt = max(ob.rtt, m.Sim.Now()-ob.copies[i].at)
+			return
+		}
+	}
 }
 
 // catch applies rules 1 and 2 to one piece of evidence; it reports
@@ -68,13 +87,19 @@ func (m *Monitor) catch(ob *observation, v Verdict) bool {
 // silent applies rule 3. A copy is unanswered while its inflight entry
 // stands: a catch removes it.
 func (m *Monitor) silent(ob *observation) bool {
-	n := len(ob.seqs)
-	if n < 2 || m.Sim.Now()-ob.sentAt < ob.gap {
-		return false
+	due := m.Sim.Now() - ob.rtt - ob.gap
+	unanswered := 0
+	for i := len(ob.copies) - 1; i >= 0 && unanswered < 2; i-- {
+		c := ob.copies[i]
+		if c.at > due {
+			continue
+		}
+		if _, ok := m.inflight[c.seq]; !ok {
+			return false
+		}
+		unanswered++
 	}
-	_, newer := m.inflight[ob.seqs[n-1]]
-	_, older := m.inflight[ob.seqs[n-2]]
-	return newer && older
+	return unanswered == 2
 }
 
 // silenceVerdict judges silence as an observation of the outcomes no
@@ -102,7 +127,7 @@ func (m *Monitor) observeFor(ob *observation, window time.Duration) {
 	ob.deadline = m.Sim.After(window, func() { m.closeWindow(ob) })
 	var tick func()
 	tick = func() {
-		if m.inject(ob) && len(ob.seqs) < copies {
+		if m.inject(ob) && len(ob.copies) < copies {
 			ob.retry = m.Sim.After(ob.gap, tick)
 		}
 	}
@@ -118,8 +143,8 @@ func (m *Monitor) finish(ob *observation, v Verdict) {
 	ob.finished = true
 	ob.retry.Cancel()
 	ob.deadline.Cancel()
-	for _, seq := range ob.seqs {
-		delete(m.inflight, seq)
+	for _, c := range ob.copies {
+		delete(m.inflight, c.seq)
 	}
 	ob.done(v)
 }

@@ -282,14 +282,17 @@ func (m *Monitor) releaseBarriers() {
 	}
 }
 
-// confirmRule finalizes a confirmed update: callbacks, barrier release,
-// drop-postpone follow-up, queued-update drain.
-func (m *Monitor) confirmRule(pu *pendingUpdate) {
+// confirmRule finalizes a released update: callbacks, barrier release,
+// drop-postpone follow-up, queued-update drain. Only an update a probe
+// actually went out for counts as a confirmation.
+func (m *Monitor) confirmRule(pu *pendingUpdate, probed bool) {
 	if pu.deadline != nil {
 		pu.deadline.Cancel()
 	}
 	delete(m.pending, pu.ruleID)
-	m.Stats.Confirmations++
+	if probed {
+		m.Stats.Confirmations++
+	}
 
 	if pu.postponed != nil {
 		m.finishDropPostpone(pu.postponed)

@@ -71,10 +71,18 @@ func AlertKey(a Alert) string {
 // traceDir records every switch's backend session there (WithRecordDir),
 // so a failing scenario leaves a replayable trace behind.
 func (sc Scenario) Run(workers int, traceDir string) (*ScenarioResult, error) {
+	return sc.runOn(false, workers, traceDir)
+}
+
+// runOn is Run with a backend choice: with sim set, addSwitch registers
+// SimBackend switches instead of proxies over live TCP SwitchServers, for
+// scenarios that never touch the server it returns.
+func (sc Scenario) runOn(sim bool, workers int, traceDir string) (*ScenarioResult, error) {
 	e := &scenarioEnv{
 		name:     sc.Name,
 		workers:  workers,
 		traceDir: traceDir,
+		sim:      sim,
 		servers:  make(map[uint32]*SwitchServer),
 		events:   make(map[uint32]<-chan BackendEvent),
 	}
@@ -114,6 +122,7 @@ type scenarioEnv struct {
 	name     string
 	workers  int
 	traceDir string
+	sim      bool
 	opts     []Option
 	svc      *Service
 	servers  map[uint32]*SwitchServer
@@ -180,22 +189,27 @@ func (e *scenarioEnv) tempDir() (string, error) {
 }
 
 // addSwitch starts a SwitchServer and registers it with the service as a
-// proxy-backed switch whose ports all catch their own probes.
+// proxy-backed switch whose ports all catch their own probes. In a sim
+// run it registers a SimBackend switch instead and returns no server.
 func (e *scenarioEnv) addSwitch(id uint32, profile SwitchProfile, ports ...uint16) (*SwitchServer, error) {
-	pids := make([]PortID, len(ports))
-	for i, p := range ports {
-		pids[i] = PortID(p)
-	}
-	srv, err := StartSwitchServer(SwitchServerConfig{ID: id, Ports: pids, Profile: profile})
-	if err != nil {
-		return nil, err
-	}
-	e.servers[id] = srv
 	peers := make(map[uint16]uint32, len(ports))
 	for _, p := range ports {
 		peers[p] = id
 	}
-	spec := SwitchSpec{ID: id, Backend: "proxy", Address: srv.Addr(), Ports: ports, Peers: peers}
+	spec := SwitchSpec{ID: id, Backend: "sim", Ports: ports, Peers: peers}
+	var srv *SwitchServer
+	if !e.sim {
+		pids := make([]PortID, len(ports))
+		for i, p := range ports {
+			pids[i] = PortID(p)
+		}
+		var err error
+		if srv, err = StartSwitchServer(SwitchServerConfig{ID: id, Ports: pids, Profile: profile}); err != nil {
+			return nil, err
+		}
+		e.servers[id] = srv
+		spec.Backend, spec.Address = "proxy", srv.Addr()
+	}
 	if _, err := e.svc.AddSwitch(spec); err != nil {
 		return nil, fmt.Errorf("adding switch %d: %w", id, err)
 	}

@@ -5,9 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"monocle/internal/chaos"
 )
 
 // scenarioWorkerBudgets are the solver parallelism levels every scenario
@@ -101,34 +98,20 @@ func TestScenariosDeclared(t *testing.T) {
 	}
 }
 
-// TestChurnVerdictsSimVsProxy drives one seeded churn plan through a
-// sim-backed service and through a proxy-backed service over live TCP.
-// runChurn checks every op's confirmation verdict against the model —
-// add and modify "confirmed", delete "absent" (Verdict is
-// evidence-relative) — so both backends must agree op for op.
-func TestChurnVerdictsSimVsProxy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives a real TCP switch with wall-clock timeouts")
+// TestChurnStormOnSim runs churn_storm with SimBackend switches. Its
+// runChurn checks every op's verdict against the model — add and modify
+// "confirmed", delete "absent" (Verdict is evidence-relative) — as the
+// proxy runs in TestScenarioMatrix do, so Sim and Proxy must agree op
+// for op on the same seeded plan.
+func TestChurnStormOnSim(t *testing.T) {
+	for _, sc := range Scenarios() {
+		if sc.Name != "churn_storm" {
+			continue
+		}
+		if _, err := sc.runOn(true, 1, ""); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	const seed, slots, ops = 0x5EED, 6, 30
-	for _, backend := range []string{"sim", "proxy"} {
-		t.Run(backend, func(t *testing.T) {
-			e := &scenarioEnv{name: "churn_differential", workers: 1,
-				servers: make(map[uint32]*SwitchServer), events: make(map[uint32]<-chan BackendEvent)}
-			defer e.close()
-			e.service(WithDetectionTimeout(150 * time.Millisecond))
-			var err error
-			if backend == "sim" {
-				_, err = e.svc.AddSwitch(SwitchSpec{ID: 1, Backend: "sim", Ports: []uint16{1, 2, 3, 4}})
-			} else {
-				_, err = e.addSwitch(1, SwitchProfile{}, 1, 2, 3, 4)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := runChurn(e, 1, chaos.New(seed), slots, ops, 0); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Fatal("no churn_storm scenario")
 }
