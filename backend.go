@@ -87,17 +87,6 @@ func observeOne(ctx context.Context, be Backend, p *Probe, expect Expectation) (
 	return verdicts[0], errs[0]
 }
 
-// Sweeper is the optional Backend extension for drivers that track their
-// switch's expected flow table themselves — a live proxy driver learning
-// it from the FlowMods it forwards. Fleet.AttachBackend requires it:
-// such members are swept through the driver instead of a facade Verifier.
-type Sweeper interface {
-	// SweepExpected generates the steady-state probe set of the driver's
-	// expected table under the given worker budget, returning the
-	// table-change epoch the sweep ran at.
-	SweepExpected(ctx context.Context, workers int) (uint64, []ProbeResult)
-}
-
 // BackendOp is one resolved rule operation crossing the driver seam. The
 // facade layers translate transport-level operations (HTTP RuleOps: ids,
 // JSON field maps) into concrete rules before handing them to a Backend.

@@ -8,9 +8,9 @@ package monocle
 // (§7: one proxy per switch-controller connection). On top of the proxy
 // loop it implements the Backend seam: Apply writes FlowMods to the
 // switch, ObserveBatch injects probes through the control channel and
-// judges the catches, and SweepExpected sweeps the Monitor's proxied
-// table — so a Fleet or the monocled Service can front real OpenFlow 1.0
-// hardware through the same facade it uses for simulated data planes.
+// judges the catches — so a Fleet or the monocled Service can front real
+// OpenFlow 1.0 hardware through the same facade it uses for simulated
+// data planes.
 
 import (
 	"context"
@@ -875,22 +875,6 @@ func (pb *ProxyBackend) ObserveBatch(ctx context.Context, probes []*Probe, expec
 		w.abort(ErrBackendClosed)
 	}
 	return w.verdicts, w.errs
-}
-
-// SweepExpected implements Sweeper: it sweeps the Monitor's proxied
-// expected table on the event-loop thread (any goroutine may call this;
-// the marshalling satisfies the Monitor's single-threaded contract). The
-// loop is busy for the duration of the sweep.
-func (pb *ProxyBackend) SweepExpected(ctx context.Context, workers int) (uint64, []ProbeResult) {
-	var (
-		epoch   uint64
-		results []ProbeResult
-	)
-	pb.group.call(func() {
-		epoch = pb.mon.Epoch()
-		results = pb.mon.SweepExpected(ctx, workers)
-	})
-	return epoch, results
 }
 
 // Epoch implements Backend: the driver's count of Apply operations.

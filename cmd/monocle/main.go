@@ -12,34 +12,30 @@
 //	monocle -listen :16653 -switch 10.0.0.5:6653 -id 3 \
 //	        -peers 1=5,2=7 -steady
 //
-// Fleet mode drives N switches through one monocle.Fleet in a single
-// process: every ProxyBackend shares one monocle.ProxyGroup (one event
-// loop, one probe-routing Multiplexer), so probes caught at any member
-// switch are routed back to their owner — which a process-per-switch
-// deployment cannot do. Specs are semicolon-separated; within a spec the
-// peer map uses ':' pairs:
+// Fleet mode drives N switches in a single process: every ProxyBackend
+// shares one monocle.ProxyGroup (one event loop, one probe-routing
+// Multiplexer), so probes caught at any member switch are routed back to
+// their owner — which a process-per-switch deployment cannot do. Specs
+// are semicolon-separated; within a spec the peer map uses ':' pairs:
 //
 //	monocle -fleet "id=1,listen=:16653,switch=10.0.0.5:6653,peers=1:2 2:3;\
 //	                id=2,listen=:16654,switch=10.0.0.6:6653,peers=1:1" \
-//	        -steady -sweep 30s
+//	        -steady
 //
-// With -sweep, the fleet periodically sweeps every proxied expected table
-// through the shared worker budget, emits one ResultRecord JSON line per
-// rule on stdout (the same stream format as `probegen -json`), and folds
-// every round through the cross-epoch diff engine, logging typed alerts
-// on stderr through a monocle.LogSink.
+// With -steady, each switch's Monitor generates probes for the rules it
+// learned from the controller's FlowMods and injects them on the paper's
+// steady-state cycle, logging an ALARM for any rule the data plane stops
+// honouring.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"monocle"
 )
@@ -148,8 +144,6 @@ func main() {
 		fleet    = flag.String("fleet", "", "multi-switch specs 'id=..,listen=..,switch=..[,peers=p:s ...][,tag=..];...' (overrides the single-switch flags)")
 		steady   = flag.Bool("steady", false, "enable steady-state monitoring of all proxied rules")
 		rate     = flag.Float64("rate", 500, "steady-state probe rate (probes/s)")
-		sweep    = flag.Duration("sweep", 0, "fleet sweep interval; emits ResultRecord JSON lines on stdout (0 disables)")
-		workers  = flag.Int("workers", 0, "solver-worker budget shared by fleet sweeps (0 = all CPUs)")
 		reserved = flag.String("reserved", "", "comma-separated reserved tag values; prints the catching FlowMods for this switch and exits")
 	)
 	flag.Parse()
@@ -174,7 +168,6 @@ func main() {
 	// One shared group: one event loop, one Multiplexer, cross-switch
 	// probe routing.
 	group := monocle.NewProxyGroup()
-	fl := monocle.NewFleet(monocle.WithWorkers(*workers))
 	backends := make([]*monocle.ProxyBackend, len(specs))
 	for i, spec := range specs {
 		opts := []monocle.Option{
@@ -214,14 +207,7 @@ func main() {
 		if err := be.Connect(context.Background()); err != nil {
 			log.Fatal(err)
 		}
-		if err := fl.AttachBackend(be); err != nil {
-			log.Fatal(err)
-		}
 		go logEvents(be)
-	}
-
-	if *sweep > 0 {
-		go sweepLoop(fl, *sweep)
 	}
 	select {} // the proxy runs until killed
 }
@@ -237,34 +223,6 @@ func logEvents(be *monocle.ProxyBackend) {
 			log.Fatalf("S%d: %s", ev.SwitchID, ev.Detail)
 		default:
 			log.Printf("S%d %s: %s", ev.SwitchID, ev.Type, ev.Detail)
-		}
-	}
-}
-
-// sweepLoop emits ResultRecord JSON lines for every member's proxied
-// expected table at the given cadence, and folds every round through the
-// cross-epoch diff engine: a rule that stops being generatable (newly
-// hidden or erroring), recovers, or flaps across epochs — or a switch
-// that stops contributing results — is logged as a typed alert on stderr
-// through a LogSink. ProxyBackend sweeps marshal onto the group's event
-// loop internally, so this loop runs on a plain goroutine.
-func sweepLoop(fl *monocle.Fleet, every time.Duration) {
-	enc := json.NewEncoder(os.Stdout)
-	differ := monocle.NewDiffer()
-	alerts := monocle.NewLogSink(log.New(os.Stderr, "", log.LstdFlags))
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for range ticker.C {
-		for _, ev := range fl.Sweep(context.Background()) {
-			differ.Observe(ev)
-			if err := enc.Encode(ev.Record()); err != nil {
-				log.Fatalf("sweep encode: %v", err)
-			}
-		}
-		if as := differ.EndSweep(); len(as) > 0 {
-			if err := alerts.Deliver(context.Background(), as); err != nil {
-				log.Printf("alert sink: %v", err)
-			}
 		}
 	}
 }

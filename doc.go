@@ -17,10 +17,10 @@
 //   - Fleet: multi-switch deployment. Fleet shards its member switches
 //     across a bounded solver-worker budget and runs concurrent
 //     steady-state sweeps (each switch through its own Verifier session
-//     cache), returning one SweepEvent per rule (Sweep, SweepPlan).
-//     Members are bare Verifiers (AddSwitch), pair a Verifier with a
-//     Backend driver (AddBackend), or are self-sweeping drivers
-//     (AttachBackend).
+//     cache), returning one SweepEvent per rule. SweepPlan sweeps
+//     per-switch rule subsets on the same clustered engine; Sweep is its
+//     every-rule form. Every member has a Verifier: a bare one
+//     (AddSwitch) or one paired with a Backend driver (AddBackend).
 //
 //   - Backend: the switch-driver seam — connect/close the transport,
 //     apply rule operations to the data plane, inject and observe probes

@@ -2,9 +2,9 @@ package monocle
 
 // Fleet: the sharded multi-switch sweep service. The paper deploys one
 // Monocle proxy per switch-controller connection (§7); a production
-// deployment monitors a fleet. Fleet owns one Verifier (or self-sweeping
-// backend) per member switch and shards a bounded solver-worker budget
-// across concurrent per-switch sweeps.
+// deployment monitors a fleet. Fleet owns one Verifier per member switch
+// and shards a bounded solver-worker budget across concurrent per-switch
+// sweeps.
 
 import (
 	"context"
@@ -14,16 +14,15 @@ import (
 	"sync/atomic"
 )
 
-// ErrDuplicateSwitch reports an AddSwitch/AddBackend/AttachBackend id
-// already registered in the fleet.
+// ErrDuplicateSwitch reports an AddSwitch/AddBackend id already
+// registered in the fleet.
 var ErrDuplicateSwitch = errors.New("monocle: switch already in the fleet")
 
 // Fleet verifies a fleet of switches. Members are added with AddSwitch
-// (offline/sweep verification), AddBackend (a Verifier paired with a
-// data-plane driver) or AttachBackend (a self-sweeping live driver); Sweep
-// and SweepPlan run steady-state probe generation across every member
-// under the fleet-wide worker budget (WithWorkers). Fleet is safe for
-// concurrent use.
+// (offline/sweep verification) or AddBackend (a Verifier paired with a
+// data-plane driver); SweepPlan (and Sweep, its every-member form) runs
+// steady-state probe generation across the members under the fleet-wide
+// worker budget (WithWorkers). Fleet is safe for concurrent use.
 type Fleet struct {
 	set settings
 
@@ -32,9 +31,8 @@ type Fleet struct {
 	byID    map[uint32]*fleetMember
 }
 
-// fleetMember is one monitored switch: verifier-backed (AddSwitch,
-// AddBackend) or self-sweeping backend-backed (AttachBackend). be, when
-// set, is the data-plane driver paired with the member.
+// fleetMember is one monitored switch: its Verifier and, when added with
+// AddBackend, the data-plane driver paired with it.
 type fleetMember struct {
 	id uint32
 	v  *Verifier
@@ -69,19 +67,7 @@ func NewFleet(opts ...Option) *Fleet {
 // the switch's probe tag is its id (strategy 1, §6). Adding a duplicate
 // id fails.
 func (f *Fleet) AddSwitch(id uint32, opts ...Option) (*Verifier, error) {
-	v, err := newVerifier(id, &f.set, opts)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, dup := f.byID[id]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrDuplicateSwitch, id)
-	}
-	m := &fleetMember{id: id, v: v}
-	f.members = append(f.members, m)
-	f.byID[id] = m
-	return v, nil
+	return f.add(id, nil, opts)
 }
 
 // AddBackend registers switch backend be for sweep verification: the
@@ -91,7 +77,12 @@ func (f *Fleet) AddSwitch(id uint32, opts ...Option) (*Verifier, error) {
 // plane through the Backend seam. Per-switch options override the
 // fleet-wide ones. The caller connects and closes the backend.
 func (f *Fleet) AddBackend(be Backend, opts ...Option) (*Verifier, error) {
-	id := be.SwitchID()
+	return f.add(be.SwitchID(), be, opts)
+}
+
+// add registers one member: a fresh Verifier for switch id, paired with
+// be (nil for AddSwitch).
+func (f *Fleet) add(id uint32, be Backend, opts []Option) (*Verifier, error) {
 	v, err := newVerifier(id, &f.set, opts)
 	if err != nil {
 		return nil, err
@@ -107,29 +98,8 @@ func (f *Fleet) AddBackend(be Backend, opts ...Option) (*Verifier, error) {
 	return v, nil
 }
 
-// AttachBackend registers a self-sweeping backend: one that owns its
-// switch's expected flow table (a live ProxyBackend learning it from the
-// FlowMods it proxies) and therefore implements Sweeper. Such members are
-// swept through the driver itself, concurrently with verifier-backed
-// members under the fleet worker budget. The caller connects and closes
-// the backend.
-func (f *Fleet) AttachBackend(be Backend) error {
-	if _, ok := be.(Sweeper); !ok {
-		return fmt.Errorf("monocle: backend for switch %d does not sweep its own expected table (no Sweeper); use AddBackend with a Verifier instead", be.SwitchID())
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, dup := f.byID[be.SwitchID()]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateSwitch, be.SwitchID())
-	}
-	m := &fleetMember{id: be.SwitchID(), be: be}
-	f.members = append(f.members, m)
-	f.byID[be.SwitchID()] = m
-	return nil
-}
-
 // Backend returns the data-plane driver of a switch registered with
-// AddBackend or AttachBackend.
+// AddBackend.
 func (f *Fleet) Backend(id uint32) (Backend, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -140,12 +110,12 @@ func (f *Fleet) Backend(id uint32) (Backend, bool) {
 	return m.be, true
 }
 
-// Verifier returns the Verifier of a switch added with AddSwitch.
+// Verifier returns the Verifier of a member switch.
 func (f *Fleet) Verifier(id uint32) (*Verifier, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	m, ok := f.byID[id]
-	if !ok || m.v == nil {
+	if !ok {
 		return nil, false
 	}
 	return m.v, true
@@ -169,36 +139,35 @@ func (f *Fleet) Size() int {
 	return len(f.members)
 }
 
-// Sweep runs one steady-state sweep over every member switch and returns
-// the per-rule events grouped by member in registration order (rules in
-// table priority order within a member). Verifier-backed members sweep
-// concurrently under the fleet worker budget; each member's probe set is
-// bit-identical to a standalone sweep of its table regardless of the
-// budget or the sharding.
+// Sweep runs one steady-state sweep over every member switch: SweepPlan
+// with a nil plan.
 func (f *Fleet) Sweep(ctx context.Context) []SweepEvent {
-	members := f.snapshot()
-	perMember := make([][]SweepEvent, len(members))
-	f.sweepInto(ctx, members, nil, func(i int, evs []SweepEvent) { perMember[i] = evs })
-	return collectEvents(perMember)
+	return f.SweepPlan(ctx, nil)
 }
 
 // SweepPlan runs one sweep restricted to a probe plan: only member
 // switches present in sel are swept, each over the given rule-id subset.
-// A nil subset sweeps the member's whole table; an empty non-nil subset
-// sweeps nothing for that member (a sampled round that chose no rules)
-// while still claiming its sweep slot. Event ordering and determinism
-// match Sweep: members in registration order, rules in table priority
-// order, bit-identical for any worker budget.
+// A nil plan sweeps every member; a nil subset sweeps the member's whole
+// table; an empty non-nil subset sweeps nothing for that member (a
+// sampled round that chose no rules) while still claiming its sweep
+// slot. Events are grouped by member in registration order, rules in
+// table priority order within a member. Members sweep concurrently under
+// the fleet worker budget, and each member's probe set is bit-identical
+// for any budget: a subset naming every rule yields exactly a standalone
+// Verifier's sweep of the same table.
 func (f *Fleet) SweepPlan(ctx context.Context, sel map[uint32][]uint64) []SweepEvent {
 	members := f.snapshot()
-	picked := members[:0:0]
-	for _, m := range members {
-		if _, ok := sel[m.id]; ok {
-			picked = append(picked, m)
+	if sel != nil {
+		picked := members[:0]
+		for _, m := range members {
+			if _, ok := sel[m.id]; ok {
+				picked = append(picked, m)
+			}
 		}
+		members = picked
 	}
-	perMember := make([][]SweepEvent, len(picked))
-	f.sweepInto(ctx, picked, sel, func(i int, evs []SweepEvent) { perMember[i] = evs })
+	perMember := make([][]SweepEvent, len(members))
+	f.sweepInto(ctx, members, sel, func(i int, evs []SweepEvent) { perMember[i] = evs })
 	return collectEvents(perMember)
 }
 
@@ -226,17 +195,11 @@ func (f *Fleet) snapshot() []*fleetMember {
 	return append([]*fleetMember(nil), f.members...)
 }
 
-// sweepInto sweeps every member concurrently, invoking done(i, events)
-// once per member. The worker budget B is sharded: with K = min(B,
-// members) member sweeps in flight, each gets B/K solver workers, so the
-// fleet never runs more than B solver goroutines at once. Self-sweeping
-// backends marshal onto their own loops internally, so they join the
-// same pool.
-//
-// sel, when non-nil, restricts each member to a rule-id subset (SweepPlan):
-// verifier-backed members generate only the subset; self-sweeping members
-// sweep their own table and the events are filtered afterwards (their
-// table is theirs to enumerate).
+// sweepInto sweeps every member concurrently, each over its subset in sel
+// (nil: the whole table), invoking done(i, events) once per member. The
+// worker budget B is sharded: with K = min(B, members) member sweeps in
+// flight, each gets B/K solver workers, so the fleet never runs more than
+// B solver goroutines at once.
 func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[uint32][]uint64, done func(int, []SweepEvent)) {
 	k := len(members)
 	if k == 0 {
@@ -267,54 +230,12 @@ func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[u
 					return
 				}
 				m := members[i]
-				subset, limited := planSubset(sel, m.id)
-				var (
-					epoch   uint64
-					results []ProbeResult
-				)
-				switch {
-				case m.v != nil && limited:
-					epoch, results = m.v.sweepSubset(ctx, subset)
-				case m.v != nil:
-					epoch, results = m.v.sweepShard(ctx, share)
-				default:
-					epoch, results = m.be.(Sweeper).SweepExpected(ctx, share)
-					if limited {
-						results = filterResults(results, subset)
-					}
-				}
+				epoch, results, _ := m.v.sweep(ctx, sel[m.id], share)
 				done(i, memberEvents(m.id, epoch, results))
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// planSubset looks up one member's rule subset in a sweep plan. The second
-// return is false when the member should sweep its whole table (no plan,
-// or a nil subset).
-func planSubset(sel map[uint32][]uint64, id uint32) ([]uint64, bool) {
-	if sel == nil {
-		return nil, false
-	}
-	subset, ok := sel[id]
-	return subset, ok && subset != nil
-}
-
-// filterResults keeps only results for the planned rule ids, preserving
-// order.
-func filterResults(results []ProbeResult, ids []uint64) []ProbeResult {
-	want := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	out := results[:0:0]
-	for _, res := range results {
-		if res.Rule != nil && want[res.Rule.ID] {
-			out = append(out, res)
-		}
-	}
-	return out
 }
 
 // memberEvents wraps one member's sweep results as events, reusing a

@@ -28,17 +28,14 @@ func fleetProfile(id uint32, rules int) dataset.Profile {
 // differential test: the per-switch probe sets produced by a Fleet sweep
 // must be bit-identical to independent standalone Verifier runs, for
 // several fleet worker budgets (the sharding must never leak into the
-// results — the same guarantee PR 2 pinned for single-table sweeps).
+// results — the same guarantee PR 2 pinned for single-table sweeps). A
+// SweepPlan listing every rule of every switch runs the same engine and
+// must match too: a plan's subset is not a second generation path.
 func TestFleetSweepMatchesStandaloneVerifiers(t *testing.T) {
 	const nSwitches, nRules = 4, 60
 
 	// Reference: one standalone Verifier per switch, swept sequentially.
-	type ref struct {
-		ids     []uint64
-		headers []monocle.Header
-		unmon   []bool
-	}
-	want := make(map[uint32]*ref)
+	want := make(map[uint32]*standaloneSweep)
 	for id := uint32(1); id <= nSwitches; id++ {
 		v, err := monocle.NewVerifier(
 			monocle.WithProbeTag(uint64(id)),
@@ -51,7 +48,7 @@ func TestFleetSweepMatchesStandaloneVerifiers(t *testing.T) {
 		if err := v.Install(rules...); err != nil {
 			t.Fatal(err)
 		}
-		r := &ref{}
+		r := &standaloneSweep{}
 		for _, res := range v.Sweep(context.Background()) {
 			switch {
 			case res.Err == nil:
@@ -75,6 +72,7 @@ func TestFleetSweepMatchesStandaloneVerifiers(t *testing.T) {
 	for _, budget := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", budget), func(t *testing.T) {
 			fleet := monocle.NewFleet(monocle.WithWorkers(budget))
+			every := map[uint32][]uint64{}
 			for id := uint32(1); id <= nSwitches; id++ {
 				v, err := fleet.AddSwitch(id)
 				if err != nil {
@@ -84,41 +82,61 @@ func TestFleetSweepMatchesStandaloneVerifiers(t *testing.T) {
 				if err := v.Install(rules...); err != nil {
 					t.Fatal(err)
 				}
-			}
-			got := map[uint32]int{} // per-switch cursor into the reference
-			for _, ev := range fleet.Sweep(context.Background()) {
-				w, ok := want[ev.SwitchID]
-				if !ok {
-					t.Fatalf("event for unknown switch %d", ev.SwitchID)
-				}
-				i := got[ev.SwitchID]
-				if i >= len(w.ids) {
-					t.Fatalf("switch %d: more fleet results than standalone", ev.SwitchID)
-				}
-				if ev.Result.Rule.ID != w.ids[i] {
-					t.Fatalf("switch %d result %d: rule %d, standalone had %d (order diverged)",
-						ev.SwitchID, i, ev.Result.Rule.ID, w.ids[i])
-				}
-				unmon := errors.Is(ev.Result.Err, monocle.ErrUnmonitorable)
-				if ev.Result.Err != nil && !unmon {
-					t.Fatalf("switch %d rule %d: unexpected error %v", ev.SwitchID, ev.Result.Rule.ID, ev.Result.Err)
-				}
-				if unmon != w.unmon[i] {
-					t.Fatalf("switch %d rule %d: monitorability diverged (fleet unmon=%v)",
-						ev.SwitchID, ev.Result.Rule.ID, unmon)
-				}
-				if !unmon && ev.Result.Probe.Header != w.headers[i] {
-					t.Fatalf("switch %d rule %d: header %v vs standalone %v — fleet probe set is not bit-identical",
-						ev.SwitchID, ev.Result.Rule.ID, ev.Result.Probe.Header, w.headers[i])
-				}
-				got[ev.SwitchID] = i + 1
-			}
-			for id, w := range want {
-				if got[id] != len(w.ids) {
-					t.Fatalf("switch %d: fleet produced %d results, standalone %d", id, got[id], len(w.ids))
+				for _, r := range rules {
+					every[id] = append(every[id], r.ID)
 				}
 			}
+			ctx := context.Background()
+			checkEvents(t, fleet.Sweep(ctx), want)
+			checkEvents(t, fleet.SweepPlan(ctx, every), want)
 		})
+	}
+}
+
+// standaloneSweep is one switch's reference sweep: rule ids in table
+// order, their probe headers, and which rules were unmonitorable.
+type standaloneSweep struct {
+	ids     []uint64
+	headers []monocle.Header
+	unmon   []bool
+}
+
+// checkEvents requires a fleet sweep's events to match the standalone
+// reference sweeps rule for rule, bit for bit.
+func checkEvents(t *testing.T, evs []monocle.SweepEvent, want map[uint32]*standaloneSweep) {
+	t.Helper()
+	got := map[uint32]int{} // per-switch cursor into the reference
+	for _, ev := range evs {
+		w, ok := want[ev.SwitchID]
+		if !ok {
+			t.Fatalf("event for unknown switch %d", ev.SwitchID)
+		}
+		i := got[ev.SwitchID]
+		if i >= len(w.ids) {
+			t.Fatalf("switch %d: more fleet results than standalone", ev.SwitchID)
+		}
+		if ev.Result.Rule.ID != w.ids[i] {
+			t.Fatalf("switch %d result %d: rule %d, standalone had %d (order diverged)",
+				ev.SwitchID, i, ev.Result.Rule.ID, w.ids[i])
+		}
+		unmon := errors.Is(ev.Result.Err, monocle.ErrUnmonitorable)
+		if ev.Result.Err != nil && !unmon {
+			t.Fatalf("switch %d rule %d: unexpected error %v", ev.SwitchID, ev.Result.Rule.ID, ev.Result.Err)
+		}
+		if unmon != w.unmon[i] {
+			t.Fatalf("switch %d rule %d: monitorability diverged (fleet unmon=%v)",
+				ev.SwitchID, ev.Result.Rule.ID, unmon)
+		}
+		if !unmon && ev.Result.Probe.Header != w.headers[i] {
+			t.Fatalf("switch %d rule %d: header %v vs standalone %v — fleet probe set is not bit-identical",
+				ev.SwitchID, ev.Result.Rule.ID, ev.Result.Probe.Header, w.headers[i])
+		}
+		got[ev.SwitchID] = i + 1
+	}
+	for id, w := range want {
+		if got[id] != len(w.ids) {
+			t.Fatalf("switch %d: fleet produced %d results, standalone %d", id, got[id], len(w.ids))
+		}
 	}
 }
 

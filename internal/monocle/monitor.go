@@ -11,7 +11,6 @@
 package monocle
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -303,17 +302,6 @@ func (m *Monitor) Expected() *flowtable.Table { return m.expected }
 // Epoch returns the monitor's table-change epoch: it is bumped on every
 // change to the expected table, and keys the probe session cache.
 func (m *Monitor) Epoch() uint64 { return m.updateEpoch }
-
-// SweepExpected generates a probe for every rule of the expected table
-// through the monitor's epoch-aware session cache, fanning the solves out
-// over `parallelism` workers (<= 0 means all CPUs). It powers the fleet
-// sweep service: repeated sweeps across table changes recompile only the
-// changed rules. It must be called from the monitor's event-loop thread
-// (like every other Monitor method) and runs its workers to completion
-// before returning.
-func (m *Monitor) SweepExpected(ctx context.Context, parallelism int) []probe.Result {
-	return m.cache.GenerateAll(ctx, m.updateEpoch, parallelism)
-}
 
 // Preinstall records rules that are already in the switch (catching rules,
 // pre-existing state) into the expected table without monitoring them.

@@ -441,7 +441,7 @@ func TestCatchRuleGeneration(t *testing.T) {
 // ruleProbe returns the monitored switch's current probe for rule id.
 func ruleProbe(t *testing.T, tb *lineTestbed, id uint64) *probe.Probe {
 	t.Helper()
-	for _, res := range tb.mon[2].SweepExpected(context.Background(), 1) {
+	for _, res := range tb.mon[2].cache.GenerateAll(context.Background(), tb.mon[2].updateEpoch, 1) {
 		if res.Probe != nil && res.Probe.RuleID == id {
 			return res.Probe
 		}

@@ -22,7 +22,7 @@ import (
 func sweepProbes(t *testing.T, tb *lineTestbed, minID uint64) []*probe.Probe {
 	t.Helper()
 	var out []*probe.Probe
-	for _, res := range tb.mon[2].SweepExpected(context.Background(), 1) {
+	for _, res := range tb.mon[2].cache.GenerateAll(context.Background(), tb.mon[2].updateEpoch, 1) {
 		if res.Err != nil || res.Probe == nil || res.Probe.RuleID < minID {
 			continue
 		}

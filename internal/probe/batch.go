@@ -71,7 +71,7 @@ func (g *Generator) GenerateAllStats(ctx context.Context, table *flowtable.Table
 		}
 		return results, nil
 	}
-	stats, err := root.generateAllInto(ctx, results, parallelism)
+	stats, err := root.generateAllInto(ctx, results, nil, parallelism)
 	if err != nil {
 		for i := range results {
 			results[i].Err = err
@@ -81,19 +81,21 @@ func (g *Generator) GenerateAllStats(ctx context.Context, table *flowtable.Table
 }
 
 // generateAllInto runs the clustered sweep for the session's table,
-// writing into results (indexed like s.rules). The session itself serves
-// as worker 0 and is returned to its base state afterwards, so a cached
-// session (SessionCache) can sweep repeatedly.
-func (s *Session) generateAllInto(ctx context.Context, results []Result, parallelism int) ([]WorkerStats, error) {
+// writing into results (indexed like s.rules). A non-nil pick limits the
+// sweep to the rules it marks (indexed like s.rules); the others are left
+// untouched. The session itself serves as worker 0 and is returned to its
+// base state afterwards, so a cached session (SessionCache) can sweep
+// repeatedly.
+func (s *Session) generateAllInto(ctx context.Context, results []Result, pick []bool, parallelism int) ([]WorkerStats, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 
 	if s.g.cfg.DisableClustering {
-		return s.sweepUnclustered(ctx, results, parallelism)
+		return s.sweepUnclustered(ctx, results, pick, parallelism)
 	}
 
-	clusters := s.clusterPlan()
+	clusters := pickClusters(s.clusterPlan(), pick)
 	if parallelism > len(clusters) {
 		parallelism = len(clusters)
 	}
@@ -149,12 +151,44 @@ func (s *Session) generateAllInto(ctx context.Context, results []Result, paralle
 	return stats, nil
 }
 
+// pickClusters filters a cluster plan down to the picked members (nil
+// pick: the whole plan). A cluster's prefix is shared by every member, so
+// it stays a valid prefix for any subset of them, and each kept member
+// keeps its own suffix; clusters left empty are dropped. Because the
+// filtered clusters are still processed atomically from an exact base
+// restore, a subset sweep is as deterministic across worker counts as a
+// whole-table one, and a pick of every rule is the whole-table sweep.
+func pickClusters(plan []cluster, pick []bool) []cluster {
+	if pick == nil {
+		return plan
+	}
+	var out []cluster
+	for _, c := range plan {
+		var members []clusterMember
+		for _, m := range c.members {
+			if pick[m.idx] {
+				members = append(members, m)
+			}
+		}
+		if len(members) > 0 {
+			out = append(out, cluster{prefix: c.prefix, members: members})
+		}
+	}
+	return out
+}
+
 // sweepUnclustered is the ablation path (DisableClustering): the PR-1
 // engine, one rule at a time through the classic Generate with an exact
 // retract to base after every rule.
-func (s *Session) sweepUnclustered(ctx context.Context, results []Result, parallelism int) ([]WorkerStats, error) {
-	if parallelism > len(s.rules) {
-		parallelism = len(s.rules)
+func (s *Session) sweepUnclustered(ctx context.Context, results []Result, pick []bool, parallelism int) ([]WorkerStats, error) {
+	todo := make([]int, 0, len(s.rules))
+	for i := range s.rules {
+		if pick == nil || pick[i] {
+			todo = append(todo, i)
+		}
+	}
+	if parallelism > len(todo) {
+		parallelism = len(todo)
 	}
 	sessions, err := s.workerSessions(parallelism)
 	if err != nil {
@@ -171,10 +205,11 @@ func (s *Session) sweepUnclustered(ctx context.Context, results []Result, parall
 			ws.Worker = w
 			d0, p0, c0 := sess.solver.Stats()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.rules) {
+				n := int(next.Add(1)) - 1
+				if n >= len(todo) {
 					break
 				}
+				i := todo[n]
 				if err := ctx.Err(); err != nil {
 					results[i].Err = err
 					continue

@@ -84,37 +84,58 @@ func (c *SessionCache) Session(epoch uint64) (*Session, error) {
 // rules. Errors building the session are reported per rule, mirroring
 // Generator.GenerateAll.
 func (c *SessionCache) GenerateAll(ctx context.Context, epoch uint64, parallelism int) []Result {
-	res, _ := c.GenerateAllStats(ctx, epoch, parallelism)
+	res, _ := c.GenerateAllStats(ctx, epoch, nil, parallelism)
 	return res
 }
 
-// GenerateAllStats is GenerateAll surfacing per-worker solver statistics,
-// mirroring Generator.GenerateAllStats on the cached-library path.
-func (c *SessionCache) GenerateAllStats(ctx context.Context, epoch uint64, parallelism int) ([]Result, []WorkerStats) {
+// GenerateAllStats is GenerateAll over the rules named by ids (nil: the
+// whole table), surfacing per-worker solver statistics. A subset runs
+// the same clustered sweep with the cached cluster plan filtered down to
+// its members, so the probe set is bit-identical for any worker count and
+// a subset naming every rule yields exactly the whole-table probes.
+// Results come in table priority order; ids not in the table are
+// skipped.
+func (c *SessionCache) GenerateAllStats(ctx context.Context, epoch uint64, ids []uint64, parallelism int) ([]Result, []WorkerStats) {
 	sess, err := c.Session(epoch)
-	if err != nil {
-		rules := c.table.Rules()
-		results := make([]Result, len(rules))
+	var rules []*flowtable.Rule
+	if err == nil {
+		rules = sess.rules
+	} else {
+		rules = c.table.Rules()
+	}
+	var pick []bool
+	if ids != nil {
+		want := make(map[uint64]bool, len(ids))
+		for _, id := range ids {
+			want[id] = true
+		}
+		pick = make([]bool, len(rules))
 		for i, r := range rules {
-			results[i].Rule = r
-			results[i].Err = err
-		}
-		return results, nil
-	}
-	results := make([]Result, len(sess.rules))
-	for i, r := range sess.rules {
-		results[i].Rule = r
-	}
-	if len(results) == 0 {
-		return results, nil
-	}
-	stats, err := sess.generateAllInto(ctx, results, parallelism)
-	if err != nil {
-		for i := range results {
-			results[i].Err = err
+			pick[i] = want[r.ID]
 		}
 	}
-	return results, stats
+	results := make([]Result, len(rules))
+	for i, r := range rules {
+		results[i] = Result{Rule: r, Err: err}
+	}
+	var stats []WorkerStats
+	if err == nil && len(results) > 0 {
+		if stats, err = sess.generateAllInto(ctx, results, pick, parallelism); err != nil {
+			for i := range results {
+				results[i].Err = err
+			}
+		}
+	}
+	if pick == nil {
+		return results, stats
+	}
+	out := results[:0]
+	for i := range results {
+		if pick[i] {
+			out = append(out, results[i])
+		}
+	}
+	return out, stats
 }
 
 // rebuildThreshold: a full rebuild happens once the dropped-rule count

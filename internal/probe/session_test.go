@@ -131,20 +131,45 @@ func miniTable() (*flowtable.Table, []*flowtable.Rule) {
 
 // TestGenerateAllDeterministicAcrossParallelism asserts the batch engine's
 // determinism contract: the probe set is bit-identical no matter how many
-// workers the sweep is spread over. Run under -race this also exercises
-// the concurrent sessions on a shared table.
+// workers the sweep is spread over — for the whole table and for a subset
+// (every other rule) swept through a SessionCache. Run under -race this
+// also exercises the concurrent sessions on a shared table.
 func TestGenerateAllDeterministicAcrossParallelism(t *testing.T) {
-	tb, _ := miniTable()
+	tb, rules := miniTable()
 	g := NewGenerator(Config{
 		Collect:       flowtable.MatchAll().WithExact(header.VlanID, 1),
 		ValidateModel: true,
 	})
+	var subset []uint64
+	for i, r := range rules {
+		if i%2 == 0 {
+			subset = append(subset, r.ID)
+		}
+	}
+	t.Run("whole", func(t *testing.T) {
+		assertDeterministic(t, tb.Len(), func(p int) []Result {
+			return g.GenerateAll(context.Background(), tb, p)
+		})
+	})
+	t.Run("subset", func(t *testing.T) {
+		assertDeterministic(t, len(subset), func(p int) []Result {
+			res, _ := g.NewSessionCache(tb).GenerateAllStats(context.Background(), 1, subset, p)
+			return res
+		})
+	})
+}
+
+// assertDeterministic runs sweep at parallelism 1, 4 and NumCPU and
+// requires n results each time, some probes found, and bit-identical
+// probes across the runs.
+func assertDeterministic(t *testing.T, n int, sweep func(parallelism int) []Result) {
+	t.Helper()
 	par := []int{1, 4, runtime.NumCPU()}
 	var ref []Result
 	for _, p := range par {
-		res := g.GenerateAll(context.Background(), tb, p)
-		if len(res) != tb.Len() {
-			t.Fatalf("parallelism %d: %d results for %d rules", p, len(res), tb.Len())
+		res := sweep(p)
+		if len(res) != n {
+			t.Fatalf("parallelism %d: %d results for %d rules", p, len(res), n)
 		}
 		if ref == nil {
 			ref = res

@@ -174,15 +174,23 @@ func (p *Policy) Plan(id uint32, tags []string, rules []*Rule, round uint64) Pro
 	return plan
 }
 
-// groupOf returns the group name one switch resolves to.
+// groupOf returns the group name one switch resolves to. A nil policy
+// is one implicit group, "".
 func (p *Policy) groupOf(id uint32, tags []string) string {
+	if p == nil {
+		return ""
+	}
 	return p.ast.Assign(id, tags).Group
 }
 
 // everyOf returns a group's sweep cadence (0 = inherit), resolving the
 // directive layering for any switch in the group. Cadence is a group
-// property: every switch in a group resolves the same Every.
+// property: every switch in a group resolves the same Every. The nil
+// policy's implicit group inherits.
 func (p *Policy) everyOf(group string) time.Duration {
+	if p == nil {
+		return 0
+	}
 	if p.ast.Default != nil && group == policy.DefaultGroup {
 		return p.ast.Default.Every
 	}

@@ -266,6 +266,44 @@ func TestPolicyEndToEndHTTP(t *testing.T) {
 	})
 }
 
+// sweepStream runs three rounds over two simulated switches of 150
+// Stanford rules each, two of them lost from the data plane, under pol
+// (nil: none), and returns every round's LastSweep records and alerts as
+// JSON lines.
+func sweepStream(t *testing.T, pol *monocle.Policy) []byte {
+	t.Helper()
+	svc := monocle.NewService(monocle.WithWorkers(2), monocle.WithPolicy(pol))
+	defer svc.Close()
+	for id := uint32(1); id <= 2; id++ {
+		if _, err := svc.AddSwitch(monocle.SwitchSpec{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		rules := datasetRules(150, int64(id))
+		if err := svc.InstallRules(id, rules...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.ApplyRule(id, monocle.RuleOp{Op: "delete", ID: rules[id].ID, Dataplane: "actual"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for round := 0; round < 3; round++ {
+		alerts := svc.SweepRound(context.Background())
+		for _, rec := range svc.LastSweep() {
+			if err := enc.Encode(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range alerts {
+			if err := enc.Encode(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
 // TestPolicyDeterminismAcrossWorkers pins the policy pipeline's
 // determinism: with a sampled two-group policy and injected divergences,
 // the compiled probe plans and the alert stream are byte-identical at
@@ -377,6 +415,26 @@ policy core {
 			t.Fatalf("workers=%d diverged from workers=%d:\n--- workers=%d ---\n%s--- workers=%d ---\n%s",
 				w, budgets[0], budgets[0], canonical, w, stream)
 		}
+	}
+
+	// One engine: a policy selecting every rule of every switch sweeps
+	// exactly what a policy-less service sweeps — the same records and the
+	// same alerts, byte for byte.
+	selectAll, err := monocle.ParsePolicy("policy all { select all }\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := sweepStream(t, nil)
+	if !bytes.Contains(none, []byte("rule_failing")) {
+		t.Fatalf("the policy-less stream raised no rule_failing alert:\n%s", none)
+	}
+	if all := sweepStream(t, selectAll); !bytes.Equal(all, none) {
+		a, b := bytes.Split(all, []byte("\n")), bytes.Split(none, []byte("\n"))
+		i := 0
+		for i < len(a) && i < len(b) && bytes.Equal(a[i], b[i]) {
+			i++
+		}
+		t.Fatalf("policy all { select all } diverged from no policy at line %d (%d vs %d lines)", i, len(a), len(b))
 	}
 }
 

@@ -416,8 +416,8 @@ func TestProxyBackendCrossSwitchRouting(t *testing.T) {
 // shape as a library user: a controller connects to the ProxyBackend's
 // listen side and installs a rule with a FlowMod + barrier; the Monitor
 // intercepts it, confirms it against the live data plane (gating the
-// barrier), and the Fleet then sweeps the proxied expected table through
-// the driver (AttachBackend) with verdicts observed over the wire.
+// barrier), and the rule's steady-state probe, generated by a standalone
+// Verifier holding the same rule, is then observed over the wire.
 func TestProxyBackendControllerPath(t *testing.T) {
 	ports := []monocle.PortID{1, 2}
 	sw := startTCPSimSwitch(t, 3, ports)
@@ -490,24 +490,31 @@ func TestProxyBackendControllerPath(t *testing.T) {
 		t.Fatal("barrier never released: rule not confirmed in the data plane")
 	}
 
-	// The fleet sweeps the proxied expected table through the driver.
-	fl := monocle.NewFleet(monocle.WithWorkers(2))
-	if err := fl.AttachBackend(be); err != nil {
+	// A standalone Verifier holding the same rule generates its
+	// steady-state probe; the proxy observes it over the wire.
+	v, err := monocle.NewVerifier(
+		monocle.WithProbeTag(3),
+		monocle.WithPorts(1, 2),
+		monocle.WithPeers(map[monocle.PortID]uint32{1: 3, 2: 3}),
+	)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := fl.Backend(3); !ok || got != monocle.Backend(be) {
-		t.Fatal("fleet does not expose the attached backend")
+	if err := v.Install(&monocle.Rule{
+		ID: 42, Priority: 10, Match: m, Actions: []monocle.Action{monocle.Output(2)},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	evs := fl.Sweep(context.Background())
-	if len(evs) != 1 || evs[0].SwitchID != 3 || evs[0].Result.Rule.ID != 42 {
-		t.Fatalf("sweep over the proxied table: %+v", evs)
+	res := v.Sweep(context.Background())
+	if len(res) != 1 || res[0].Rule.ID != 42 {
+		t.Fatalf("sweep of the same table: %+v", res)
 	}
-	if evs[0].Result.Err != nil || evs[0].Result.Probe == nil {
-		t.Fatalf("sweep result: %+v", evs[0].Result)
+	if res[0].Err != nil || res[0].Probe == nil {
+		t.Fatalf("sweep result: %+v", res[0])
 	}
-	v, err := be.Observe(context.Background(), evs[0].Result.Probe, monocle.ExpectPresent)
-	if err != nil || v != monocle.VerdictConfirmed {
-		t.Fatalf("observing the swept probe: %v, %v", v, err)
+	verdict, err := be.Observe(context.Background(), res[0].Probe, monocle.ExpectPresent)
+	if err != nil || verdict != monocle.VerdictConfirmed {
+		t.Fatalf("observing the swept probe: %v, %v", verdict, err)
 	}
 
 	// Lifecycle events surfaced along the way.

@@ -159,6 +159,70 @@ func TestRestartResumeProxyEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRestartRemembersLostSwitch: a proxy switch that cannot re-register
+// at Resume (it died with the monitor) is remembered under its persisted
+// tags, so its group's rounds keep counting it and it goes switch_stalled
+// after WithStallThreshold rounds — under a policy exactly as without
+// one.
+func TestRestartRemembersLostSwitch(t *testing.T) {
+	selectAll, err := monocle.ParsePolicy("policy all { select all }\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pol  *monocle.Policy
+	}{{"no-policy", nil}, {"policy", selectAll}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sw := startTCPSimSwitch(t, 1, []monocle.PortID{1, 2})
+			svc1 := monocle.NewService(monocle.WithWorkers(1), monocle.WithStateDir(dir),
+				monocle.WithDetectionTimeout(500*time.Millisecond))
+			if _, err := svc1.AddSwitch(monocle.SwitchSpec{
+				ID: 1, Backend: "proxy", Address: sw.addr, Tags: []string{"edge"},
+				Ports: []uint16{1, 2}, Peers: map[uint16]uint32{1: 1, 2: 1},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc1.ApplyRule(1, monocle.RuleOp{Op: "add", Rule: &monocle.RuleSpec{
+				ID: 7, Priority: 10,
+				Match:   map[string]string{"dl_type": "0x800", "nw_dst": "10.0.1.0/24"},
+				Actions: []monocle.ActionSpec{{Output: 2}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if alerts := svc1.SweepRound(context.Background()); len(alerts) != 0 {
+					t.Fatalf("healthy round %d alerted: %+v", i, alerts)
+				}
+			}
+			if err := svc1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sw.stop()
+
+			svc2 := monocle.NewService(monocle.WithWorkers(1), monocle.WithStateDir(dir),
+				monocle.WithStallThreshold(2), monocle.WithPolicy(tc.pol))
+			defer svc2.Close()
+			if err := svc2.Resume(context.Background()); err == nil {
+				t.Fatal("resume re-registered a switch that is gone")
+			}
+			var alerts []monocle.Alert
+			for round := 1; round <= 5; round++ {
+				for _, a := range svc2.SweepRound(context.Background()) {
+					if a.Type != monocle.AlertSwitchStalled || a.SwitchID != 1 || round != 2 {
+						t.Fatalf("round %d: unexpected alert %+v", round, a)
+					}
+					alerts = append(alerts, a)
+				}
+			}
+			if len(alerts) != 1 {
+				t.Fatalf("want one switch_stalled for the lost switch in round 2, got %+v", alerts)
+			}
+		})
+	}
+}
+
 // restartScript drives one scripted deployment — install, fault, debounced
 // failing alert, (optionally: kill + resume), quiet rounds, heal,
 // recovery — and returns the service's full alert stream. With

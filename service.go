@@ -68,8 +68,9 @@ type Service struct {
 	evq  []BackendEvent
 
 	// polMu guards the active monitoring policy, the per-switch tag
-	// sets, and the plan version Run's scheduler watches so a policy
-	// swap or switch registration rebuilds the per-group cadences.
+	// sets (keyed by every tracked switch, see track), and the plan
+	// version Run's scheduler watches so a policy swap or switch
+	// registration rebuilds the per-group cadences.
 	polMu   sync.Mutex
 	pol     *Policy
 	tags    map[uint32][]string
@@ -201,6 +202,9 @@ type SwitchSpec struct {
 	Trace string `json:"trace,omitempty"`
 	// Listen is the controller-side proxy listen address (backend
 	// "proxy", optional: empty means the service is the only controller).
+	// The proxy's Monitor confirms the rules a controller installs
+	// through it, but they are not in the Service's expected table, so
+	// sweep rounds do not probe them.
 	Listen string `json:"listen,omitempty"`
 	// Peers maps switch ports to the neighbour switch id reachable over
 	// them — the downstream probe catchers (backend "proxy").
@@ -393,7 +397,7 @@ func (s *Service) SetPolicy(p *Policy) {
 	}
 	s.polMu.Unlock()
 
-	for _, id := range s.fleet.Switches() {
+	for _, id := range s.switchIDs() {
 		var ov *DiffOverrides
 		confirm := s.set.detectionTimeout
 		if p != nil {
@@ -539,19 +543,31 @@ func (s *Service) AddSwitch(spec SwitchSpec) (*Verifier, error) {
 		s.dropRecorder(spec.ID)
 		return nil, err
 	}
-	s.polMu.Lock()
-	s.tags[spec.ID] = append([]string(nil), spec.Tags...)
-	s.planVer++
-	s.polMu.Unlock()
-	if pol != nil {
-		s.differ.SetOverrides(spec.ID, pol.overridesFor(spec.ID, spec.Tags))
-	}
+	s.track(spec.ID, spec.Tags)
 	if s.store != nil {
 		if err := s.store.SaveSwitch(spec); err != nil {
 			s.noteStoreErr()
 		}
 	}
 	return v, nil
+}
+
+// track records a switch's tags for policy resolution, applies the
+// active policy's alerting overrides to it, and rebuilds Run's schedule.
+// A tracked switch is in the scope of its group's rounds. AddSwitch
+// tracks every member; Resume also tracks the switches it could not
+// re-register (remembered switches, not members), so their rounds keep
+// counting them and a lost switch goes switch_stalled instead of being
+// forgotten.
+func (s *Service) track(id uint32, tags []string) {
+	s.polMu.Lock()
+	s.tags[id] = append([]string(nil), tags...)
+	s.planVer++
+	pol := s.pol
+	s.polMu.Unlock()
+	if pol != nil {
+		s.differ.SetOverrides(id, pol.overridesFor(id, tags))
+	}
 }
 
 // recordSwitch wraps be in a RecordBackend writing to the service's
@@ -855,12 +871,16 @@ type roundPlan struct {
 }
 
 // compilePlans compiles the active policy against the live fleet: one
-// plan per switch whose group is named in groups (empty = every group),
-// at each group's current round counter. Plans are deterministic — a
-// pure function of (policy, switch, installed rules, group round).
-func (s *Service) compilePlans(pol *Policy, groups []string) []roundPlan {
+// plan per member switch whose group is named in groups (empty = every
+// group), at each group's current round counter. It also returns the
+// round's scope: those switches plus every remembered one (see track)
+// whose group is named. A nil policy is one implicit group holding every
+// switch, planned as whole-table (nil) subsets with no per-rule work.
+// Plans are deterministic — a pure function of (policy, switch, installed
+// rules, group round).
+func (s *Service) compilePlans(pol *Policy, groups []string) ([]roundPlan, []uint32) {
 	var filter map[string]bool
-	if len(groups) > 0 {
+	if pol != nil && len(groups) > 0 {
 		filter = make(map[string]bool, len(groups))
 		for _, g := range groups {
 			filter[g] = true
@@ -872,23 +892,45 @@ func (s *Service) compilePlans(pol *Policy, groups []string) []roundPlan {
 		rounds[g] = n
 	}
 	s.mu.Unlock()
-	var out []roundPlan
-	for _, id := range s.fleet.Switches() {
-		v, ok := s.fleet.Verifier(id)
-		if !ok {
-			continue
-		}
+	var (
+		plans []roundPlan
+		scope []uint32
+	)
+	for _, id := range s.switchIDs() {
 		tags := s.tagsOf(id)
 		group := pol.groupOf(id, tags)
 		if filter != nil && !filter[group] {
 			continue
 		}
-		out = append(out, roundPlan{
-			plan:  pol.Plan(id, tags, v.Rules(), rounds[group]),
-			epoch: v.Epoch(),
-		})
+		scope = append(scope, id)
+		v, ok := s.fleet.Verifier(id)
+		if !ok {
+			continue // remembered: in scope, nothing to sweep
+		}
+		rp := roundPlan{plan: ProbePlan{Switch: id, Group: group}, epoch: v.Epoch()}
+		if pol != nil {
+			rp.plan = pol.Plan(id, tags, v.Rules(), rounds[group])
+		}
+		plans = append(plans, rp)
 	}
-	return out
+	return plans, scope
+}
+
+// switchIDs returns every switch a round can scope: the fleet members in
+// registration order, then the remembered switches (tracked but not
+// members) in id order.
+func (s *Service) switchIDs() []uint32 {
+	ids := s.fleet.Switches()
+	var lost []uint32
+	s.polMu.Lock()
+	for id := range s.tags {
+		if _, ok := s.fleet.Verifier(id); !ok {
+			lost = append(lost, id)
+		}
+	}
+	s.polMu.Unlock()
+	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+	return append(ids, lost...)
 }
 
 // ProbePlans compiles the active policy against the live fleet at each
@@ -899,7 +941,7 @@ func (s *Service) ProbePlans() []ProbePlan {
 	if pol == nil {
 		return nil
 	}
-	rps := s.compilePlans(pol, nil)
+	rps, _ := s.compilePlans(pol, nil)
 	out := make([]ProbePlan, len(rps))
 	for i, rp := range rps {
 		out[i] = rp.plan
@@ -914,12 +956,14 @@ func (s *Service) ProbePlans() []ProbePlan {
 // cadences; tests and externally-paced deployments call it directly (or
 // through POST /sweep).
 //
-// With an active policy the round first compiles each switch's probe
-// plan and sweeps only the planned rules; groups names the policy groups
-// to include (none = every group, which is also the no-policy
-// behaviour). Cancelling ctx aborts the round: the partial fold is
-// discarded (no false failing-rule streaks from unprocessed rules), the
-// round is not counted, and nil is returned.
+// The round compiles each switch's probe plan, sweeps the planned rules
+// in one Fleet.SweepPlan call, and finalizes the round's scope in one
+// Differ.EndSweepScoped call. Without a policy the plan is one implicit
+// group: every switch, whole tables. With one, groups names the policy
+// groups to include (none = every group). Cancelling ctx aborts the
+// round: the partial fold is discarded (no false failing-rule streaks
+// from unprocessed rules), the round is not counted, and nil is
+// returned.
 func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
@@ -928,21 +972,12 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 	// reconnect cycle lands in the same round as the sweep that follows it.
 	s.drainBackendEvents()
 
-	pol := s.Policy()
-	var (
-		evs   []SweepEvent
-		plans []roundPlan
-	)
-	if pol == nil {
-		evs = s.fleet.Sweep(ctx)
-	} else {
-		plans = s.compilePlans(pol, groups)
-		sel := make(map[uint32][]uint64, len(plans))
-		for _, rp := range plans {
-			sel[rp.plan.Switch] = rp.plan.Rules
-		}
-		evs = s.fleet.SweepPlan(ctx, sel)
+	plans, scope := s.compilePlans(s.Policy(), groups)
+	sel := make(map[uint32][]uint64, len(plans))
+	for _, rp := range plans {
+		sel[rp.plan.Switch] = rp.plan.Rules
 	}
+	evs := s.fleet.SweepPlan(ctx, sel)
 
 	// abort discards a cancelled round: folding its partial results would
 	// turn every unprocessed rule into a false failing streak, so the
@@ -1035,38 +1070,33 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 	// Matched-but-unsampled rules fold as frozen entries: still tracked
 	// (their absence from the sweep must not read as "left the table"),
 	// never alerted on, streaks and epochs kept.
-	if len(plans) > 0 {
-		epochs := make(map[uint32]uint64, len(plans))
-		for _, ev := range evs {
-			epochs[ev.SwitchID] = ev.Epoch
+	var epochs map[uint32]uint64
+	for _, rp := range plans {
+		if len(rp.plan.Unsampled) == 0 {
+			continue
 		}
-		for _, rp := range plans {
-			epoch, ok := epochs[rp.plan.Switch]
-			if !ok {
-				epoch = rp.epoch
+		if epochs == nil {
+			epochs = make(map[uint32]uint64, len(plans))
+			for _, ev := range evs {
+				epochs[ev.SwitchID] = ev.Epoch
 			}
-			for _, rid := range rp.plan.Unsampled {
-				s.differ.ObserveUnsampled(rp.plan.Switch, epoch, rid)
-			}
+		}
+		epoch, ok := epochs[rp.plan.Switch]
+		if !ok {
+			epoch = rp.epoch
+		}
+		for _, rid := range rp.plan.Unsampled {
+			s.differ.ObserveUnsampled(rp.plan.Switch, epoch, rid)
 		}
 	}
 	if ctx.Err() != nil {
 		return abort()
 	}
 
-	var alerts []Alert
-	if pol == nil {
-		alerts = s.differ.EndSweep()
-	} else {
-		// Only the swept groups' switches participate in this round:
-		// unswept groups accrue neither missed-round streaks nor
-		// rule-left-table inferences from a round that never probed them.
-		participants := make([]uint32, 0, len(plans))
-		for _, rp := range plans {
-			participants = append(participants, rp.plan.Switch)
-		}
-		alerts = s.differ.EndSweepScoped(participants)
-	}
+	// Only the swept groups' switches participate in this round: unswept
+	// groups accrue neither missed-round streaks nor rule-left-table
+	// inferences from a round that never probed them.
+	alerts := s.differ.EndSweepScoped(scope)
 
 	// WAL ordering: persist the round (fold state + alerts) before any
 	// sink sees the alerts. A crash between the two re-delivers on the
@@ -1108,39 +1138,7 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 	} else {
 		s.metrics.LastRoundMicrosPerRule = 0
 	}
-	if len(plans) > 0 {
-		// Per-group stats: attribute this round's results to the groups
-		// that swept, and advance their round counters (the sampling
-		// sequence index the next plan compilation uses).
-		bySwitch := make(map[uint32]string, len(plans))
-		groupRules := make(map[string]int, len(plans))
-		for _, rp := range plans {
-			bySwitch[rp.plan.Switch] = rp.plan.Group
-			if _, ok := groupRules[rp.plan.Group]; !ok {
-				groupRules[rp.plan.Group] = 0 // a group with no results still counts its round
-			}
-		}
-		for i := range recs {
-			groupRules[bySwitch[recs[i].Switch]]++
-		}
-		for g, n := range groupRules {
-			gs := s.groupStats[g]
-			if gs == nil {
-				gs = &GroupMetrics{Group: g}
-				s.groupStats[g] = gs
-			}
-			gs.Rounds++
-			gs.RulesCovered += uint64(n)
-			gs.LastRoundRules = n
-			gs.LastRoundMicros = s.metrics.LastRoundMicros
-			if n > 0 {
-				gs.LastRoundMicrosPerRule = float64(gs.LastRoundMicros) / float64(n)
-			} else {
-				gs.LastRoundMicrosPerRule = 0
-			}
-			s.groupRounds[g]++
-		}
-	}
+	s.noteGroupRound(plans, recs)
 	// Mark the completed round on every session trace and flush: a crash
 	// loses at most the round in flight, and cmd/monotrace re-drives one
 	// SweepRound per round mark.
@@ -1151,6 +1149,50 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 	}
 	s.recMu.Unlock()
 	return alerts
+}
+
+// noteGroupRound attributes one round's results to the policy groups
+// that swept and advances their round counters (the sampling sequence
+// index the next plan compilation uses). The implicit no-policy group ""
+// keeps no stats. Callers hold s.mu.
+func (s *Service) noteGroupRound(plans []roundPlan, recs []ResultRecord) {
+	var bySwitch map[uint32]string
+	groupRules := make(map[string]int)
+	for _, rp := range plans {
+		if rp.plan.Group == "" {
+			continue
+		}
+		if bySwitch == nil {
+			bySwitch = make(map[uint32]string, len(plans))
+		}
+		bySwitch[rp.plan.Switch] = rp.plan.Group
+		if _, ok := groupRules[rp.plan.Group]; !ok {
+			groupRules[rp.plan.Group] = 0 // a group with no results still counts its round
+		}
+	}
+	if bySwitch == nil {
+		return
+	}
+	for i := range recs {
+		groupRules[bySwitch[recs[i].Switch]]++
+	}
+	for g, n := range groupRules {
+		gs := s.groupStats[g]
+		if gs == nil {
+			gs = &GroupMetrics{Group: g}
+			s.groupStats[g] = gs
+		}
+		gs.Rounds++
+		gs.RulesCovered += uint64(n)
+		gs.LastRoundRules = n
+		gs.LastRoundMicros = s.metrics.LastRoundMicros
+		if n > 0 {
+			gs.LastRoundMicrosPerRule = float64(gs.LastRoundMicros) / float64(n)
+		} else {
+			gs.LastRoundMicrosPerRule = 0
+		}
+		s.groupRounds[g]++
+	}
 }
 
 // groupEntry is one scheduled policy group in Run's cadence heap.
@@ -1182,9 +1224,9 @@ func (h *groupHeap) Pop() any {
 }
 
 // buildSchedule computes Run's sweep schedule: one entry per populated
-// policy group at the group's declared cadence (the service interval
-// when it declares none), or a single catch-all entry at the service
-// interval when no policy is active or no switch resolves to any group.
+// group at the group's declared cadence (the service interval when it
+// declares none; without a policy, the one implicit group), or a single
+// catch-all entry at the service interval when no switch is known.
 // Groups surviving a rebuild keep their due times; new groups are due
 // immediately — installing a policy mid-run starts its cadences at once.
 func (s *Service) buildSchedule(prev *groupHeap, now time.Time) *groupHeap {
@@ -1206,16 +1248,14 @@ func (s *Service) buildSchedule(prev *groupHeap, now time.Time) *groupHeap {
 		heap.Push(h, &groupEntry{name: name, every: every, due: due})
 	}
 	pol := s.Policy()
-	if pol != nil {
-		seen := make(map[string]bool)
-		for _, id := range s.fleet.Switches() {
-			g := pol.groupOf(id, s.tagsOf(id))
-			if seen[g] {
-				continue
-			}
-			seen[g] = true
-			add(g, pol.everyOf(g))
+	seen := make(map[string]bool)
+	for _, id := range s.switchIDs() {
+		g := pol.groupOf(id, s.tagsOf(id))
+		if seen[g] {
+			continue
 		}
+		seen[g] = true
+		add(g, pol.everyOf(g))
 	}
 	if h.Len() == 0 {
 		add("", 0)
@@ -1351,7 +1391,9 @@ func (s *Service) doClose() error {
 //
 // Resume is a no-op without a store. Call it once, before Run or any
 // sweep. Switches that fail to re-register (an unreachable proxy switch)
-// are skipped and reported in the joined error; the rest of the fleet
+// are reported in the joined error and stay remembered under their
+// persisted tags: their group's rounds keep counting them, so they go
+// switch_stalled after WithStallThreshold rounds; the rest of the fleet
 // resumes.
 func (s *Service) Resume(ctx context.Context) error {
 	if s.store == nil {
@@ -1387,11 +1429,13 @@ func (s *Service) Resume(ctx context.Context) error {
 			diffState.Switches[id] = st.Diff
 		}
 		if st.Spec.ID == 0 {
-			continue // fold state without a registration record
+			s.track(id, nil) // fold state without a registration record
+			continue
 		}
 		v, err := s.AddSwitch(st.Spec)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("switch %d: %w", id, err))
+			s.track(id, st.Spec.Tags)
 			continue
 		}
 		if len(st.Rules) > 0 {

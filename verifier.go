@@ -168,55 +168,23 @@ func (v *Verifier) Sweep(ctx context.Context) []ProbeResult {
 
 // SweepStats is Sweep surfacing per-worker solver statistics.
 func (v *Verifier) SweepStats(ctx context.Context) ([]ProbeResult, []WorkerStats) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sweepLocked(ctx, v.set.effectiveWorkers())
+	_, res, stats := v.sweep(ctx, nil, v.set.effectiveWorkers())
+	return res, stats
 }
 
-// sweepLocked runs one sweep with an explicit worker count (the Fleet
-// sharding path). Callers hold v.mu.
-func (v *Verifier) sweepLocked(ctx context.Context, workers int) ([]ProbeResult, []WorkerStats) {
-	return v.cache.GenerateAllStats(ctx, v.epoch, workers)
-}
-
-// sweepShard is the Fleet entry point: one sweep under the member's share
-// of the fleet worker budget. It returns the epoch the sweep actually ran
-// at, read under the same lock, so concurrent table mutations cannot
-// mislabel the results.
-func (v *Verifier) sweepShard(ctx context.Context, workers int) (uint64, []ProbeResult) {
+// sweep is the one steady-state sweep: the session cache's clustered
+// engine over the rules named by ids (nil: the whole table — one switch's
+// share of a probe plan otherwise) under an explicit worker count.
+// Results are in table priority order and bit-identical for any worker
+// count; unknown ids are skipped (a plan may lag a concurrent table change
+// by one round). It also returns the epoch the sweep ran at, read under
+// the same lock, so concurrent table mutations cannot mislabel the
+// results.
+func (v *Verifier) sweep(ctx context.Context, ids []uint64, workers int) (uint64, []ProbeResult, []WorkerStats) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	res, _ := v.sweepLocked(ctx, workers)
-	return v.epoch, res
-}
-
-// sweepSubset generates probes for the given rule ids only — one switch's
-// share of a policy probe plan. Rules are processed sequentially in table
-// priority order through the epoch's cached session, so the result slice
-// is deterministic for any worker budget (unknown ids are skipped: the
-// plan may lag a concurrent table change by one round). Cancelling the
-// context stops the sweep early; unprocessed rules carry the context
-// error.
-func (v *Verifier) sweepSubset(ctx context.Context, ids []uint64) (uint64, []ProbeResult) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	want := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	var out []ProbeResult
-	for _, r := range v.table.Rules() {
-		if !want[r.ID] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			out = append(out, ProbeResult{Rule: r, Err: err})
-			continue
-		}
-		p, err := v.probeLocked(r)
-		out = append(out, ProbeResult{Rule: r, Probe: p, Err: err})
-	}
-	return v.epoch, out
+	res, stats := v.cache.GenerateAllStats(ctx, v.epoch, ids, workers)
+	return v.epoch, res, stats
 }
 
 // Rule returns a copy of installed rule id, if present.
