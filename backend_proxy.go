@@ -293,7 +293,7 @@ type ProxyBackend struct {
 
 // NewProxyBackend builds the TCP proxy driver for cfg. The options
 // parameterize the embedded Monitor exactly like NewMonitorConfig:
-// WithProbeTag/WithProbeField set the probe tagging, WithPeers the
+// WithProbeTag sets the probe tag, WithPeers the
 // port-to-catcher map, WithPorts the in_port domain, WithProbeRate the
 // steady-state rate, WithDetectionTimeout the monitoring deadlines.
 func NewProxyBackend(cfg ProxyConfig, opts ...Option) *ProxyBackend {

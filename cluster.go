@@ -1,7 +1,6 @@
 package monocle
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"monocle/internal/cluster"
+	"monocle/internal/jsonl"
 )
 
 // ReplicaSpec names one monocled replica behind a cluster coordinator.
@@ -443,15 +443,8 @@ func (c *Coordinator) fanInSwitches(ctx context.Context) (merged []SwitchMetrics
 func (c *Coordinator) fanInLines(ctx context.Context, path string, fn func(line []byte) error) ([]string, error) {
 	bodies, degraded := c.fanIn(ctx, path)
 	for _, body := range bodies {
-		sc := bufio.NewScanner(bytes.NewReader(body))
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-				continue
-			}
-			if err := fn(sc.Bytes()); err != nil {
-				return nil, err
-			}
+		if err := jsonl.Lines(bytes.NewReader(body), fn); err != nil {
+			return nil, err
 		}
 	}
 	return degraded, nil

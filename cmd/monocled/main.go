@@ -81,9 +81,9 @@ func main() {
 		opts = append(opts, monocle.WithRecordDir(*recordDir))
 	}
 	if *policyFile != "" {
-		// Unlike WithPolicyFile (which degrades to no policy), a policy
-		// named on the command line failing to parse is an operator typo
-		// that should stop the launch, with the source position.
+		// A policy named on the command line that fails to parse is an
+		// operator typo that should stop the launch, with the source
+		// position.
 		p, err := monocle.ParsePolicyFile(*policyFile)
 		if err != nil {
 			log.Fatalf("monocled: -policy %s: %v", *policyFile, err)

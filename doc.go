@@ -46,8 +46,8 @@
 //     net/http control surface with JSON and Prometheus metrics.
 //
 //   - Monitoring policies: a declarative DSL (ParsePolicy /
-//     ParsePolicyFile, installed via WithPolicy, WithPolicyFile,
-//     Service.SetPolicy, or PUT /policy) that groups switches by tag or
+//     ParsePolicyFile, installed via WithPolicy, Service.SetPolicy, or
+//     PUT /policy) that groups switches by tag or
 //     ID and sets per-group sweep cadences, confirmation deadlines,
 //     seeded rule sampling, Differ threshold overrides, and alert
 //     filters. Policies compile against the live fleet into

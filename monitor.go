@@ -47,20 +47,19 @@ func NewMonitor(s *Sim, cfg MonitorConfig) *Monitor { return imon.New(s, cfg) }
 func NewMultiplexer() *Multiplexer { return imon.NewMultiplexer() }
 
 // NewMonitorConfig returns the paper-default Monitor parameters for one
-// switch, with facade options applied: WithProbeField/WithProbeTag set
-// the probe tagging, WithPeers the port-to-neighbour map,
+// switch, with facade options applied: WithProbeTag sets the probe tag
+// (on the dl_vlan probe field), WithPeers the port-to-neighbour map,
 // WithDetectionTimeout the steady-state alarm timeout, WithProbeRate the
 // steady probing rate, and WithCounting the multicast/ECMP exception.
 func NewMonitorConfig(switchID uint32, opts ...Option) MonitorConfig {
 	set := defaultSettings()
 	set.apply(opts)
 	cfg := imon.DefaultConfig(switchID)
-	cfg.ProbeField = set.probeField
 	if set.probeTag != 0 {
 		cfg.TagValue = uint32(set.probeTag)
 	}
 	if set.peers != nil {
-		cfg.PortPeer = set.monitorPeers()
+		cfg.PortPeer = set.peers
 	}
 	if len(set.ports) > 0 {
 		cfg.Ports = append([]PortID(nil), set.ports...)

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"monocle/internal/flowtable"
 	"monocle/internal/header"
 	"monocle/internal/probe"
 )
@@ -20,23 +19,17 @@ type Option func(*settings)
 
 // settings is the resolved option set.
 type settings struct {
-	probeField FieldID
-	probeTag   uint64
-	collect    *Match
-	ports      []PortID
-	peers      map[PortID]uint32
+	probeTag uint64
+	ports    []PortID
+	peers    map[PortID]uint32
 
 	workers          int
 	steadyInterval   time.Duration
 	detectionTimeout time.Duration
 	probeRate        float64
 
-	clustering  bool
-	learntReuse bool
-	counting    bool
-	validate    bool
-	maxChain    int
-	miss        TableMiss
+	counting bool
+	miss     TableMiss
 
 	debounce    int
 	stallSweeps int
@@ -54,18 +47,13 @@ type settings struct {
 	reconnectMin time.Duration
 	reconnectMax time.Duration
 
-	policy     *Policy
-	policyFile string
+	policy *Policy
 }
 
 // defaultSettings returns the paper-default option values.
 func defaultSettings() settings {
 	return settings{
-		probeField:     VlanID,
 		steadyInterval: 2 * time.Second,
-		clustering:     true,
-		learntReuse:    true,
-		validate:       true,
 		debounce:       1,
 		stallSweeps:    3,
 		flapWindow:     6,
@@ -91,9 +79,10 @@ func (s *settings) effectiveWorkers() int {
 }
 
 // generatorConfig builds the internal probe-engine configuration for one
-// switch: the Collect constraint pins the probe tag so a downstream
-// catching rule intercepts the probe (strategy 1, §6), and in_port is
-// restricted to the switch's real ports.
+// switch: the Collect constraint pins the probe tag on dl_vlan, the field
+// reserved for probe tagging, so a downstream catching rule intercepts the
+// probe (strategy 1, §6), and in_port is restricted to the switch's real
+// ports.
 func (s *settings) generatorConfig(switchID uint32) probe.Config {
 	collect := MatchAll()
 	tag := s.probeTag
@@ -101,10 +90,7 @@ func (s *settings) generatorConfig(switchID uint32) probe.Config {
 		tag = uint64(switchID)
 	}
 	if tag != 0 {
-		collect = collect.WithExact(s.probeField, tag)
-	}
-	if s.collect != nil {
-		collect = *s.collect
+		collect = collect.WithExact(VlanID, tag)
 	}
 	domains := header.DefaultDomains()
 	if len(s.ports) > 0 {
@@ -115,33 +101,20 @@ func (s *settings) generatorConfig(switchID uint32) probe.Config {
 		domains[header.InPort] = header.Domain{Values: vals}
 	}
 	return probe.Config{
-		Collect:            collect,
-		Domains:            domains,
-		ReservedFields:     []header.FieldID{s.probeField},
-		Counting:           s.counting,
-		MaxChain:           s.maxChain,
-		DisableClustering:  !s.clustering,
-		DisableLearntReuse: !s.learntReuse,
-		ValidateModel:      s.validate,
+		Collect:        collect,
+		Domains:        domains,
+		ReservedFields: []header.FieldID{VlanID},
+		Counting:       s.counting,
+		ValidateModel:  true,
 	}
 }
-
-// WithProbeField selects the header field reserved for probe tagging
-// (default dl_vlan).
-func WithProbeField(f FieldID) Option { return func(s *settings) { s.probeField = f } }
 
 // WithProbeTag pins the probe tag value S_i the switch stamps on its
 // probes (the Collect constraint). Zero (the default) uses the switch id.
 // The value must fit the probe field's width (12 usable bits for the
-// default dl_vlan) and, for Monitor-based deployments, 32 bits; wider
+// dl_vlan probe field) and, for Monitor-based deployments, 32 bits; wider
 // values are truncated.
 func WithProbeTag(v uint64) Option { return func(s *settings) { s.probeTag = v } }
-
-// WithCollect replaces the Collect constraint wholesale (advanced: §6
-// strategy-2 style multi-field collection). It overrides
-// WithProbeField/WithProbeTag for constraint purposes; the probe field
-// stays reserved against rewrites.
-func WithCollect(m Match) Option { return func(s *settings) { s.collect = &m } }
 
 // WithPorts restricts probe in_port values to the switch's usable ports.
 func WithPorts(ports ...PortID) Option {
@@ -188,26 +161,9 @@ func WithDetectionTimeout(d time.Duration) Option {
 // probes/second (default 500/s, the paper's experiments).
 func WithProbeRate(rate float64) Option { return func(s *settings) { s.probeRate = rate } }
 
-// WithClustering toggles scope-similarity clustering in whole-table
-// sweeps (default true; false is the ablation/debug path).
-func WithClustering(on bool) Option { return func(s *settings) { s.clustering = on } }
-
-// WithLearntReuse toggles learnt-clause/phase reuse between the rules of a
-// sweep cluster (default true; false isolates the shared-prefix
-// contribution).
-func WithLearntReuse(on bool) Option { return func(s *settings) { s.learntReuse = on } }
-
 // WithCounting enables the probe-counting exception for multicast-vs-ECMP
 // distinction (§3.4).
 func WithCounting(on bool) Option { return func(s *settings) { s.counting = on } }
-
-// WithModelValidation toggles the post-solve cross-check of every probe
-// against the table semantics (default true; cheap and recommended).
-func WithModelValidation(on bool) Option { return func(s *settings) { s.validate = on } }
-
-// WithMaxChain bounds the Velev if-then-else chain length before
-// splitting; zero keeps the encoder default.
-func WithMaxChain(n int) Option { return func(s *settings) { s.maxChain = n } }
 
 // WithTableMiss sets the verifier table's miss behaviour (default
 // MissDrop).
@@ -297,13 +253,3 @@ func WithReconnectBackoff(min, max time.Duration) Option {
 // Service.SetPolicy or PUT /policy. An explicit policy takes precedence
 // over one persisted in the state directory.
 func WithPolicy(p *Policy) Option { return func(s *settings) { s.policy = p } }
-
-// WithPolicyFile is WithPolicy reading the policy text from a file at
-// construction. A read or parse failure leaves the service running
-// without a policy and is counted in ServiceMetrics.PolicyErrors — like a
-// bad state directory, a bad policy file must not keep the monitor from
-// running. Validate files first with cmd/monopolicy (or ParsePolicyFile).
-func WithPolicyFile(path string) Option { return func(s *settings) { s.policyFile = path } }
-
-// monitorPeers converts the option peer map to the internal type.
-func (s *settings) monitorPeers() map[flowtable.PortID]uint32 { return s.peers }

@@ -131,9 +131,9 @@ type ServiceMetrics struct {
 	// StoreErrors counts failed persistence-store writes (the service
 	// keeps monitoring through them; a bad disk must not stop sweeps).
 	StoreErrors uint64 `json:"store_errors,omitempty"`
-	// PolicyErrors counts rejected policy loads: a WithPolicyFile that
-	// did not read or parse, or a persisted policy that no longer parses
-	// on Resume (the service keeps monitoring without the policy).
+	// PolicyErrors counts rejected policy loads: a persisted policy that
+	// no longer parses on Resume (the service keeps monitoring without
+	// the policy).
 	PolicyErrors uint64 `json:"policy_errors,omitempty"`
 	// Switches carries the per-switch epoch and cache snapshots.
 	Switches []SwitchMetrics `json:"switches,omitempty"`
@@ -310,18 +310,7 @@ func NewService(opts ...Option) *Service {
 			s.metrics.StoreErrors++
 		}
 	}
-	switch {
-	case set.policy != nil:
-		s.pol = set.policy
-	case set.policyFile != "":
-		if p, err := ParsePolicyFile(set.policyFile); err == nil {
-			s.pol = p
-		} else {
-			// A bad policy file must not keep the monitor from running:
-			// the service comes up without a policy, loudly countable.
-			s.metrics.PolicyErrors++
-		}
-	}
+	s.pol = set.policy
 	if s.pol != nil && s.store != nil {
 		if err := s.store.SavePolicy(s.pol.Source()); err != nil {
 			s.metrics.StoreErrors++
@@ -1471,7 +1460,7 @@ func (s *Service) Resume(ctx context.Context) error {
 	}
 	// The previous life's policy comes back after the switches so the
 	// swap re-applies overrides to the restored fleet. An explicit
-	// WithPolicy/WithPolicyFile takes precedence over the persisted text.
+	// WithPolicy takes precedence over the persisted text.
 	if state.Policy != "" && s.Policy() == nil {
 		if p, err := ParsePolicy(state.Policy); err == nil {
 			s.SetPolicy(p)

@@ -6,15 +6,16 @@ package monocle
 // table-change epoch), the diff engine's folded cross-epoch state, and
 // every emitted alert. FileStore is the built-in implementation: one
 // append-only JSON-line WAL per switch plus one service-level WAL,
-// compacted in place once they accumulate enough superseded records. A
+// compacted in place once they accumulate enough superseded records. The
+// file discipline (appends, fsync, the torn-tail rule, the atomic
+// rewrite) is internal/jsonl's, shared with the session traces. A
 // restarted process calls Service.Resume to load the store and pick up
 // diffing exactly where the previous process stopped — same epochs, same
 // debounce/flap streaks, same outstanding alerts — so a restart raises
 // neither a re-confirmation storm nor false rule_recovered alerts.
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math/bits"
 	"os"
@@ -26,6 +27,7 @@ import (
 
 	"monocle/internal/flowtable"
 	"monocle/internal/header"
+	"monocle/internal/jsonl"
 )
 
 // Store persists the service's cross-restart state. Implementations must
@@ -103,18 +105,19 @@ const (
 	// compactEvery bounds how many records a WAL accumulates beyond its
 	// compacted form before it is rewritten in place.
 	compactEvery = 256
-	// alertKeep bounds how many alerts survive a service-WAL compaction
-	// (matches the default RingSink capacity).
+	// alertKeep bounds how many alerts survive a compaction (matches the
+	// default RingSink capacity).
 	alertKeep = 4096
 )
 
 // FileStore is the built-in Store: a state directory holding one
 // append-only JSON-line WAL per switch (switch-<id>.wal) plus a
 // service-level WAL (service.wal) for the round counter and the alert
-// history. Appends are fsynced; compaction rewrites a WAL through a
-// temporary file and an atomic rename, so a crash at any point leaves
-// either the old or the new file, never a mix. A truncated final line
-// (crash mid-append) is ignored on load.
+// history. Each Save call fsyncs every WAL it touched once; compaction
+// rewrites a WAL through a temporary file and an atomic rename, so a crash
+// at any point leaves either the old or the new file, never a mix. A
+// truncated final line (crash mid-append) is ignored on load and cut off
+// before the next append.
 type FileStore struct {
 	dir string
 
@@ -123,9 +126,11 @@ type FileStore struct {
 	files map[string]*walFile
 }
 
-// walFile is one open WAL with its append count since the last compaction.
+// walFile is one WAL open for appending. appends counts the records a
+// compaction could drop: those superseded when the file was opened, plus
+// every record appended since.
 type walFile struct {
-	f       *os.File
+	w       *jsonl.Writer
 	appends int
 }
 
@@ -137,13 +142,7 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("monocle: state dir: %w", err)
 	}
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if strings.Contains(e.Name(), ".wal.tmp-") {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
+	jsonl.SweepTemps(dir, "*.wal")
 	return &FileStore{dir: dir, files: make(map[string]*walFile)}, nil
 }
 
@@ -158,8 +157,7 @@ const serviceWALName = "service.wal"
 func (fs *FileStore) SaveSwitch(spec SwitchSpec) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	sp := spec
-	return fs.appendLocked(switchWALName(spec.ID), walRecord{Kind: "spec", Spec: &sp})
+	return fs.appendLocked(switchWALName(spec.ID), walRecord{Kind: "spec", Spec: &spec})
 }
 
 // SaveRules implements Store.
@@ -176,27 +174,22 @@ func (fs *FileStore) SaveRules(id uint32, epoch uint64, rules []RuleSpec) error 
 func (fs *FileStore) SaveRound(state DifferState, alerts []Alert) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var firstErr error
 	ids := make([]uint32, 0, len(state.Switches))
 	for id := range state.Switches {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var errs []error
 	for _, id := range ids {
 		d := state.Switches[id]
-		if err := fs.appendLocked(switchWALName(id), walRecord{Kind: "diff", Diff: &d}); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, fs.appendLocked(switchWALName(id), walRecord{Kind: "diff", Diff: &d}))
 	}
-	if err := fs.appendLocked(serviceWALName, walRecord{Kind: "round", Rounds: state.Rounds, AlertSeq: state.Seq}); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	recs := []walRecord{{Kind: "round", Rounds: state.Rounds, AlertSeq: state.Seq}}
 	for i := range alerts {
-		if err := fs.appendLocked(serviceWALName, walRecord{Kind: "alert", Alert: &alerts[i]}); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		recs = append(recs, walRecord{Kind: "alert", Alert: &alerts[i]})
 	}
-	return firstErr
+	errs = append(errs, fs.appendLocked(serviceWALName, recs...))
+	return errors.Join(errs...)
 }
 
 // SavePolicy implements Store.
@@ -206,170 +199,89 @@ func (fs *FileStore) SavePolicy(src string) error {
 	return fs.appendLocked(serviceWALName, walRecord{Kind: "policy", Policy: src})
 }
 
-// appendLocked stamps, encodes, appends, and fsyncs one record, then
-// compacts the file if it has accumulated enough superseded records.
-func (fs *FileStore) appendLocked(name string, rec walRecord) error {
+// appendLocked stamps and appends recs to one WAL, fsyncs it once, and
+// compacts it once it holds compactEvery records beyond its compacted
+// form. On an error it closes the WAL, so the next append reopens it after
+// the last whole record.
+func (fs *FileStore) appendLocked(name string, recs ...walRecord) error {
 	wf := fs.files[name]
 	if wf == nil {
-		f, err := os.OpenFile(filepath.Join(fs.dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		w, held, err := jsonl.Open[walRecord](filepath.Join(fs.dir, name))
 		if err != nil {
 			return err
 		}
-		wf = &walFile{f: f}
+		wf = &walFile{w: w, appends: len(held) - len(compact(held))}
 		fs.files[name] = wf
 	}
-	fs.seq++
-	rec.Seq = fs.seq
-	line, err := json.Marshal(rec)
+	var err error
+	for i := 0; i < len(recs) && err == nil; i++ {
+		fs.seq++
+		recs[i].Seq = fs.seq
+		err = wf.w.Append(recs[i])
+	}
+	if err == nil {
+		err = wf.w.Sync()
+	}
 	if err != nil {
+		fs.closeLocked(name)
 		return err
 	}
-	if _, err := wf.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := wf.f.Sync(); err != nil {
-		return err
-	}
-	wf.appends++
-	if wf.appends >= compactEvery {
-		if err := fs.compactLocked(name); err != nil {
-			return err
-		}
+	if wf.appends += len(recs); wf.appends >= compactEvery {
+		return fs.compactLocked(name)
 	}
 	return nil
 }
 
-// compactLocked rewrites one WAL to its minimal equivalent state:
-// a switch WAL keeps the latest spec, rules snapshot, and diff record; the
-// service WAL keeps the latest round and policy records and the last
-// alertKeep alerts.
+// compactLocked rewrites one WAL to the records compact keeps and appends
+// to the new file from then on.
 func (fs *FileStore) compactLocked(name string) error {
 	path := filepath.Join(fs.dir, name)
-	recs, err := readWAL(path)
+	recs, err := jsonl.Read[walRecord](path)
 	if err != nil {
 		return err
 	}
-	var keep []walRecord
-	if name == serviceWALName {
-		var round, policy *walRecord
-		var alerts []walRecord
-		for i := range recs {
-			switch recs[i].Kind {
-			case "round":
-				round = &recs[i]
-			case "policy":
-				policy = &recs[i]
-			case "alert":
-				alerts = append(alerts, recs[i])
-			}
-		}
-		if len(alerts) > alertKeep {
-			alerts = alerts[len(alerts)-alertKeep:]
-		}
-		if round != nil {
-			keep = append(keep, *round)
-		}
-		if policy != nil {
-			keep = append(keep, *policy)
-		}
-		keep = append(keep, alerts...)
-	} else {
-		var spec, rules, diff *walRecord
-		for i := range recs {
-			switch recs[i].Kind {
-			case "spec":
-				spec = &recs[i]
-			case "rules":
-				rules = &recs[i]
-			case "diff":
-				diff = &recs[i]
-			}
-		}
-		for _, r := range []*walRecord{spec, rules, diff} {
-			if r != nil {
-				keep = append(keep, *r)
-			}
-		}
-	}
-
-	tmp, err := os.CreateTemp(fs.dir, name+".tmp-")
+	w, err := jsonl.Rewrite(path, compact(recs))
 	if err != nil {
 		return err
 	}
-	tmpPath := tmp.Name()
-	w := bufio.NewWriter(tmp)
-	for _, r := range keep {
-		line, err := json.Marshal(r)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	// Reopen the append handle on the renamed file.
-	if wf := fs.files[name]; wf != nil {
-		wf.f.Close()
-		delete(fs.files, name)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	fs.files[name] = &walFile{f: f}
+	fs.closeLocked(name) // synced before the rewrite, and replaced by it
+	fs.files[name] = &walFile{w: w}
 	return nil
 }
 
-// readWAL parses one WAL file, skipping a truncated or corrupt final line
-// (the signature of a crash mid-append).
-func readWAL(path string) ([]walRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+// compact returns the records of one WAL that a compaction keeps, in file
+// order: the latest record of each kind, and the last alertKeep alerts.
+func compact(recs []walRecord) []walRecord {
+	last := make(map[string]int)
+	alerts := 0
+	for i, r := range recs {
+		last[r.Kind] = i
+		if r.Kind == "alert" {
+			alerts++
 		}
-		return nil, err
 	}
-	defer f.Close()
-	var recs []walRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	var keep []walRecord
+	for i, r := range recs {
+		if r.Kind == "alert" {
+			alerts--
+			if alerts < alertKeep {
+				keep = append(keep, r)
+			}
+		} else if last[r.Kind] == i {
+			keep = append(keep, r)
 		}
-		var rec walRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			// A torn tail from a crash mid-append: everything before it
-			// already parsed, so stop here rather than fail the load.
-			break
-		}
-		recs = append(recs, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return recs, nil // oversized torn tail: same treatment
+	return keep
+}
+
+// closeLocked closes one WAL's append handle, if it is open.
+func (fs *FileStore) closeLocked(name string) error {
+	wf := fs.files[name]
+	if wf == nil {
+		return nil
 	}
-	return recs, nil
+	delete(fs.files, name)
+	return wf.w.Close()
 }
 
 // Load implements Store.
@@ -381,12 +293,6 @@ func (fs *FileStore) Load() (*FleetState, error) {
 	if err != nil {
 		return nil, err
 	}
-	var maxSeq uint64
-	note := func(r walRecord) {
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
-		}
-	}
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, "switch-") || !strings.HasSuffix(name, ".wal") {
@@ -396,14 +302,14 @@ func (fs *FileStore) Load() (*FleetState, error) {
 		if err != nil {
 			continue
 		}
-		recs, err := readWAL(filepath.Join(fs.dir, name))
+		recs, err := jsonl.Read[walRecord](filepath.Join(fs.dir, name))
 		if err != nil {
 			return nil, err
 		}
 		var st SwitchState
 		var haveSpec, haveRules bool
 		for _, r := range recs {
-			note(r)
+			fs.seq = max(fs.seq, r.Seq)
 			switch r.Kind {
 			case "spec":
 				if r.Spec != nil {
@@ -425,12 +331,12 @@ func (fs *FileStore) Load() (*FleetState, error) {
 			state.Switches[uint32(id64)] = st
 		}
 	}
-	recs, err := readWAL(filepath.Join(fs.dir, serviceWALName))
+	recs, err := jsonl.Read[walRecord](filepath.Join(fs.dir, serviceWALName))
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range recs {
-		note(r)
+		fs.seq = max(fs.seq, r.Seq)
 		switch r.Kind {
 		case "round":
 			state.Rounds = r.Rounds
@@ -446,9 +352,6 @@ func (fs *FileStore) Load() (*FleetState, error) {
 	if len(state.Alerts) > alertKeep {
 		state.Alerts = state.Alerts[len(state.Alerts)-alertKeep:]
 	}
-	if maxSeq > fs.seq {
-		fs.seq = maxSeq
-	}
 	return state, nil
 }
 
@@ -456,14 +359,11 @@ func (fs *FileStore) Load() (*FleetState, error) {
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var firstErr error
-	for name, wf := range fs.files {
-		if err := wf.f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		delete(fs.files, name)
+	var errs []error
+	for name := range fs.files {
+		errs = append(errs, fs.closeLocked(name))
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // ruleSpecs converts installed rules back to their JSON wire form — the

@@ -116,6 +116,44 @@ func TestFileStoreCompaction(t *testing.T) {
 	if got := state.Switches[3]; got.Epoch != 9999 || len(got.Rules) != 0 {
 		t.Fatalf("post-compaction append: %+v", got)
 	}
+
+	// A process that restarts before every compactEvery appends still
+	// compacts: each life counts the records it found on open.
+	dir = t.TempDir()
+	for life, epoch := 0, 0; life < 4; life++ {
+		fs, err := OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			epoch++
+			if err := fs.SaveRules(3, uint64(epoch), []RuleSpec{{ID: 1, Priority: epoch}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err = os.ReadFile(filepath.Join(dir, switchWALName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines > compactEvery {
+		t.Fatalf("WAL of a restarting store not compacted: %d lines", lines)
+	}
+	fs2, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	state, err = fs2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := state.Switches[3]; st.Epoch != 800 || len(st.Rules) != 1 || st.Rules[0].Priority != 800 {
+		t.Fatalf("restarting store lost the latest snapshot: %+v", st)
+	}
 }
 
 func TestFileStoreTornTail(t *testing.T) {
@@ -145,7 +183,6 @@ func TestFileStoreTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs2.Close()
 	state, err := fs2.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +192,32 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 	if state.Rounds != 2 {
 		t.Fatalf("rounds = %d, want 2", state.Rounds)
+	}
+	// What the second life appends after the torn lines must reach the
+	// third life.
+	if err := fs2.SaveRules(1, 7, []RuleSpec{{ID: 4, Priority: 1}, {ID: 5, Priority: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs2.SaveRound(DifferState{Rounds: 5}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs3, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs3.Close()
+	state, err = fs3.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := state.Switches[1]; st.Epoch != 7 || len(st.Rules) != 2 {
+		t.Fatalf("appends after a torn tail lost: %+v", st)
+	}
+	if state.Rounds != 5 {
+		t.Fatalf("rounds after a torn tail = %d, want 5", state.Rounds)
 	}
 }
 

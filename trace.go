@@ -5,21 +5,21 @@ package monocle
 // driver history — every Connect/Apply/Observe/Epoch call with its
 // outcome, every BackendEvent, and the service-layer markers (switch
 // spec, rule operations, sweep-round boundaries) that let cmd/monotrace
-// re-drive the whole session through a fresh Service. The file format
-// follows the WAL discipline of store.go: a versioned header line,
-// fsync-batched appends, and torn-tail-tolerant reads (a crash mid-append
-// loses at most the unflushed tail, never the parse).
+// re-drive the whole session through a fresh Service. The file is a
+// JSON-lines log written and read through internal/jsonl, like the
+// store's WALs: a versioned header line, fsync-batched appends, and
+// torn-tail-tolerant reads (a crash mid-append loses at most the unflushed
+// tail, never the parse).
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
+
+	"monocle/internal/jsonl"
 )
 
 // TraceVersion is the trace format version this build writes and reads.
@@ -140,52 +140,42 @@ const traceSyncEvery = 32
 // use (a recording driver appends from the caller's goroutine and its
 // event pump concurrently).
 type TraceWriter struct {
-	mu      sync.Mutex
-	f       *os.File // nil when backed by a plain io.Writer
-	w       *bufio.Writer
-	seq     uint64
-	start   time.Time
-	pending int
-	closed  bool
+	mu     sync.Mutex
+	w      *jsonl.Writer
+	seq    uint64
+	start  time.Time
+	closed bool
 }
 
-// CreateTrace creates (truncating) a trace file at path and writes its
-// header.
+// CreateTrace creates a trace file at path, replacing any file there once
+// the new one's header is durable.
 func CreateTrace(path string, hdr TraceHeader) (*TraceWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	w, err := jsonl.Rewrite(path, []TraceHeader{hdr.versioned()})
 	if err != nil {
 		return nil, fmt.Errorf("monocle: trace: %w", err)
 	}
-	tw, err := newTraceWriter(f, f, hdr)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return tw, nil
+	return &TraceWriter{w: w, start: time.Now()}, nil
 }
 
 // NewTraceWriter writes a trace to an arbitrary writer (tests, pipes);
 // durability batching applies only to file-backed writers.
 func NewTraceWriter(w io.Writer, hdr TraceHeader) (*TraceWriter, error) {
-	return newTraceWriter(w, nil, hdr)
-}
-
-func newTraceWriter(w io.Writer, f *os.File, hdr TraceHeader) (*TraceWriter, error) {
-	if hdr.Version == 0 {
-		hdr.Version = TraceVersion
-	}
-	tw := &TraceWriter{f: f, w: bufio.NewWriter(w), start: time.Now()}
-	line, err := json.Marshal(hdr)
-	if err != nil {
+	tw := &TraceWriter{w: jsonl.NewWriter(w), start: time.Now()}
+	if err := tw.w.Append(hdr.versioned()); err != nil {
 		return nil, err
 	}
-	tw.w.Write(line)
-	tw.w.WriteByte('\n')
-	if err := tw.flushLocked(); err != nil {
+	if err := tw.w.Sync(); err != nil {
 		return nil, err
 	}
 	return tw, nil
+}
+
+// versioned returns h with the zero Version defaulted to TraceVersion.
+func (h TraceHeader) versioned() TraceHeader {
+	if h.Version == 0 {
+		h.Version = TraceVersion
+	}
+	return h
 }
 
 // Append stamps rec with the next sequence number and its clock offset,
@@ -199,16 +189,11 @@ func (tw *TraceWriter) Append(rec TraceRecord) error {
 	tw.seq++
 	rec.Seq = tw.seq
 	rec.T = time.Since(tw.start).Nanoseconds()
-	line, err := json.Marshal(rec)
-	if err != nil {
+	if err := tw.w.Append(rec); err != nil {
 		return err
 	}
-	if _, err := tw.w.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	tw.pending++
-	if tw.pending >= traceSyncEvery {
-		return tw.flushLocked()
+	if tw.seq%traceSyncEvery == 0 {
+		return tw.w.Sync()
 	}
 	return nil
 }
@@ -220,18 +205,7 @@ func (tw *TraceWriter) Flush() error {
 	if tw.closed {
 		return nil
 	}
-	return tw.flushLocked()
-}
-
-func (tw *TraceWriter) flushLocked() error {
-	if err := tw.w.Flush(); err != nil {
-		return err
-	}
-	tw.pending = 0
-	if tw.f != nil {
-		return tw.f.Sync()
-	}
-	return nil
+	return tw.w.Sync()
 }
 
 // Close flushes and closes the trace. Idempotent.
@@ -241,14 +215,8 @@ func (tw *TraceWriter) Close() error {
 	if tw.closed {
 		return nil
 	}
-	err := tw.flushLocked()
 	tw.closed = true
-	if tw.f != nil {
-		if cerr := tw.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return tw.w.Close()
 }
 
 // ReadTraceFile decodes the trace at path.
@@ -267,41 +235,18 @@ func ReadTraceFile(path string) (*Trace, error) {
 // WALs. A missing header or an unsupported version is an error; torn
 // tails are not.
 func DecodeTrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	d := jsonl.NewDecoder(r)
 	tr := &Trace{}
-	seenHeader := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if !seenHeader {
-			var hdr TraceHeader
-			if err := json.Unmarshal([]byte(line), &hdr); err != nil || hdr.Version == 0 {
-				return nil, errNoTraceHeader
-			}
-			if hdr.Version != TraceVersion {
-				return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrTraceVersion, hdr.Version, TraceVersion)
-			}
-			tr.Header = hdr
-			seenHeader = true
-			continue
-		}
-		var rec TraceRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			break // torn tail: keep everything already parsed
-		}
-		if rec.Kind == "" {
-			continue // unknown/foreign line: skip, keep reading
-		}
-		tr.Records = append(tr.Records, rec)
-	}
-	if !seenHeader {
+	if !d.Next(&tr.Header) || tr.Header.Version == 0 {
 		return nil, errNoTraceHeader
 	}
-	if err := sc.Err(); err != nil {
-		return tr, nil // oversized torn tail: same treatment
+	if tr.Header.Version != TraceVersion {
+		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrTraceVersion, tr.Header.Version, TraceVersion)
+	}
+	for rec := (TraceRecord{}); d.Next(&rec); rec = (TraceRecord{}) {
+		if rec.Kind != "" { // an unknown/foreign line is skipped, not fatal
+			tr.Records = append(tr.Records, rec)
+		}
 	}
 	return tr, nil
 }
