@@ -246,10 +246,6 @@ type ProxyConfig struct {
 	ReconnectMin time.Duration
 	// ReconnectMax caps the reconnect backoff delay (default 15s).
 	ReconnectMax time.Duration
-	// DisableReconnect turns automatic reconnection off: a switch-side
-	// transport failure then permanently disconnects the backend (the
-	// pre-reconnect behaviour; useful for tests and one-shot tools).
-	DisableReconnect bool
 }
 
 // ProxyBackend fronts one live OpenFlow 1.0 switch over TCP. Construct it
@@ -532,8 +528,8 @@ func (pb *ProxyBackend) readController(conn net.Conn) {
 }
 
 // transportFailed records a broken switch-side transport once per
-// generation and, unless reconnect is disabled, starts the backoff redial
-// loop. Reports from a generation already replaced by a reconnect are
+// generation and starts the backoff redial loop unless one is already
+// running. Reports from a generation already replaced by a reconnect are
 // stale and ignored.
 func (pb *ProxyBackend) transportFailed(gen uint64, err error) {
 	pb.mu.Lock()
@@ -545,7 +541,7 @@ func (pb *ProxyBackend) transportFailed(gen uint64, err error) {
 	close(pb.connLost)
 	conn := pb.swConn
 	pb.swConn = nil
-	startLoop := !pb.cfg.DisableReconnect && !pb.reconnecting
+	startLoop := !pb.reconnecting
 	if startLoop {
 		pb.reconnecting = true
 	}

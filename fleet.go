@@ -65,7 +65,7 @@ func NewFleet(opts ...Option) *Fleet {
 // AddSwitch registers switch id for sweep verification and returns its
 // Verifier. Per-switch options override the fleet-wide ones; by default
 // the switch's probe tag is its id (strategy 1, §6). Adding a duplicate
-// id fails.
+// id, or a switch whose probe tag is outside 1–4094, fails.
 func (f *Fleet) AddSwitch(id uint32, opts ...Option) (*Verifier, error) {
 	return f.add(id, nil, opts)
 }

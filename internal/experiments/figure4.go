@@ -13,7 +13,6 @@ import (
 
 	"monocle/internal/controller"
 	"monocle/internal/flowtable"
-	"monocle/internal/monocle"
 	"monocle/internal/openflow"
 	"monocle/internal/sim"
 	"monocle/internal/switchsim"
@@ -32,7 +31,6 @@ type Figure4Scenario struct {
 // Figure4Config parameterizes the experiment.
 type Figure4Config struct {
 	Rules     int
-	ProbeRate float64
 	Reps      int
 	Seed      int64
 	Scenarios []Figure4Scenario
@@ -42,7 +40,7 @@ type Figure4Config struct {
 // 1000; raise it via cmd/experiments -reps for the full CDF).
 func DefaultFigure4(reps int) Figure4Config {
 	return Figure4Config{
-		Rules: 1000, ProbeRate: 500, Reps: reps, Seed: 4,
+		Rules: 1000, Reps: reps, Seed: 4,
 		Scenarios: []Figure4Scenario{
 			{Label: "1 out of 1", Fail: 1, Threshold: 1},
 			{Label: "3 out of 5", Fail: 5, Threshold: 3},
@@ -79,11 +77,6 @@ func RunFigure4(cfg Figure4Config) Figure4Result {
 		},
 		Monocle: true,
 		Seed:    cfg.Seed,
-		CfgEdit: func(i int, c *monocle.Config) {
-			if i == 0 {
-				c.ProbeRate = cfg.ProbeRate
-			}
-		},
 	})
 	mon := net.Monitors[0]
 	sw := net.Switches[0]
@@ -137,7 +130,7 @@ func RunFigure4(cfg Figure4Config) Figure4Result {
 	}
 	mon.StartSteadyState()
 	// Warm up: one full cycle generates and caches every probe.
-	cycle := time.Duration(float64(cfg.Rules)/cfg.ProbeRate*float64(time.Second)) + 500*time.Millisecond
+	cycle := time.Duration(float64(cfg.Rules)/mon.Cfg.ProbeRate*float64(time.Second)) + 500*time.Millisecond
 	net.Sim.RunUntil(2 * cycle)
 
 	res := Figure4Result{Series: make(map[string][]time.Duration)}

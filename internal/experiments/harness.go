@@ -32,7 +32,6 @@ type NetConfig struct {
 	// Monocle attaches a Monitor proxy to every switch and installs
 	// colored catching rules; false builds the bare-switch baseline.
 	Monocle bool
-	CfgEdit func(i int, c *monocle.Config)
 	Seed    int64
 }
 
@@ -139,9 +138,6 @@ func Build(cfg NetConfig) *Net {
 			}
 		}
 		sort.Slice(mcfg.Ports, func(a, b int) bool { return mcfg.Ports[a] < mcfg.Ports[b] })
-		if cfg.CfgEdit != nil {
-			cfg.CfgEdit(i, &mcfg)
-		}
 		mon := monocle.New(n.Sim, mcfg)
 		n.Mux.Register(mon)
 		n.Monitors = append(n.Monitors, mon)

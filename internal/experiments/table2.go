@@ -14,7 +14,6 @@ import (
 
 	"monocle/internal/dataset"
 	"monocle/internal/flowtable"
-	"monocle/internal/header"
 	"monocle/internal/probe"
 )
 
@@ -50,11 +49,18 @@ func RunTable2(cfg Table2Config) []Table2Row {
 	return rows
 }
 
+// table2Config is the generator setup both Table 2 runs use: switch 1's
+// probe configuration over the whole in_port domain (tag 1 is always
+// valid).
+func table2Config() probe.Config {
+	cfg, _ := probe.SwitchConfig(1, nil, false)
+	return cfg
+}
+
 func runTable2Dataset(name string, tb *flowtable.Table, rules []*flowtable.Rule, cfg Table2Config) Table2Row {
-	gen := probe.NewGenerator(probe.Config{
-		Collect:           flowtable.MatchAll().WithExact(header.VlanID, 1),
-		SkipOverlapFilter: cfg.SkipOverlapFilter,
-	})
+	pcfg := table2Config()
+	pcfg.SkipOverlapFilter = cfg.SkipOverlapFilter
+	gen := probe.NewGenerator(pcfg)
 	row := Table2Row{Dataset: name}
 	var total time.Duration
 	var max time.Duration
@@ -116,9 +122,7 @@ func RunTable2Sweep(limit, parallelism int) []Table2SweepRow {
 			prof.Rules = limit
 		}
 		tb, _ := dataset.Generate(prof)
-		gen := probe.NewGenerator(probe.Config{
-			Collect: flowtable.MatchAll().WithExact(header.VlanID, 1),
-		})
+		gen := probe.NewGenerator(table2Config())
 		start := time.Now()
 		results := gen.GenerateAll(context.Background(), tb, parallelism)
 		wall := time.Since(start)

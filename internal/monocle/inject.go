@@ -21,31 +21,22 @@ import (
 
 // startPending registers dynamic monitoring for an update. All pending
 // updates share one round-robin prober whose aggregate PacketOut budget is
-// capped by DynamicProbeRate, so a burst of updates (the §8.4 batched
+// capped by dynamicProbeRate, so a burst of updates (the §8.4 batched
 // scenario) does not crowd FlowMods out of the switch's control channel.
 func (m *Monitor) startPending(ruleID uint64, p *probe.Probe, kind packet.Expectation) *pendingUpdate {
 	// The probe is ready for injection after the modeled generation
 	// latency (Table 2).
-	pu := &pendingUpdate{ruleID: ruleID, eligibleAt: m.Sim.Now() + m.Cfg.GenDelay}
+	pu := &pendingUpdate{ruleID: ruleID, eligibleAt: m.Sim.Now() + genDelay}
 	// Whatever finishes the observation releases the update: settling
 	// evidence, or silence for a probe that can never settle. A probe
 	// that cannot be crafted finishes before its first copy goes out;
 	// its update is released unverified, like an unmonitorable rule.
-	pu.ob = &observation{probe: p, expect: kind, gap: m.retryInterval(), done: func(Verdict) {
+	pu.ob = &observation{probe: p, expect: kind, gap: retryInterval, done: func(Verdict) {
 		m.confirmRule(pu, len(pu.ob.copies) > 0)
 	}}
 	m.pending[ruleID] = pu
 	m.dynQueue = append(m.dynQueue, ruleID)
-	if m.Cfg.DynamicTimeout > 0 {
-		pu.deadline = m.Sim.After(m.Cfg.DynamicTimeout, func() {
-			if m.pending[ruleID] == pu {
-				if m.Cfg.OnUpdateStuck != nil {
-					m.Cfg.OnUpdateStuck(ruleID, m.Sim.Now())
-				}
-			}
-		})
-	}
-	m.armDynTicker(m.Cfg.GenDelay)
+	m.armDynTicker(genDelay)
 	return pu
 }
 
@@ -55,23 +46,6 @@ func (m *Monitor) armDynTicker(d time.Duration) {
 		return
 	}
 	m.dynTicker = m.Sim.After(d, m.dynamicTick)
-}
-
-// dynTickInterval is the pacing of the round-robin prober.
-func (m *Monitor) dynTickInterval() time.Duration {
-	rate := m.Cfg.DynamicProbeRate
-	if rate <= 0 {
-		rate = 1000
-	}
-	return time.Duration(float64(time.Second) / rate)
-}
-
-// retryInterval is the minimum per-update re-injection gap.
-func (m *Monitor) retryInterval() time.Duration {
-	if m.Cfg.DynamicRetryInterval > 0 {
-		return m.Cfg.DynamicRetryInterval
-	}
-	return defaultRetryInterval
 }
 
 // dynamicTick probes the oldest eligible pending update first: updates
@@ -130,11 +104,9 @@ func (m *Monitor) dynamicTick() {
 		m.dynQueue = kept
 	}
 	if len(m.pending) > 0 {
-		m.dynTicker = m.Sim.After(m.dynTickInterval(), m.dynamicTick)
+		m.dynTicker = m.Sim.After(time.Second/dynamicProbeRate, m.dynamicTick)
 	}
 }
-
-const defaultRetryInterval = 3 * time.Millisecond
 
 // outcomeSilent reports whether no emission of the outcome can reach a
 // catcher (drop, or every emission exits toward hosts).

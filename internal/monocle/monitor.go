@@ -21,18 +21,24 @@ import (
 	"monocle/internal/sim"
 )
 
-// Config parameterizes one Monitor.
+// Config parameterizes one Monitor. The paper fixes the rest of the
+// Monitor's parameters, so they are package constants rather than fields:
+// the probe tag rides in probe.TagField (dl_vlan, strategy 1, §6); a
+// steady-state attempt sends retries+1 copies within AlarmTimeout
+// (§8.1.1); a dynamic probe waits genDelay for generation (Table 2, §8.2),
+// re-injects every retryInterval until it settles (§4.1), and all pending
+// updates share dynamicProbeRate PacketOuts per second (§8.4); postponed
+// drops are marked dropValue in dropField (§4.3).
 type Config struct {
 	// SwitchID is the network-wide unique identifier of the monitored
 	// switch, used to route caught probes back to this Monitor.
 	SwitchID uint32
 	// TagValue is the reserved probe-field value S_i this switch stamps
 	// on its probes. With the vertex-coloring optimization of §6 this is
-	// the switch's color; zero means "use SwitchID".
+	// the switch's color; zero means "use SwitchID". A value outside
+	// 1–4094 cannot be carried by dl_vlan, so every probe generation
+	// fails (the facade refuses such tags at registration).
 	TagValue uint32
-	// ProbeField is the header field reserved for probe tagging
-	// (strategy 1 uses a single field; default dl_vlan).
-	ProbeField header.FieldID
 	// PortPeer maps each switch port to the switch ID of the neighbour
 	// reachable over it (the downstream catcher), or to HostPeer for
 	// edge ports (probes exiting there are lost, §3.5).
@@ -47,34 +53,12 @@ type Config struct {
 	// retries) before the steady-state monitor raises an alarm; 150 ms
 	// in the paper.
 	AlarmTimeout time.Duration
-	// Retries is the number of re-sent probes within AlarmTimeout (3).
-	Retries int
-	// GenDelay models the probe-generation latency charged on the
-	// virtual clock before a dynamic probe is first injected (Table 2
-	// measures 1.5–4 ms per probe on real rule sets).
-	GenDelay time.Duration
-	// DynamicRetryInterval is the minimum re-injection gap per pending
-	// update while waiting for it to reach the data plane.
-	DynamicRetryInterval time.Duration
-	// DynamicProbeRate caps the aggregate dynamic-probe PacketOut rate
-	// (probes/s, default 1000); pending updates share it round-robin so
-	// bursts of updates do not crowd FlowMods out of the control
-	// channel (§8.4).
-	DynamicProbeRate float64
-	// DynamicTimeout bounds how long an update may stay unconfirmed
-	// before OnUpdateStuck fires (0 disables).
-	DynamicTimeout time.Duration
 
 	// DropPostpone enables the §4.3 reliable drop-rule installation:
-	// drop rules are installed as "mark with DropValue in DropField and
+	// drop rules are installed as "mark with dropValue in dropField and
 	// forward to DropNeighborPort", confirmed positively, then
 	// rewritten into real drops.
 	DropPostpone bool
-	// DropField/DropValue are the special header marking; neighbours
-	// must hold a pre-installed rule dropping marked traffic.
-	DropField header.FieldID
-	// DropValue marks to-be-dropped traffic during postponement.
-	DropValue uint64
 	// DropNeighborPort is where postponed-drop traffic is diverted.
 	DropNeighborPort flowtable.PortID
 
@@ -87,9 +71,30 @@ type Config struct {
 	// OnRuleConfirmed fires when a dynamic update (add/modify/delete)
 	// is verified to have reached the data plane.
 	OnRuleConfirmed func(ruleID uint64, at sim.Time)
-	// OnUpdateStuck fires when a dynamic update exceeds DynamicTimeout.
-	OnUpdateStuck func(ruleID uint64, at sim.Time)
 }
+
+// The paper's fixed Monitor parameters (see Config).
+const (
+	// retries is the number of re-sent steady-state probes within
+	// AlarmTimeout (§8.1.1).
+	retries = 3
+	// genDelay models the probe-generation latency charged on the
+	// virtual clock before a dynamic probe is first injected (Table 2
+	// measures 1.5–4 ms per probe on real rule sets).
+	genDelay = 2 * time.Millisecond
+	// retryInterval is the minimum re-injection gap of one observation
+	// while it waits for its rule to reach the data plane (§4.1).
+	retryInterval = 3 * time.Millisecond
+	// dynamicProbeRate caps the aggregate dynamic-probe PacketOut rate
+	// (probes/s); pending updates share it round-robin so bursts of
+	// updates do not crowd FlowMods out of the control channel (§8.4).
+	dynamicProbeRate = 1000
+	// dropField/dropValue mark to-be-dropped traffic during drop
+	// postponement; neighbours hold a pre-installed rule dropping marked
+	// traffic (§4.3).
+	dropField = header.IPTos
+	dropValue = 0xfc
+)
 
 // HostPeer marks a port that leads out of the monitored core (no catcher).
 const HostPeer uint32 = 0xffffffff
@@ -97,15 +102,9 @@ const HostPeer uint32 = 0xffffffff
 // DefaultConfig returns the paper's experiment parameters.
 func DefaultConfig(switchID uint32) Config {
 	return Config{
-		SwitchID:             switchID,
-		ProbeField:           header.VlanID,
-		ProbeRate:            500,
-		AlarmTimeout:         150 * time.Millisecond,
-		Retries:              3,
-		GenDelay:             2 * time.Millisecond,
-		DynamicRetryInterval: 3 * time.Millisecond,
-		DropField:            header.IPTos,
-		DropValue:            0xfc,
+		SwitchID:     switchID,
+		ProbeRate:    500,
+		AlarmTimeout: 150 * time.Millisecond,
 	}
 }
 
@@ -225,7 +224,6 @@ type pendingUpdate struct {
 	ruleID     uint64
 	ob         *observation
 	eligibleAt sim.Time
-	deadline   *sim.Timer // DynamicTimeout
 	postponed  *postponedDrop
 	// onConfirm runs when the update is verified (used by barrier
 	// gating and drop-postponing follow-ups).
@@ -255,9 +253,6 @@ type pendingBarrier struct {
 
 // New creates a Monitor. Wire ToSwitch/ToController/Mux before use.
 func New(s *sim.Sim, cfg Config) *Monitor {
-	if cfg.ProbeField == 0 {
-		cfg.ProbeField = header.VlanID
-	}
 	if cfg.TagValue == 0 {
 		cfg.TagValue = cfg.SwitchID
 	}
@@ -269,31 +264,12 @@ func New(s *sim.Sim, cfg Config) *Monitor {
 		inflight: make(map[uint64]*observation),
 		nonce:    uint64(cfg.SwitchID)<<32 | 1,
 	}
-	m.gen = probe.NewGenerator(m.generatorConfig())
+	// A tag the wire cannot carry leaves every probe failing its Collect
+	// constraint; the facade refuses such tags before building a Monitor.
+	pcfg, _ := probe.SwitchConfig(uint64(cfg.TagValue), cfg.Ports, cfg.Counting)
+	m.gen = probe.NewGenerator(pcfg)
 	m.cache = m.gen.NewSessionCache(m.expected)
 	return m
-}
-
-// generatorConfig builds the probe.Config for this switch: the Collect
-// constraint pins the probe tag to this switch's own ID so any neighbour's
-// catching rule intercepts it (strategy 1, §6), and in_port is restricted
-// to real ports.
-func (m *Monitor) generatorConfig() probe.Config {
-	domains := header.DefaultDomains()
-	if len(m.Cfg.Ports) > 0 {
-		vals := make([]uint64, len(m.Cfg.Ports))
-		for i, p := range m.Cfg.Ports {
-			vals[i] = uint64(p)
-		}
-		domains[header.InPort] = header.Domain{Values: vals}
-	}
-	return probe.Config{
-		Collect:        flowtable.MatchAll().WithExact(m.Cfg.ProbeField, uint64(m.Cfg.TagValue)),
-		Domains:        domains,
-		ReservedFields: []header.FieldID{m.Cfg.ProbeField},
-		Counting:       m.Cfg.Counting,
-		ValidateModel:  true,
-	}
 }
 
 // Expected exposes the tracked control-plane view (tests, experiments).
@@ -331,7 +307,7 @@ func (m *Monitor) CatchRules(reserved []uint32) []*flowtable.Rule {
 		out = append(out, &flowtable.Rule{
 			ID:       id,
 			Priority: catchPriority,
-			Match:    flowtable.MatchAll().WithExact(m.Cfg.ProbeField, uint64(v)),
+			Match:    flowtable.MatchAll().WithExact(probe.TagField, uint64(v)),
 			Actions:  []flowtable.Action{flowtable.Output(flowtable.PortController)},
 		})
 		id++
@@ -340,7 +316,7 @@ func (m *Monitor) CatchRules(reserved []uint32) []*flowtable.Rule {
 		out = append(out, &flowtable.Rule{
 			ID:       id,
 			Priority: dropPriority,
-			Match:    flowtable.MatchAll().WithExact(m.Cfg.DropField, m.Cfg.DropValue),
+			Match:    flowtable.MatchAll().WithExact(dropField, dropValue),
 			Actions:  nil, // drop
 		})
 	}
@@ -384,18 +360,6 @@ func (m *Monitor) invalidateAllCached() {
 	for _, cp := range m.steady.cache {
 		cp.dirty = true
 	}
-}
-
-// generateExpected generates a probe for a rule of the current expected
-// table through the epoch-aware session cache (steady-state probes,
-// addition and deletion probes — anything probing the table as-is). The
-// one-shot generator remains the fallback if no session can be built.
-func (m *Monitor) generateExpected(rule *flowtable.Rule) (*probe.Probe, error) {
-	sess, err := m.cache.Session(m.updateEpoch)
-	if err != nil {
-		return m.gen.Generate(m.expected, rule)
-	}
-	return sess.Generate(rule)
 }
 
 // errUnmonitorable marks generation failures in stats without alarming.

@@ -158,7 +158,7 @@ func (m *Monitor) observeProbe(p *probe.Probe, expect packet.Expectation, timeou
 	if timeout <= 0 {
 		timeout = defaultObserveTimeout
 	}
-	m.observeFor(&observation{probe: p, expect: expect, gap: m.retryInterval(), done: done}, timeout)
+	m.observeFor(&observation{probe: p, expect: expect, gap: retryInterval, done: done}, timeout)
 }
 
 // observeWindow caps the observations one ObserveProbeBatch keeps in

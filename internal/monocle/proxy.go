@@ -135,7 +135,7 @@ func (m *Monitor) addRule(fm *openflow.FlowMod, xid uint32, match flowtable.Matc
 
 	// Addition probes target the expected table as-is, so they run through
 	// the epoch-aware session cache (only this rule gets recompiled).
-	p, err := m.generateExpected(rule)
+	p, err := m.cache.Generate(m.updateEpoch, rule)
 	if err != nil {
 		m.noteGenFailure(err)
 		// Unmonitorable: confirm optimistically so barriers don't hang
@@ -152,7 +152,7 @@ func (m *Monitor) addRule(fm *openflow.FlowMod, xid uint32, match flowtable.Matc
 func (m *Monitor) addWithDropPostpone(fm *openflow.FlowMod, xid uint32) {
 	match := fm.Match.ToMatch()
 	marked := []flowtable.Action{
-		flowtable.SetField(m.Cfg.DropField, m.Cfg.DropValue),
+		flowtable.SetField(dropField, dropValue),
 		flowtable.Output(m.Cfg.DropNeighborPort),
 	}
 	wireActs, err := openflow.FromActions(marked)
@@ -171,7 +171,7 @@ func (m *Monitor) addWithDropPostpone(fm *openflow.FlowMod, xid uint32) {
 	m.tableChanged(match)
 	m.forwardToSwitch(&markedFM, xid)
 
-	p, err := m.generateExpected(rule)
+	p, err := m.cache.Generate(m.updateEpoch, rule)
 	if err != nil {
 		m.noteGenFailure(err)
 		m.confirmWithoutProbe(rule.ID)
@@ -215,7 +215,7 @@ func (m *Monitor) deleteRule(fm *openflow.FlowMod, xid uint32, match flowtable.M
 	// deletion is confirmed when the Absent outcome is observed (§4.1).
 	// The rule is only dropped from the session cache's library on the
 	// epoch sync after the delete below.
-	p, err := m.generateExpected(old)
+	p, err := m.cache.Generate(m.updateEpoch, old)
 	_ = m.expected.Delete(old.ID)
 	m.tableChanged(match)
 	m.forwardToSwitch(fm, xid)
@@ -286,9 +286,6 @@ func (m *Monitor) releaseBarriers() {
 // drop-postpone follow-up, queued-update drain. Only an update a probe
 // actually went out for counts as a confirmation.
 func (m *Monitor) confirmRule(pu *pendingUpdate, probed bool) {
-	if pu.deadline != nil {
-		pu.deadline.Cancel()
-	}
 	delete(m.pending, pu.ruleID)
 	if probed {
 		m.Stats.Confirmations++

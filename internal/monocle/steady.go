@@ -2,7 +2,7 @@ package monocle
 
 // Steady-state monitoring (§3, §8.1.1): Monocle cycles through every
 // installed rule at a capped probe rate, re-sends unanswered probes up to
-// Retries times, and raises an alarm when a rule stays unconfirmed for
+// retries times, and raises an alarm when a rule stays unconfirmed for
 // AlarmTimeout. Probes are cached per rule and regenerated whenever the
 // expected table changes (epoch bump).
 
@@ -129,7 +129,7 @@ func (m *Monitor) steadyTick() {
 		return
 	}
 	if cp == nil || cp.dirty {
-		p, err := m.generateExpected(rule)
+		p, err := m.cache.Generate(m.updateEpoch, rule)
 		if err != nil {
 			m.noteGenFailure(err)
 			st.cache[ruleID] = &cachedProbe{p: nil}
@@ -178,13 +178,13 @@ func (m *Monitor) nextSteadyRule() (uint64, bool) {
 	return 0, false
 }
 
-// beginAttempt verifies one rule: Retries+1 copies of its probe spaced
-// AlarmTimeout/(Retries+1), settled by the observation rule when they
+// beginAttempt verifies one rule: retries+1 copies of its probe spaced
+// AlarmTimeout/(retries+1), settled by the observation rule when they
 // confirm or when the AlarmTimeout window closes. A confirmed rule heals;
 // anything else alarms.
 func (m *Monitor) beginAttempt(ruleID uint64, p *probe.Probe) {
 	st := m.steady
-	gap := m.Cfg.AlarmTimeout / time.Duration(m.Cfg.Retries+1)
+	gap := m.Cfg.AlarmTimeout / (retries + 1)
 	if gap <= 0 {
 		gap = 50 * time.Millisecond
 	}

@@ -73,9 +73,10 @@ func Strategy2Collect(fields Strategy2Fields, probed, next uint32) flowtable.Mat
 
 // GenerateStrategy2 produces a probe for `rule` under the two-field
 // scheme, targeting the downstream switch reachable through the rule's
-// first forwarding port (per portPeer). It wraps the Monitor's generator
-// with the per-target Collect constraint; steady/dynamic monitoring can
-// feed the returned probe through the normal machinery.
+// first forwarding port (per portPeer). It runs the Monitor's generator
+// under the per-target Collect constraint, which reserves both fields;
+// steady/dynamic monitoring can feed the returned probe through the
+// normal machinery.
 func (m *Monitor) GenerateStrategy2(table *flowtable.Table, rule *flowtable.Rule, fields Strategy2Fields) (*probe.Probe, error) {
 	ports := rule.ForwardingSet()
 	var next uint32 = HostPeer
@@ -88,9 +89,5 @@ func (m *Monitor) GenerateStrategy2(table *flowtable.Table, rule *flowtable.Rule
 	if next == HostPeer {
 		return nil, probe.ErrUnmonitorable // egress rule (§3.5)
 	}
-	cfg := m.generatorConfig()
-	cfg.Collect = Strategy2Collect(fields, m.Cfg.SwitchID, next)
-	cfg.ReservedFields = []header.FieldID{fields.H1, fields.H2}
-	gen := probe.NewGenerator(cfg)
-	return gen.Generate(table, rule)
+	return m.gen.Collecting(Strategy2Collect(fields, m.Cfg.SwitchID, next)).Generate(table, rule)
 }

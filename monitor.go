@@ -66,7 +66,6 @@ func NewMonitorConfig(switchID uint32, opts ...Option) MonitorConfig {
 	}
 	if set.detectionTimeout > 0 {
 		cfg.AlarmTimeout = set.detectionTimeout
-		cfg.DynamicTimeout = set.detectionTimeout
 	}
 	if set.probeRate > 0 {
 		cfg.ProbeRate = set.probeRate

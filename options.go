@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"monocle/internal/header"
 	"monocle/internal/probe"
 )
 
@@ -78,42 +77,21 @@ func (s *settings) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// generatorConfig builds the internal probe-engine configuration for one
-// switch: the Collect constraint pins the probe tag on dl_vlan, the field
-// reserved for probe tagging, so a downstream catching rule intercepts the
-// probe (strategy 1, §6), and in_port is restricted to the switch's real
-// ports.
-func (s *settings) generatorConfig(switchID uint32) probe.Config {
-	collect := MatchAll()
+// probeConfig builds switch id's probe-engine configuration from the
+// resolved probe tag (WithProbeTag, else the switch id), its ports and
+// counting mode; a tag the wire cannot carry is an error.
+func (s *settings) probeConfig(id uint32) (probe.Config, error) {
 	tag := s.probeTag
 	if tag == 0 {
-		tag = uint64(switchID)
+		tag = uint64(id)
 	}
-	if tag != 0 {
-		collect = collect.WithExact(VlanID, tag)
-	}
-	domains := header.DefaultDomains()
-	if len(s.ports) > 0 {
-		vals := make([]uint64, len(s.ports))
-		for i, p := range s.ports {
-			vals[i] = uint64(p)
-		}
-		domains[header.InPort] = header.Domain{Values: vals}
-	}
-	return probe.Config{
-		Collect:        collect,
-		Domains:        domains,
-		ReservedFields: []header.FieldID{VlanID},
-		Counting:       s.counting,
-		ValidateModel:  true,
-	}
+	return probe.SwitchConfig(tag, s.ports, s.counting)
 }
 
 // WithProbeTag pins the probe tag value S_i the switch stamps on its
-// probes (the Collect constraint). Zero (the default) uses the switch id.
-// The value must fit the probe field's width (12 usable bits for the
-// dl_vlan probe field) and, for Monitor-based deployments, 32 bits; wider
-// values are truncated.
+// probes (the Collect constraint on dl_vlan). Zero (the default) uses the
+// switch id. The resolved tag must be 1–4094, the VIDs dl_vlan can carry;
+// Verifier, Fleet and Service registration reject any other value.
 func WithProbeTag(v uint64) Option { return func(s *settings) { s.probeTag = v } }
 
 // WithPorts restricts probe in_port values to the switch's usable ports.
@@ -129,7 +107,7 @@ func WithPorts(ports ...PortID) Option {
 func WithPeers(peers map[PortID]uint32) Option {
 	return func(s *settings) {
 		s.peers = make(map[PortID]uint32, len(peers))
-		s.ports = s.ports[:0]
+		s.ports = make([]PortID, 0, len(peers))
 		for p, id := range peers {
 			s.peers[p] = id
 			s.ports = append(s.ports, p)
@@ -150,9 +128,9 @@ func WithSteadyInterval(d time.Duration) Option {
 }
 
 // WithDetectionTimeout bounds how long a rule may stay unconfirmed before
-// the proxy Monitor raises an alarm (steady state) or reports an update as
-// stuck (dynamic). Zero keeps the paper's 150 ms steady-state default and
-// disables the dynamic deadline.
+// the proxy Monitor raises an alarm (steady state), and a Service proxy
+// switch's observation round trips. Zero keeps the paper's 150 ms
+// steady-state default.
 func WithDetectionTimeout(d time.Duration) Option {
 	return func(s *settings) { s.detectionTimeout = d }
 }

@@ -184,7 +184,9 @@ type SwitchSpec struct {
 	// Tags are free-form labels monitoring-policy selectors match
 	// ("select tag ..."); they have no effect without a policy.
 	Tags []string `json:"tags,omitempty"`
-	// Tag pins the probe tag (default: the switch id).
+	// Tag pins the probe tag (default: the switch id). The resolved tag
+	// must be 1–4094, the VIDs dl_vlan can carry; AddSwitch rejects any
+	// other value.
 	Tag uint64 `json:"tag,omitempty"`
 	// Ports restricts probe in_port values to the switch's real ports.
 	Ports []uint16 `json:"ports,omitempty"`
@@ -460,6 +462,13 @@ func (s *Service) AddSwitch(spec SwitchSpec) (*Verifier, error) {
 			peers[PortID(p)] = id
 		}
 		opts = append(opts, WithPeers(peers))
+	}
+	// Refuse a probe tag the wire cannot carry before any backend is
+	// dialed or trace file created.
+	set := s.fleet.set
+	set.apply(opts)
+	if _, err := set.probeConfig(spec.ID); err != nil {
+		return nil, err
 	}
 
 	var be Backend

@@ -76,3 +76,28 @@ func FuzzRuleSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSwitchTag: the probe tag rides in dl_vlan, so a switch spec either
+// is refused at registration or yields probes the data plane carries: a
+// plain forwarding rule added to the registered sim switch must come back
+// confirmed. A tag registration accepts but probes cannot carry would
+// fail every rule op on that switch instead.
+func FuzzSwitchTag(f *testing.F) {
+	f.Add(uint32(4094), uint64(0))
+	f.Add(uint32(4095), uint64(0))
+	f.Add(uint32(5000), uint64(0))
+	f.Add(uint32(5000), uint64(12))
+	f.Fuzz(func(t *testing.T, id uint32, tag uint64) {
+		svc := NewService(WithWorkers(1))
+		defer svc.Close()
+		if _, err := svc.AddSwitch(SwitchSpec{ID: id, Tag: tag}); err != nil {
+			return
+		}
+		reply, err := svc.ApplyRule(id, RuleOp{Op: "add", Rule: &RuleSpec{ID: 1, Priority: 10,
+			Match:   map[string]string{"dl_type": "0x800", "nw_dst": "10.0.0.0/24"},
+			Actions: []ActionSpec{{Output: 2}}}})
+		if err != nil || reply.Verdict != "confirmed" {
+			t.Fatalf("switch %d tag %d accepted, but its rule add got %+v, %v", id, tag, reply, err)
+		}
+	})
+}

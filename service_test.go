@@ -325,6 +325,25 @@ func TestServiceSweepEndpointAndErrors(t *testing.T) {
 	if len(round.Alerts) != 1 || round.Alerts[0].Type != monocle.AlertRuleFailing {
 		t.Fatalf("manual sweep alerts: %+v", round.Alerts)
 	}
+
+	// The probe tag rides in dl_vlan, which carries VIDs 1-4094 only: a
+	// switch whose resolved tag is wider is refused, and an explicit
+	// tag makes any switch id usable.
+	for _, id := range []uint32{4095, 5000} {
+		if status, body := c.post("/switches", monocle.SwitchSpec{ID: id}, nil); status != http.StatusBadRequest {
+			t.Fatalf("switch %d tagged with its id: status %d %s, want 400", id, status, body)
+		}
+	}
+	if status, body := c.post("/switches", monocle.SwitchSpec{ID: 5000, Tag: 12}, nil); status != http.StatusCreated {
+		t.Fatalf("switch 5000 with tag 12: %d %s", status, body)
+	}
+	tagged := monocle.RuleSpec{ID: 1, Priority: 5,
+		Match:   map[string]string{"dl_type": "0x800", "nw_dst": "10.9.0.0/16"},
+		Actions: []monocle.ActionSpec{{Output: 2}}}
+	var reply monocle.UpdateReply
+	if status, body := c.post("/switches/5000/rules", monocle.RuleOp{Op: "add", Rule: &tagged}, &reply); status != http.StatusOK || reply.Verdict != "confirmed" {
+		t.Fatalf("add on switch 5000 with tag 12: %d %s, want confirmed", status, body)
+	}
 }
 
 // TestRuleOpObservesUnderRequestContext: an HTTP rule op's confirmation

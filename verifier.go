@@ -35,7 +35,7 @@ type Verifier struct {
 // NewVerifier returns a Verifier for one switch. With no options, probes
 // carry no Collect constraint (useful for offline generation and tests);
 // production monitoring sets WithProbeTag (or a switch id via Fleet) so
-// probes are catchable downstream.
+// probes are catchable downstream. A tag outside 1–4094 is an error.
 func NewVerifier(opts ...Option) (*Verifier, error) {
 	return newVerifier(0, nil, opts)
 }
@@ -48,10 +48,14 @@ func newVerifier(id uint32, base *settings, opts []Option) (*Verifier, error) {
 		set = *base
 	}
 	set.apply(opts)
+	cfg, err := set.probeConfig(id)
+	if err != nil {
+		return nil, err
+	}
 	v := &Verifier{
 		set:   set,
 		id:    id,
-		gen:   probe.NewGenerator(set.generatorConfig(id)),
+		gen:   probe.NewGenerator(cfg),
 		table: flowtable.New(),
 	}
 	v.table.Miss = set.miss
@@ -91,7 +95,7 @@ func (v *Verifier) Add(r *Rule) (*Probe, error) {
 		return nil, err
 	}
 	v.epoch++
-	return v.probeLocked(r)
+	return v.cache.Generate(v.epoch, r)
 }
 
 // Modify replaces the action list of rule id and returns the probe that
@@ -125,7 +129,7 @@ func (v *Verifier) Delete(id uint64) (*Probe, error) {
 	}
 	// Generate while the rule is still present: the probe needs both
 	// hypotheses of the pre-deletion table.
-	p, genErr := v.probeLocked(old)
+	p, genErr := v.cache.Generate(v.epoch, old)
 	if err := v.table.Delete(id); err != nil {
 		return nil, err
 	}
@@ -142,18 +146,7 @@ func (v *Verifier) ProbeFor(id uint64) (*Probe, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return v.probeLocked(r)
-}
-
-// probeLocked generates a probe for a rule of the current table through
-// the epoch-aware session cache, falling back to one-shot generation when
-// no session can be built.
-func (v *Verifier) probeLocked(r *Rule) (*Probe, error) {
-	sess, err := v.cache.Session(v.epoch)
-	if err != nil {
-		return v.gen.Generate(v.table, r)
-	}
-	return sess.Generate(r)
+	return v.cache.Generate(v.epoch, r)
 }
 
 // Sweep generates probes for every installed rule — the steady-state
