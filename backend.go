@@ -245,7 +245,6 @@ func (r *eventRing) close() bool {
 // Service had when its data planes were hard-wired tables.
 type SimBackend struct {
 	id     uint32
-	clock  *Sim
 	events *eventRing
 
 	mu     sync.Mutex
@@ -263,7 +262,6 @@ func NewSimBackend(id uint32, opts ...Option) *SimBackend {
 	table.Miss = set.miss
 	return &SimBackend{
 		id:     id,
-		clock:  NewSim(),
 		events: newEventRing(),
 		table:  table,
 	}
@@ -271,9 +269,6 @@ func NewSimBackend(id uint32, opts ...Option) *SimBackend {
 
 // SwitchID implements Backend.
 func (b *SimBackend) SwitchID() uint32 { return b.id }
-
-// Clock returns the driver's virtual clock.
-func (b *SimBackend) Clock() *Sim { return b.clock }
 
 // Table returns the simulated data-plane table. It is the test and
 // fault-injection hook; mutate it only between sweeps (Apply and

@@ -23,6 +23,7 @@ import (
 
 	imon "monocle/internal/monocle"
 	"monocle/internal/netx"
+	"monocle/internal/sim"
 )
 
 // ProxyGroup shares one event-loop thread, one virtual clock, and one
@@ -33,8 +34,8 @@ import (
 // the Multiplexer's contract. A nil ProxyConfig.Group gives each backend
 // a private group.
 type ProxyGroup struct {
-	clock *Sim
-	mux   *Multiplexer
+	clock *sim.Sim
+	mux   *imon.Multiplexer
 
 	mu      sync.Mutex
 	ch      chan func()
@@ -49,19 +50,12 @@ type ProxyGroup struct {
 // the first member backend connects and stops when the last one closes.
 func NewProxyGroup() *ProxyGroup {
 	return &ProxyGroup{
-		clock: NewSim(),
-		mux:   NewMultiplexer(),
+		clock: sim.New(),
+		mux:   imon.NewMultiplexer(),
 		ch:    make(chan func(), 1024),
 		done:  make(chan struct{}),
 	}
 }
-
-// Multiplexer returns the group's shared probe-routing multiplexer.
-func (g *ProxyGroup) Multiplexer() *Multiplexer { return g.mux }
-
-// Clock returns the group's virtual clock (driven against wall time by
-// the group loop).
-func (g *ProxyGroup) Clock() *Sim { return g.clock }
 
 // retain counts one member in and (re)starts the loop if needed: a group
 // whose loop stopped after its last member closed comes back for a newly
@@ -181,7 +175,7 @@ func (g *ProxyGroup) run(done chan struct{}) {
 			g.advance()
 			(<-g.ch)()
 		}
-		g.clock.RunUntil(Time(time.Since(g.start)))
+		g.clock.RunUntil(sim.Time(time.Since(g.start)))
 		var wait time.Duration = 50 * time.Millisecond
 		if at, ok := g.clock.NextEventAt(); ok {
 			if d := at - g.clock.Now(); d < wait {
@@ -215,7 +209,7 @@ func (g *ProxyGroup) run(done chan struct{}) {
 // advance moves the virtual clock toward wall time, stopping short of
 // the next due timer: it fires nothing.
 func (g *ProxyGroup) advance() {
-	to := Time(time.Since(g.start))
+	to := sim.Time(time.Since(g.start))
 	if at, ok := g.clock.NextEventAt(); ok && at <= to {
 		to = at - 1
 	}
@@ -254,7 +248,7 @@ type ProxyConfig struct {
 type ProxyBackend struct {
 	cfg   ProxyConfig
 	group *ProxyGroup
-	mon   *Monitor
+	mon   *imon.Monitor
 	ev    *eventRing
 
 	// connectMu serializes Connect calls (check-then-dial must be
@@ -288,10 +282,11 @@ type ProxyBackend struct {
 }
 
 // NewProxyBackend builds the TCP proxy driver for cfg. The options
-// parameterize the embedded Monitor exactly like NewMonitorConfig:
-// WithProbeTag sets the probe tag, WithPeers the
-// port-to-catcher map, WithPorts the in_port domain, WithProbeRate the
-// steady-state rate, WithDetectionTimeout the monitoring deadlines.
+// parameterize the embedded Monitor (see newMonitorConfig): WithProbeTag
+// sets the probe tag, WithPeers the port-to-catcher map, WithPorts the
+// in_port domain, WithProbeRate the steady-state rate,
+// WithDetectionTimeout the monitoring deadlines, WithCounting the
+// multicast/ECMP exception.
 func NewProxyBackend(cfg ProxyConfig, opts ...Option) *ProxyBackend {
 	if cfg.ObserveTimeout <= 0 {
 		cfg.ObserveTimeout = 2 * time.Second
@@ -316,12 +311,12 @@ func NewProxyBackend(cfg ProxyConfig, opts ...Option) *ProxyBackend {
 		closedCh: make(chan struct{}),
 		connLost: make(chan struct{}),
 	}
-	mcfg := NewMonitorConfig(cfg.SwitchID, opts...)
-	mcfg.OnAlarm = func(ruleID uint64, at Time) {
+	mcfg := newMonitorConfig(cfg.SwitchID, opts...)
+	mcfg.OnAlarm = func(ruleID uint64, at sim.Time) {
 		pb.ev.emit(BackendEvent{Type: BackendAlarm, SwitchID: cfg.SwitchID, Rule: ruleID,
 			Detail: fmt.Sprintf("rule %d misbehaving in the data plane (t=%v)", ruleID, at)})
 	}
-	mcfg.OnRuleConfirmed = func(ruleID uint64, at Time) {
+	mcfg.OnRuleConfirmed = func(ruleID uint64, at sim.Time) {
 		pb.ev.emit(BackendEvent{Type: BackendRuleConfirmed, SwitchID: cfg.SwitchID, Rule: ruleID,
 			Detail: fmt.Sprintf("rule %d confirmed in the data plane (t=%v)", ruleID, at)})
 	}
@@ -333,12 +328,33 @@ func NewProxyBackend(cfg ProxyConfig, opts ...Option) *ProxyBackend {
 	return pb
 }
 
+// newMonitorConfig returns the paper-default Monitor parameters for one
+// switch with the facade options applied.
+func newMonitorConfig(switchID uint32, opts ...Option) imon.Config {
+	set := defaultSettings()
+	set.apply(opts)
+	cfg := imon.DefaultConfig(switchID)
+	if set.probeTag != 0 {
+		cfg.TagValue = uint32(set.probeTag)
+	}
+	if set.peers != nil {
+		cfg.PortPeer = set.peers
+	}
+	if len(set.ports) > 0 {
+		cfg.Ports = append([]PortID(nil), set.ports...)
+	}
+	if set.detectionTimeout > 0 {
+		cfg.AlarmTimeout = set.detectionTimeout
+	}
+	if set.probeRate > 0 {
+		cfg.ProbeRate = set.probeRate
+	}
+	cfg.Counting = set.counting
+	return cfg
+}
+
 // SwitchID implements Backend.
 func (pb *ProxyBackend) SwitchID() uint32 { return pb.cfg.SwitchID }
-
-// Monitor returns the embedded proxy Monitor. Touch its state only from
-// the group's event-loop thread.
-func (pb *ProxyBackend) Monitor() *Monitor { return pb.mon }
 
 // SetObserveTimeout replaces the per-probe observation bound at runtime
 // (non-positive values are ignored). The Service calls it when a

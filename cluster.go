@@ -323,19 +323,7 @@ func (c *Coordinator) firstUnroutable(ctx context.Context) (shard, reason string
 // and fail 503 with the shard name instead of silently dropping work.
 // Replica health is probed live on every request that depends on it.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /switches", c.handleAddSwitch)
-	mux.HandleFunc("GET /switches", c.handleListSwitches)
-	mux.HandleFunc("POST /switches/{id}/rules", c.handleRules)
-	mux.HandleFunc("POST /sweep", c.handleSweep)
-	mux.HandleFunc("GET /policy", c.handleGetPolicy)
-	mux.HandleFunc("PUT /policy", c.handlePutPolicy)
-	mux.HandleFunc("GET /sweeps", c.handleSweeps)
-	mux.HandleFunc("GET /alerts", c.handleAlerts)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /livez", handleLivez)
-	mux.HandleFunc("GET /readyz", c.handleReadyz)
+	mux := mountRoutes(c)
 	mux.HandleFunc("GET /shards", c.handleShards)
 	return mux
 }

@@ -16,7 +16,7 @@ import (
 	"os"
 	"time"
 
-	"monocle"
+	"monocle/internal/experiments"
 )
 
 func main() {
@@ -45,50 +45,50 @@ func main() {
 	if *all || *table == 2 {
 		ran = true
 		start := time.Now()
-		rows := monocle.RunTable2(monocle.Table2Config{})
-		fmt.Print(monocle.FormatTable2(rows))
+		rows := experiments.RunTable2(experiments.Table2Config{})
+		fmt.Print(experiments.FormatTable2(rows))
 		fmt.Printf("  (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 
 		start = time.Now()
-		sweep := monocle.RunTable2Sweep(0, 0)
-		fmt.Print(monocle.FormatTable2Sweep(sweep))
+		sweep := experiments.RunTable2Sweep(0, 0)
+		fmt.Print(experiments.FormatTable2Sweep(sweep))
 		fmt.Printf("  (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if run(4) {
 		start := time.Now()
-		res := monocle.RunFigure4(monocle.DefaultFigure4(*reps))
-		fmt.Print(monocle.FormatFigure4(res))
+		res := experiments.RunFigure4(experiments.DefaultFigure4(*reps))
+		fmt.Print(experiments.FormatFigure4(res))
 		fmt.Printf("  (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if run(5) {
 		start := time.Now()
-		res := monocle.DefaultFigure5(*flows)
-		fmt.Print(monocle.FormatFigure5(res))
+		res := experiments.DefaultFigure5(*flows)
+		fmt.Print(experiments.FormatFigure5(res))
 		fmt.Printf("  (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if run(6) {
-		fmt.Print(monocle.FormatFigure6(monocle.RunFigure6()))
+		fmt.Print(experiments.FormatFigure6(experiments.RunFigure6()))
 		fmt.Println()
 	}
 	if run(7) {
-		fmt.Print(monocle.FormatFigure7(monocle.RunFigure7()))
+		fmt.Print(experiments.FormatFigure7(experiments.RunFigure7()))
 		fmt.Println()
 	}
 	if *all || *fig == 67 {
 		ran = true
-		fmt.Print(monocle.FormatSwitchRates(monocle.RunSwitchRates()))
+		fmt.Print(experiments.FormatSwitchRates(experiments.RunSwitchRates()))
 		fmt.Println()
 	}
 	if run(8) {
 		start := time.Now()
-		res := monocle.DefaultFigure8(*paths)
-		fmt.Print(monocle.FormatFigure8(res))
+		res := experiments.DefaultFigure8(*paths)
+		fmt.Print(experiments.FormatFigure8(res))
 		fmt.Printf("  (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if run(9) {
 		start := time.Now()
-		fmt.Print(monocle.FormatFigure9(monocle.RunFigure9Zoo(*budget, *zoo)))
-		fmt.Print(monocle.FormatFigure9(monocle.RunFigure9Rocketfuel(*budget, *rocket)))
+		fmt.Print(experiments.FormatFigure9(experiments.RunFigure9Zoo(*budget, *zoo)))
+		fmt.Print(experiments.FormatFigure9(experiments.RunFigure9Rocketfuel(*budget, *rocket)))
 		fmt.Printf("  (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 

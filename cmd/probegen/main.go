@@ -5,17 +5,22 @@
 // object per line, the stream format the fleet sweep service and scripts
 // consume.
 //
-// JSON input format (array of rules):
+// JSON input format: an array of rules in the RuleSpec form that
+// POST /switches/{id}/rules, the state-dir WAL and session traces use.
 //
 //	[
 //	  {"id":1, "priority":10,
 //	   "match": {"nw_src":"10.0.0.0/8", "nw_proto":"6", "tp_dst":"80"},
-//	   "actions":[{"output":2},{"set":"nw_tos","value":46}]}
+//	   "actions":[{"output":2},{"set":{"field":"nw_tos","value":46}}]},
+//	  {"id":2, "priority":5, "match": {"nw_dst":"0xa000001&0xff0000ff"},
+//	   "actions":[{"ecmp":[1,2]}]}
 //	]
 //
 // Field names follow OpenFlow 1.0 (in_port, dl_src, dl_dst, dl_type,
 // dl_vlan, dl_vlan_pcp, nw_src, nw_dst, nw_proto, nw_tos, tp_src, tp_dst).
-// Prefixes are supported on nw_src/nw_dst; an empty action list is a drop.
+// A value is decimal, 0x hex or a dotted quad, and may carry a /prefixlen
+// or an &mask; a value wider than its field is an error. An empty action
+// list is a drop.
 package main
 
 import (
@@ -26,120 +31,42 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"monocle"
 )
 
-type jsonAction struct {
-	Output *uint16  `json:"output,omitempty"`
-	Set    string   `json:"set,omitempty"`
-	Value  uint64   `json:"value,omitempty"`
-	ECMP   []uint16 `json:"ecmp,omitempty"`
-}
-
-type jsonRule struct {
-	ID       uint64            `json:"id"`
-	Priority int               `json:"priority"`
-	Match    map[string]string `json:"match"`
-	Actions  []jsonAction      `json:"actions"`
-}
-
-var fieldByName = map[string]monocle.FieldID{}
-
-func init() {
-	for f := monocle.FieldID(0); f < monocle.NumFields; f++ {
-		fieldByName[f.String()] = f
+// load decodes a JSON array of RuleSpecs into validated rules; an error
+// names the index of the rule it is about.
+func load(data []byte) ([]*monocle.Rule, error) {
+	var raw []json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, fmt.Errorf("parsing rules: %w", err)
 	}
-}
-
-func parseMatch(m map[string]string) (monocle.Match, error) {
-	out := monocle.MatchAll()
-	for name, val := range m {
-		f, ok := fieldByName[name]
-		if !ok {
-			return out, fmt.Errorf("unknown field %q", name)
+	rules := make([]*monocle.Rule, len(raw))
+	for i, msg := range raw {
+		var rs monocle.RuleSpec
+		if err := json.Unmarshal(msg, &rs); err != nil {
+			return nil, fmt.Errorf("rule %d: %w", i, err)
 		}
-		if (f == monocle.IPSrc || f == monocle.IPDst) && strings.Contains(val, "/") {
-			parts := strings.SplitN(val, "/", 2)
-			ip, err := parseIP(parts[0])
-			if err != nil {
-				return out, err
-			}
-			plen, err := strconv.Atoi(parts[1])
-			if err != nil {
-				return out, err
-			}
-			out = out.With(f, monocle.Prefix(f, ip, plen))
-			continue
-		}
-		var v uint64
-		var err error
-		if strings.Contains(val, ".") {
-			v, err = parseIP(val)
-		} else {
-			v, err = strconv.ParseUint(strings.TrimPrefix(val, "0x"), pickBase(val), 64)
-		}
+		r, err := rs.Rule()
 		if err != nil {
-			return out, fmt.Errorf("field %s: %v", name, err)
+			return nil, fmt.Errorf("rule %d: %w", i, err)
 		}
-		out = out.WithExact(f, v)
+		rules[i] = r
 	}
-	return out, nil
+	return rules, nil
 }
 
-func pickBase(s string) int {
-	if strings.HasPrefix(s, "0x") {
-		return 16
+// tableMiss parses the -miss flag.
+func tableMiss(s string) (monocle.TableMiss, error) {
+	switch s {
+	case "drop":
+		return monocle.MissDrop, nil
+	case "controller":
+		return monocle.MissController, nil
 	}
-	return 10
-}
-
-func parseIP(s string) (uint64, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bad IPv4 %q", s)
-	}
-	var v uint64
-	for _, p := range parts {
-		b, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return 0, err
-		}
-		v = v<<8 | b
-	}
-	return v, nil
-}
-
-func toRule(jr jsonRule) (*monocle.Rule, error) {
-	m, err := parseMatch(jr.Match)
-	if err != nil {
-		return nil, err
-	}
-	r := &monocle.Rule{ID: jr.ID, Priority: jr.Priority, Match: m}
-	for _, a := range jr.Actions {
-		switch {
-		case a.Output != nil:
-			r.Actions = append(r.Actions, monocle.Output(monocle.PortID(*a.Output)))
-		case len(a.ECMP) > 0:
-			ports := make([]monocle.PortID, len(a.ECMP))
-			for i, p := range a.ECMP {
-				ports[i] = monocle.PortID(p)
-			}
-			r.Actions = append(r.Actions, monocle.ECMP(ports...))
-		case a.Set != "":
-			f, ok := fieldByName[a.Set]
-			if !ok {
-				return nil, fmt.Errorf("unknown set field %q", a.Set)
-			}
-			r.Actions = append(r.Actions, monocle.SetField(f, a.Value))
-		default:
-			return nil, fmt.Errorf("empty action entry")
-		}
-	}
-	return r, r.Validate()
+	return 0, fmt.Errorf("-miss %q: want drop or controller", s)
 }
 
 func main() {
@@ -164,32 +91,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var jrs []jsonRule
-	if err := json.Unmarshal(data, &jrs); err != nil {
-		fatal(fmt.Errorf("parsing rules: %w", err))
-	}
-
-	opts := []monocle.Option{
-		monocle.WithProbeTag(*tag),
-		monocle.WithWorkers(*workers),
-	}
-	if *miss == "controller" {
-		opts = append(opts, monocle.WithTableMiss(monocle.MissController))
-	}
-	v, err := monocle.NewVerifier(opts...)
+	rules, err := load(data)
 	if err != nil {
 		fatal(err)
 	}
-	var rules []*monocle.Rule
-	for i, jr := range jrs {
-		r, err := toRule(jr)
-		if err != nil {
-			fatal(fmt.Errorf("rule %d: %w", i, err))
-		}
-		if err := v.Install(r); err != nil {
-			fatal(err)
-		}
-		rules = append(rules, r)
+	missMode, err := tableMiss(*miss)
+	if err != nil {
+		fatal(err)
+	}
+	v, err := monocle.NewVerifier(
+		monocle.WithProbeTag(*tag),
+		monocle.WithWorkers(*workers),
+		monocle.WithTableMiss(missMode),
+	)
+	if err != nil {
+		fatal(err)
+	}
+	if err := v.Install(rules...); err != nil {
+		fatal(err)
 	}
 
 	switch {

@@ -59,9 +59,6 @@ func Exact(f FieldID, v uint64) Ternary { return header.Exact(f, v) }
 // prefix style).
 func Prefix(f FieldID, v uint64, plen int) Ternary { return header.Prefix(f, v, plen) }
 
-// Wildcard returns the match-anything Ternary.
-func Wildcard() Ternary { return header.Wildcard() }
-
 // FieldWidth returns the bit width of field f.
 func FieldWidth(f FieldID) int { return header.Width(f) }
 

@@ -103,10 +103,14 @@
 //		fmt.Println(ev.Record()) // one JSON-able record per rule
 //	}
 //
-// The facade re-exports the vocabulary types callers genuinely need (Rule,
-// Match, Header, Probe, Verdict, statistics), the proxy Monitor layer used
-// by transport integrations such as cmd/monocle, the OpenFlow 1.0 wire
-// codec, the simulated testbed, and the paper's experiment harnesses. The
-// exported surface is locked by an API golden file (api_golden.txt) —
-// changing it is deliberate, reviewed work, not an accident.
+// The facade exports the monitor: the vocabulary types callers genuinely
+// need (Rule, Match, Header, Probe, Verdict, statistics), the drivers
+// that embed the proxy Monitor (ProxyBackend, ProxyGroup), the OpenFlow
+// 1.0 wire codec, and the SwitchServer the scenarios and the benchmark rig
+// run against. The lab that reproduces the paper's evaluation (the
+// in-process Monitor on a virtual clock, the simulated switches, the §8
+// experiment runners, the §6 coloring planner) stays internal; only
+// cmd/experiments and the lab examples import it. The exported surface is
+// locked by an API golden file (api_golden.txt) — changing it is
+// deliberate, reviewed work, not an accident.
 package monocle

@@ -8,21 +8,22 @@ import (
 	"flag"
 	"fmt"
 
-	"monocle"
+	"monocle/internal/coloring"
+	"monocle/internal/topo"
 )
 
 func main() {
 	n := flag.Int("n", 120, "switches in the generated WAN topology")
 	flag.Parse()
 
-	tp := monocle.Waxman(*n, 0.4, 0.15, 42)
+	tp := topo.Waxman(*n, 0.4, 0.15, 42)
 	g := tp.Graph
 	fmt.Printf("topology %s: %d switches, %d links, max degree %d\n\n",
 		tp.Name, g.N, g.Edges(), g.MaxDegree())
 
-	no := monocle.NoColoring(g)
-	s1 := monocle.PlanStrategy1(g, 2_000_000)
-	s2 := monocle.PlanStrategy2(g, 2_000_000)
+	no := coloring.NoColoring(g)
+	s1 := coloring.PlanStrategy1(g, 2_000_000)
+	s2 := coloring.PlanStrategy2(g, 2_000_000)
 
 	fmt.Printf("reserved probe-tag values needed:\n")
 	fmt.Printf("  no coloring (one id per switch): %s\n", no)
@@ -32,10 +33,10 @@ func main() {
 	fmt.Printf("\nwith strategy 1, every switch installs %d catching rules\n", s1.Values-1)
 	fmt.Printf("(one per reserved value other than its own color)\n")
 
-	if !monocle.ValidColoring(g, s1.Colors) {
+	if !coloring.Valid(g, s1.Colors) {
 		panic("invalid strategy-1 coloring")
 	}
-	if !monocle.ValidColoring(g.Square(), s2.Colors) {
+	if !coloring.Valid(g.Square(), s2.Colors) {
 		panic("invalid strategy-2 coloring")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"flag"
 	"fmt"
 
-	"monocle"
+	"monocle/internal/experiments"
 )
 
 func main() {
@@ -17,8 +17,8 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("rerouting %d flows (300 pkt/s each) via an inconsistent switch\n\n", *flows)
-	results := monocle.DefaultFigure5(*flows)
-	fmt.Print(monocle.FormatFigure5(results))
+	results := experiments.DefaultFigure5(*flows)
+	fmt.Print(experiments.FormatFigure5(results))
 	fmt.Println("\nper-flow detail (first 5 flows, HP/Monocle run):")
 	for _, r := range results {
 		if r.Mode != "Monocle" || r.Switch != "HP 5406zl" {

@@ -8,7 +8,7 @@ import (
 	"flag"
 	"fmt"
 
-	"monocle"
+	"monocle/internal/experiments"
 )
 
 func main() {
@@ -17,8 +17,8 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("monitoring %d rules at 500 probes/s; injecting failures (%d reps)\n\n", *rules, *reps)
-	cfg := monocle.DefaultFigure4(*reps)
+	cfg := experiments.DefaultFigure4(*reps)
 	cfg.Rules = *rules
-	res := monocle.RunFigure4(cfg)
-	fmt.Print(monocle.FormatFigure4(res))
+	res := experiments.RunFigure4(cfg)
+	fmt.Print(experiments.FormatFigure4(res))
 }

@@ -1,5 +1,7 @@
-// Quickstart: the smallest end-to-end Monocle scenario, all in-process,
-// importing only the public `monocle` package.
+// Quickstart: the smallest end-to-end Monocle scenario, all in-process.
+// It drives the internal proxy Monitor on simulated switches and a
+// virtual clock; the public `monocle` package supplies the OpenFlow
+// messages and match builders.
 //
 // A monitored switch S2 sits between S1 and S3 (the catchers). A
 // controller installs three forwarding rules through the Monocle proxy,
@@ -15,36 +17,41 @@ import (
 	"time"
 
 	"monocle"
+	imon "monocle/internal/monocle"
+	"monocle/internal/sim"
+	"monocle/internal/switchsim"
 )
 
 func main() {
-	s := monocle.NewSim()
-	mux := monocle.NewMultiplexer()
+	s := sim.New()
+	mux := imon.NewMultiplexer()
 
 	// Line topology: S1 <-> S2 <-> S3.
-	sw := make([]*monocle.SimSwitch, 4) // 1-indexed
+	sw := make([]*switchsim.Switch, 4) // 1-indexed
 	for i := 1; i <= 3; i++ {
-		sw[i] = monocle.NewSimSwitch(uint32(i), s, monocle.ProfileHP5406zl(), int64(i))
+		sw[i] = switchsim.New(uint32(i), s, switchsim.HP5406zl(), int64(i))
 	}
-	monocle.ConnectSwitches(sw[1], 1, sw[2], 1, 100*time.Microsecond)
-	monocle.ConnectSwitches(sw[2], 2, sw[3], 1, 100*time.Microsecond)
+	switchsim.Connect(sw[1], 1, sw[2], 1, 100*time.Microsecond)
+	switchsim.Connect(sw[2], 2, sw[3], 1, 100*time.Microsecond)
 
 	// Monitors: every switch gets one (neighbours act as probe catchers).
-	mons := make([]*monocle.Monitor, 4)
+	mons := make([]*imon.Monitor, 4)
 	peers := map[int]map[monocle.PortID]uint32{
 		1: {1: 2}, 2: {1: 1, 2: 3}, 3: {1: 2},
 	}
+	ports := map[int][]monocle.PortID{1: {1}, 2: {1, 2}, 3: {1}}
 	for i := 1; i <= 3; i++ {
-		cfg := monocle.NewMonitorConfig(uint32(i), monocle.WithPeers(peers[i]))
+		cfg := imon.DefaultConfig(uint32(i))
+		cfg.PortPeer, cfg.Ports = peers[i], ports[i]
 		if i == 2 {
-			cfg.OnAlarm = func(ruleID uint64, at monocle.Time) {
+			cfg.OnAlarm = func(ruleID uint64, at sim.Time) {
 				fmt.Printf("[%8v] ALARM: rule %d missing from the data plane!\n", at.Round(time.Millisecond), ruleID)
 			}
-			cfg.OnRuleConfirmed = func(ruleID uint64, at monocle.Time) {
+			cfg.OnRuleConfirmed = func(ruleID uint64, at sim.Time) {
 				fmt.Printf("[%8v] confirmed: rule %d verified in the data plane\n", at.Round(time.Millisecond), ruleID)
 			}
 		}
-		mon := monocle.NewMonitor(s, cfg)
+		mon := imon.New(s, cfg)
 		mux.Register(mon)
 		mons[i] = mon
 		this := sw[i]

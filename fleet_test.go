@@ -14,6 +14,8 @@ import (
 
 	"monocle"
 	"monocle/internal/dataset"
+	imon "monocle/internal/monocle"
+	"monocle/internal/sim"
 )
 
 // fleetProfile builds switch id's table variant (deterministic per id).
@@ -268,14 +270,14 @@ func TestResultRecordJSON(t *testing.T) {
 // concurrent Register and RouteCaught (to absent owners) must be safe,
 // and Monitors() must iterate deterministically by switch id.
 func TestMultiplexerConcurrentUse(t *testing.T) {
-	mux := monocle.NewMultiplexer()
-	s := monocle.NewSim()
+	mux := imon.NewMultiplexer()
+	s := sim.New()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mon := monocle.NewMonitor(s, monocle.NewMonitorConfig(uint32(8-i)))
+			mon := imon.New(s, imon.DefaultConfig(uint32(8-i)))
 			mux.Register(mon)
 		}(i)
 		wg.Add(1)

@@ -436,7 +436,7 @@ func (p *parser) parseAtom() (Pred, *Error) {
 		}
 		return &IntPred{Subject: subject, Op: op.text, Value: v}, nil
 	}
-	f, ok := fieldIDs[t.text]
+	f, ok := header.FieldByName(t.text)
 	if !ok {
 		return nil, errAt(t, fmt.Sprintf("unknown field %q (known: %s)", t.text, strings.Join(FieldNames(), ", ")))
 	}
@@ -451,9 +451,9 @@ func (p *parser) parseAtom() (Pred, *Error) {
 		if slash < 0 {
 			return nil, errAt(ct, fmt.Sprintf("expected CIDR (addr/len), got %q", ct.text))
 		}
-		v, perr := parseFieldValue(f, ct.text[:slash])
-		if perr != "" {
-			return nil, errAt(ct, perr)
+		v, err := header.ParseValue(f, ct.text[:slash])
+		if err != nil {
+			return nil, errAt(ct, err.Error())
 		}
 		width := header.Width(f)
 		plen, err := strconv.Atoi(ct.text[slash+1:])
@@ -467,42 +467,12 @@ func (p *parser) parseAtom() (Pred, *Error) {
 		if vt.kind != tokWord {
 			return nil, errAt(vt, fmt.Sprintf("expected value, got %s", vt))
 		}
-		v, perr := parseFieldValue(f, vt.text)
-		if perr != "" {
-			return nil, errAt(vt, perr)
+		v, err := header.ParseValue(f, vt.text)
+		if err != nil {
+			return nil, errAt(vt, err.Error())
 		}
 		return &FieldPred{Field: f, Tern: header.Ternary{Value: v, Mask: header.WidthMask(f)}}, nil
 	default:
 		return nil, errAt(op, fmt.Sprintf("expected 'in' or '=' after field %q, got %s", t.text, op))
 	}
-}
-
-// parseFieldValue parses a field literal: dotted quad (IP fields and any
-// 32-bit use), 0x-prefixed hex, or decimal. Returns a message instead of
-// an error so the caller attaches the token position.
-func parseFieldValue(f header.FieldID, s string) (uint64, string) {
-	var v uint64
-	if strings.Count(s, ".") == 3 {
-		for i, part := range strings.SplitN(s, ".", 4) {
-			b, err := strconv.ParseUint(part, 10, 8)
-			if err != nil {
-				return 0, fmt.Sprintf("bad address %q", s)
-			}
-			v |= b << uint(24-8*i)
-		}
-	} else {
-		var err error
-		if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-			v, err = strconv.ParseUint(s[2:], 16, 64)
-		} else {
-			v, err = strconv.ParseUint(s, 10, 64)
-		}
-		if err != nil {
-			return 0, fmt.Sprintf("bad value %q", s)
-		}
-	}
-	if v&^header.WidthMask(f) != 0 {
-		return 0, fmt.Sprintf("value %q does not fit %s (%d bits)", s, f, header.Width(f))
-	}
-	return v, ""
 }

@@ -484,20 +484,11 @@ func PredString(p Pred) string {
 	return b.String()
 }
 
-// fieldIDs maps OpenFlow field names to IDs for the parser.
-var fieldIDs = func() map[string]header.FieldID {
-	m := make(map[string]header.FieldID, int(header.NumFields))
-	for f := header.FieldID(0); f < header.NumFields; f++ {
-		m[f.String()] = f
-	}
-	return m
-}()
-
 // FieldNames returns the header-field names the grammar accepts, sorted.
 func FieldNames() []string {
-	names := make([]string, 0, len(fieldIDs))
-	for n := range fieldIDs {
-		names = append(names, n)
+	names := make([]string, 0, int(header.NumFields))
+	for f := header.FieldID(0); f < header.NumFields; f++ {
+		names = append(names, f.String())
 	}
 	sort.Strings(names)
 	return names

@@ -1,52 +1,10 @@
 package monocle
 
-// Evaluation-harness re-exports: the paper's experiment runners (§8), the
-// catching-rule coloring planner (§6), the topology generators, and the
-// synthetic ACL datasets. They let user programs (and the bundled
-// examples) rerun the paper's evaluation through the public API alone.
+// Synthetic ACL datasets: the Stanford-backbone-like rule-set family of
+// Table 2, used by the benchmark rig and the fleet-sweep example to build
+// realistic flow tables.
 
-import (
-	"monocle/internal/coloring"
-	"monocle/internal/dataset"
-	"monocle/internal/experiments"
-	"monocle/internal/topo"
-)
-
-// Graph is an undirected graph over switches 0..N-1 (coloring input).
-type Graph = coloring.Graph
-
-// ColoringAssignment is the result of planning reserved probe-tag values
-// for one topology and strategy.
-type ColoringAssignment = coloring.Assignment
-
-// Topology is a named graph from one of the generator families.
-type Topology = topo.Topology
-
-// NewGraph returns an edgeless graph on n vertices.
-func NewGraph(n int) *Graph { return coloring.NewGraph(n) }
-
-// Waxman generates a Waxman random WAN-like topology.
-func Waxman(n int, alpha, beta float64, seed int64) Topology {
-	return topo.Waxman(n, alpha, beta, seed)
-}
-
-// NoColoring is the baseline assignment: one reserved value per switch.
-func NoColoring(g *Graph) ColoringAssignment { return coloring.NoColoring(g) }
-
-// PlanStrategy1 plans reserved values for single-field probe tagging: a
-// proper coloring of the topology graph (§6).
-func PlanStrategy1(g *Graph, budget int64) ColoringAssignment {
-	return coloring.PlanStrategy1(g, budget)
-}
-
-// PlanStrategy2 plans reserved values for two-field probe tagging: a
-// proper coloring of the square graph (§6).
-func PlanStrategy2(g *Graph, budget int64) ColoringAssignment {
-	return coloring.PlanStrategy2(g, budget)
-}
-
-// ValidColoring reports whether colors is a proper coloring of g.
-func ValidColoring(g *Graph, colors []int) bool { return coloring.Valid(g, colors) }
+import "monocle/internal/dataset"
 
 // DatasetProfile parameterizes one synthetic ACL rule-set family.
 type DatasetProfile = dataset.Profile
@@ -54,122 +12,6 @@ type DatasetProfile = dataset.Profile
 // StanfordDataset is the Stanford-backbone-like ACL profile (Table 2).
 func StanfordDataset() DatasetProfile { return dataset.Stanford() }
 
-// CampusDataset is the campus-network-like ACL profile (Table 2).
-func CampusDataset() DatasetProfile { return dataset.Campus() }
-
 // GenerateDataset builds the profile's flow table and returns it with its
 // rules (deterministic for a given profile).
 func GenerateDataset(p DatasetProfile) (*Table, []*Rule) { return dataset.Generate(p) }
-
-// Experiment configuration and result rows (§8 figures and tables).
-type (
-	// Table2Config parameterizes the per-rule generation-latency table.
-	Table2Config = experiments.Table2Config
-	// Table2Row is one dataset row of Table 2.
-	Table2Row = experiments.Table2Row
-	// Table2SweepRow is one whole-table incremental-sweep row.
-	Table2SweepRow = experiments.Table2SweepRow
-	// Figure4Config parameterizes the steady-state detection experiment.
-	Figure4Config = experiments.Figure4Config
-	// Figure4Scenario is one failure scenario of Figure 4.
-	Figure4Scenario = experiments.Figure4Scenario
-	// Figure4Result carries the detection-latency CDF series.
-	Figure4Result = experiments.Figure4Result
-	// Figure5Config parameterizes the consistent-update experiment.
-	Figure5Config = experiments.Figure5Config
-	// Figure5Flow is one rerouted flow's timeline.
-	Figure5Flow = experiments.Figure5Flow
-	// Figure5Result is one (switch, mode) consistent-update run.
-	Figure5Result = experiments.Figure5Result
-	// Figure6Point is one PacketOut:FlowMod interference measurement.
-	Figure6Point = experiments.Figure6Point
-	// Figure7Point is one PacketIn interference measurement.
-	Figure7Point = experiments.Figure7Point
-	// SwitchRatesRow is one switch's standalone message-rate row.
-	SwitchRatesRow = experiments.SwitchRatesRow
-	// Figure8Config parameterizes the batched FatTree update experiment.
-	Figure8Config = experiments.Figure8Config
-	// Figure8Result is one batched-update run.
-	Figure8Result = experiments.Figure8Result
-	// Figure9Row is one topology's coloring result.
-	Figure9Row = experiments.Figure9Row
-	// Figure9Result is a corpus of coloring results.
-	Figure9Result = experiments.Figure9Result
-)
-
-// RunTable2 measures per-rule probe-generation latency on the synthetic
-// ACL datasets.
-func RunTable2(cfg Table2Config) []Table2Row { return experiments.RunTable2(cfg) }
-
-// FormatTable2 renders Table 2 rows.
-func FormatTable2(rows []Table2Row) string { return experiments.FormatTable2(rows) }
-
-// RunTable2Sweep measures whole-table sweeps through the incremental
-// engine (limit 0 = full tables, parallelism 0 = all CPUs).
-func RunTable2Sweep(limit, parallelism int) []Table2SweepRow {
-	return experiments.RunTable2Sweep(limit, parallelism)
-}
-
-// FormatTable2Sweep renders incremental-sweep rows.
-func FormatTable2Sweep(rows []Table2SweepRow) string { return experiments.FormatTable2Sweep(rows) }
-
-// DefaultFigure4 returns the paper's Figure 4 configuration at the given
-// repetition count.
-func DefaultFigure4(reps int) Figure4Config { return experiments.DefaultFigure4(reps) }
-
-// RunFigure4 runs the steady-state failure-detection experiment.
-func RunFigure4(cfg Figure4Config) Figure4Result { return experiments.RunFigure4(cfg) }
-
-// FormatFigure4 renders the detection-latency CDFs.
-func FormatFigure4(r Figure4Result) string { return experiments.FormatFigure4(r) }
-
-// DefaultFigure5 runs the consistent-update experiment across the
-// paper's switch profiles and modes.
-func DefaultFigure5(flows int) []Figure5Result { return experiments.DefaultFigure5(flows) }
-
-// RunFigure5 runs one consistent-update configuration.
-func RunFigure5(cfg Figure5Config) Figure5Result { return experiments.RunFigure5(cfg) }
-
-// FormatFigure5 renders consistent-update results.
-func FormatFigure5(results []Figure5Result) string { return experiments.FormatFigure5(results) }
-
-// RunFigure6 sweeps the PacketOut:FlowMod interference matrix.
-func RunFigure6() []Figure6Point { return experiments.RunFigure6() }
-
-// FormatFigure6 renders the PacketOut interference matrix.
-func FormatFigure6(points []Figure6Point) string { return experiments.FormatFigure6(points) }
-
-// RunFigure7 sweeps the PacketIn interference matrix.
-func RunFigure7() []Figure7Point { return experiments.RunFigure7() }
-
-// FormatFigure7 renders the PacketIn interference matrix.
-func FormatFigure7(points []Figure7Point) string { return experiments.FormatFigure7(points) }
-
-// RunSwitchRates measures each profile's standalone message rates.
-func RunSwitchRates() []SwitchRatesRow { return experiments.RunSwitchRates() }
-
-// FormatSwitchRates renders the standalone rate table.
-func FormatSwitchRates(rows []SwitchRatesRow) string { return experiments.FormatSwitchRates(rows) }
-
-// DefaultFigure8 runs the batched FatTree update experiment with and
-// without Monocle.
-func DefaultFigure8(paths int) []Figure8Result { return experiments.DefaultFigure8(paths) }
-
-// RunFigure8 runs one batched-update configuration.
-func RunFigure8(cfg Figure8Config) Figure8Result { return experiments.RunFigure8(cfg) }
-
-// FormatFigure8 renders batched-update results.
-func FormatFigure8(results []Figure8Result) string { return experiments.FormatFigure8(results) }
-
-// RunFigure9Zoo colors the Topology-Zoo-like corpus (§8.2).
-func RunFigure9Zoo(budget int64, limit int) Figure9Result {
-	return experiments.RunFigure9Zoo(budget, limit)
-}
-
-// RunFigure9Rocketfuel colors the Rocketfuel-like corpus (§8.2).
-func RunFigure9Rocketfuel(budget int64, limit int) Figure9Result {
-	return experiments.RunFigure9Rocketfuel(budget, limit)
-}
-
-// FormatFigure9 renders a coloring corpus's summary.
-func FormatFigure9(r Figure9Result) string { return experiments.FormatFigure9(r) }

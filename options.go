@@ -1,7 +1,7 @@
 package monocle
 
-// Functional options shared by Verifier, Fleet, and the Monitor-config
-// helper. Options the receiving constructor does not use are ignored, so
+// Functional options shared by Verifier, Fleet, Service and the proxy
+// driver. Options the receiving constructor does not use are ignored, so
 // one option list can parameterize a whole deployment.
 
 import (
@@ -12,8 +12,8 @@ import (
 	"monocle/internal/probe"
 )
 
-// Option configures a Verifier, a Fleet, or a MonitorConfig built through
-// NewMonitorConfig.
+// Option configures a Verifier, a Fleet, a Service, or the Monitor a
+// ProxyBackend embeds.
 type Option func(*settings)
 
 // settings is the resolved option set.
@@ -101,7 +101,7 @@ func WithPorts(ports ...PortID) Option {
 
 // WithPeers maps each switch port to the switch id of the neighbour
 // reachable over it (the downstream probe catcher); ports without entries
-// are edge ports. Used by NewMonitorConfig; it also implies WithPorts
+// are edge ports. Used by NewProxyBackend; it also implies WithPorts
 // (ports sorted ascending, so probe generation stays deterministic no
 // matter the map's iteration order).
 func WithPeers(peers map[PortID]uint32) Option {

@@ -17,10 +17,6 @@ type Probe = probe.Probe
 // two hypotheses.
 type Outcome = probe.Outcome
 
-// ProbeStats captures per-probe generation metrics (instance size and
-// solver effort).
-type ProbeStats = probe.Stats
-
 // ProbeResult is the outcome of generating a probe for one rule of a
 // table: the rule, the probe (nil on error), and the error, if any.
 type ProbeResult = probe.Result

@@ -23,6 +23,8 @@ import (
 	"time"
 
 	"monocle"
+	"monocle/internal/sim"
+	"monocle/internal/switchsim"
 )
 
 // tcpSimSwitch is an in-process TCP OpenFlow switch backed by a
@@ -140,8 +142,8 @@ func (s *tcpSimSwitch) catchFrame(port monocle.PortID, f monocle.Frame) {
 // switch back, data-plane faults and all, exactly like real hardware
 // surviving a monitor restart.
 func (s *tcpSimSwitch) serve(id uint32) {
-	clock := monocle.NewSim()
-	sw := monocle.NewSimSwitch(id, clock, monocle.ProfileIdeal(), int64(id))
+	clock := sim.New()
+	sw := switchsim.New(id, clock, switchsim.Ideal(), int64(id))
 	sw.ToController = func(msg monocle.Message, xid uint32) { s.write(msg, xid) }
 	// Collapse the downstream catchers: a frame emitted on any physical
 	// port goes to the configured deliverer (a neighbour harness, for
@@ -149,7 +151,7 @@ func (s *tcpSimSwitch) serve(id uint32) {
 	// PacketIn, as a catching rule would deliver it.
 	for _, p := range s.ports {
 		port := p
-		monocle.ConnectHost(sw, port, 0, func(f monocle.Frame) {
+		switchsim.ConnectHost(sw, port, 0, func(f monocle.Frame) {
 			if s.deliver != nil {
 				s.deliver(port, f)
 				return
@@ -184,7 +186,7 @@ func (s *tcpSimSwitch) serve(id uint32) {
 	}()
 	start := time.Now()
 	for {
-		clock.RunUntil(monocle.Time(time.Since(start)))
+		clock.RunUntil(sim.Time(time.Since(start)))
 		select {
 		case <-s.done:
 			return
@@ -210,7 +212,7 @@ func (s *tcpSimSwitch) serve(id uint32) {
 			sw.HealRule(id)
 			s.healDone <- struct{}{}
 		case fn := <-msgs:
-			clock.RunUntil(monocle.Time(time.Since(start)))
+			clock.RunUntil(sim.Time(time.Since(start)))
 			fn()
 		case <-time.After(time.Millisecond):
 		}
@@ -219,7 +221,7 @@ func (s *tcpSimSwitch) serve(id uint32) {
 
 // readConn pumps one proxy connection's messages onto the event loop,
 // returning (without tearing anything down) when the connection drops.
-func (s *tcpSimSwitch) readConn(conn net.Conn, sw *monocle.SimSwitch, msgs chan func()) {
+func (s *tcpSimSwitch) readConn(conn net.Conn, sw *switchsim.Switch, msgs chan func()) {
 	for {
 		msg, xid, err := monocle.ReadMessage(conn)
 		if err != nil {

@@ -23,6 +23,7 @@ import (
 
 	"monocle/internal/chaos"
 	"monocle/internal/netx"
+	"monocle/internal/switchsim"
 )
 
 // Scenario is one adversarial robustness scenario: a scripted failure
@@ -591,7 +592,7 @@ func Scenarios() []Scenario {
 			Description: "a slow switch profile whose data plane starts eating every probe: every monitorable rule alerts, then recovers, exactly once each",
 			run: func(e *scenarioEnv) error {
 				e.service(WithDetectionTimeout(150 * time.Millisecond))
-				srv, err := e.addSwitch(1, ProfileDellS4810(), 1, 2, 3, 4)
+				srv, err := e.addSwitch(1, switchsim.DellS4810(), 1, 2, 3, 4)
 				if err != nil {
 					return err
 				}

@@ -218,8 +218,9 @@ type RuleSpec struct {
 	ID       uint64 `json:"id"`
 	Priority int    `json:"priority"`
 	// Match maps OpenFlow 1.0 field names (dl_type, nw_src, ...) to
-	// values: decimal or 0x-hex integers, dotted quads, and
-	// value/prefixlen prefixes (nw_src/nw_dst style).
+	// values: decimal or 0x-hex integers, dotted quads, value/prefixlen
+	// prefixes (nw_src/nw_dst style) and value&mask ternaries. A value or
+	// mask wider than its field is an error.
 	Match   map[string]string `json:"match,omitempty"`
 	Actions []ActionSpec      `json:"actions,omitempty"`
 }
@@ -703,7 +704,7 @@ func (s *Service) InstallRules(id uint32, rules ...*Rule) error {
 func (s *Service) InstallRuleSpecs(id uint32, specs ...RuleSpec) error {
 	rules := make([]*Rule, len(specs))
 	for i := range specs {
-		r, err := specs[i].rule()
+		r, err := specs[i].Rule()
 		if err != nil {
 			return err
 		}
@@ -769,7 +770,7 @@ func (s *Service) applyRule(ctx context.Context, id uint32, op RuleOp) (UpdateRe
 		if op.Rule == nil {
 			return UpdateReply{}, fmt.Errorf("monocle: add needs a rule")
 		}
-		r, err := op.Rule.rule()
+		r, err := op.Rule.Rule()
 		if err != nil {
 			return UpdateReply{}, err
 		}
@@ -1439,7 +1440,7 @@ func (s *Service) Resume(ctx context.Context) error {
 		if len(st.Rules) > 0 {
 			rules := make([]*Rule, 0, len(st.Rules))
 			for i := range st.Rules {
-				r, err := st.Rules[i].rule()
+				r, err := st.Rules[i].Rule()
 				if err != nil {
 					errs = append(errs, fmt.Errorf("switch %d rule %d: %w", id, st.Rules[i].ID, err))
 					continue
@@ -1571,20 +1572,40 @@ func (s *Service) switchMetrics(id uint32, v *Verifier) SwitchMetrics {
 //	                          WAL receives no traffic
 //	GET  /metrics             ServiceMetrics (JSON; Prometheus text with
 //	                          Accept: text/plain)
-func (s *Service) Handler() http.Handler {
+func (s *Service) Handler() http.Handler { return mountRoutes(s) }
+
+// routeHandlers is the HTTP surface a Service and a Coordinator both
+// serve, one method per route: a route added to mountRoutes does not
+// compile until both implement it.
+type routeHandlers interface {
+	handleAddSwitch(http.ResponseWriter, *http.Request)
+	handleListSwitches(http.ResponseWriter, *http.Request)
+	handleRules(http.ResponseWriter, *http.Request)
+	handleSweep(http.ResponseWriter, *http.Request)
+	handleGetPolicy(http.ResponseWriter, *http.Request)
+	handlePutPolicy(http.ResponseWriter, *http.Request)
+	handleSweeps(http.ResponseWriter, *http.Request)
+	handleAlerts(http.ResponseWriter, *http.Request)
+	handleHealthz(http.ResponseWriter, *http.Request)
+	handleReadyz(http.ResponseWriter, *http.Request)
+	handleMetrics(http.ResponseWriter, *http.Request)
+}
+
+// mountRoutes returns a mux serving the shared route table on h.
+func mountRoutes(h routeHandlers) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /switches", s.handleAddSwitch)
-	mux.HandleFunc("GET /switches", s.handleListSwitches)
-	mux.HandleFunc("POST /switches/{id}/rules", s.handleRules)
-	mux.HandleFunc("POST /sweep", s.handleSweepNow)
-	mux.HandleFunc("GET /policy", s.handleGetPolicy)
-	mux.HandleFunc("PUT /policy", s.handlePutPolicy)
-	mux.HandleFunc("GET /sweeps", s.handleSweeps)
-	mux.HandleFunc("GET /alerts", s.handleAlerts)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("POST /switches", h.handleAddSwitch)
+	mux.HandleFunc("GET /switches", h.handleListSwitches)
+	mux.HandleFunc("POST /switches/{id}/rules", h.handleRules)
+	mux.HandleFunc("POST /sweep", h.handleSweep)
+	mux.HandleFunc("GET /policy", h.handleGetPolicy)
+	mux.HandleFunc("PUT /policy", h.handlePutPolicy)
+	mux.HandleFunc("GET /sweeps", h.handleSweeps)
+	mux.HandleFunc("GET /alerts", h.handleAlerts)
+	mux.HandleFunc("GET /healthz", h.handleHealthz)
 	mux.HandleFunc("GET /livez", handleLivez)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /readyz", h.handleReadyz)
+	mux.HandleFunc("GET /metrics", h.handleMetrics)
 	return mux
 }
 
@@ -1643,7 +1664,7 @@ func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
-func (s *Service) handleSweepNow(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Deliberately not the request context: a client disconnect mid-sweep
 	// would abort the round, and an operator-requested sweep should
 	// complete once started.
@@ -1972,20 +1993,11 @@ func writeJSONLines[T any](w http.ResponseWriter, items []T) {
 	}
 }
 
-// fieldIDs maps OpenFlow 1.0 field names to FieldIDs.
-var fieldIDs = func() map[string]FieldID {
-	m := make(map[string]FieldID, NumFields)
-	for f := FieldID(0); f < NumFields; f++ {
-		m[f.String()] = f
-	}
-	return m
-}()
-
-// rule builds the flow rule a RuleSpec describes.
-func (rs *RuleSpec) rule() (*Rule, error) {
+// Rule builds and validates the flow rule a RuleSpec describes.
+func (rs *RuleSpec) Rule() (*Rule, error) {
 	m := MatchAll()
 	for name, val := range rs.Match {
-		f, ok := fieldIDs[name]
+		f, ok := header.FieldByName(name)
 		if !ok {
 			return nil, fmt.Errorf("monocle: unknown match field %q", name)
 		}
@@ -2012,7 +2024,7 @@ func actionList(specs []ActionSpec) ([]Action, error) {
 	for _, a := range specs {
 		switch {
 		case a.Set != nil:
-			f, ok := fieldIDs[a.Set.Field]
+			f, ok := header.FieldByName(a.Set.Field)
 			if !ok {
 				return nil, fmt.Errorf("monocle: unknown set field %q", a.Set.Field)
 			}
@@ -2048,25 +2060,22 @@ func cloneActions(actions []Action) []Action {
 // parseTernary parses one match value: "5", "0x800", "10.0.0.0",
 // "10.0.0.0/8", "value/prefixlen", or "value&mask" (an arbitrary ternary
 // mask — the persisted form of matches that are neither exact nor
-// prefix).
+// prefix). Values and masks follow header.ParseValue: wider than the
+// field is an error, never truncated.
 func parseTernary(f FieldID, s string) (Ternary, error) {
 	if valPart, maskPart, hasMask := strings.Cut(s, "&"); hasMask {
-		v, err := parseFieldValue(valPart)
+		v, err := header.ParseValue(f, valPart)
 		if err != nil {
 			return Ternary{}, fmt.Errorf("monocle: field %s: %w", f, err)
 		}
-		m, err := parseFieldValue(maskPart)
+		m, err := header.ParseValue(f, maskPart)
 		if err != nil {
 			return Ternary{}, fmt.Errorf("monocle: field %s: bad mask: %w", f, err)
-		}
-		full := header.WidthMask(f)
-		if m&^full != 0 {
-			return Ternary{}, fmt.Errorf("monocle: field %s: mask 0x%x wider than the field", f, m)
 		}
 		return Ternary{Value: v & m, Mask: m}, nil
 	}
 	valPart, plenPart, hasPlen := strings.Cut(s, "/")
-	v, err := parseFieldValue(valPart)
+	v, err := header.ParseValue(f, valPart)
 	if err != nil {
 		return Ternary{}, fmt.Errorf("monocle: field %s: %w", f, err)
 	}
@@ -2078,24 +2087,4 @@ func parseTernary(f FieldID, s string) (Ternary, error) {
 		return Ternary{}, fmt.Errorf("monocle: field %s: bad prefix length %q", f, plenPart)
 	}
 	return Prefix(f, v, plen), nil
-}
-
-// parseFieldValue parses a decimal/0x-hex integer or an IPv4 dotted quad.
-func parseFieldValue(s string) (uint64, error) {
-	if strings.Contains(s, ".") {
-		parts := strings.Split(s, ".")
-		if len(parts) != 4 {
-			return 0, fmt.Errorf("bad dotted quad %q", s)
-		}
-		var v uint64
-		for _, p := range parts {
-			o, err := strconv.ParseUint(p, 10, 8)
-			if err != nil {
-				return 0, fmt.Errorf("bad dotted quad %q", s)
-			}
-			v = v<<8 | o
-		}
-		return v, nil
-	}
-	return strconv.ParseUint(s, 0, 64)
 }

@@ -7,10 +7,14 @@ package monocle
 // action specs. The target asserts the parser never panics, that every
 // accepted rule revalidates, that parsing is deterministic, and that
 // accepted match values stay inside their field's width (an out-of-width
-// exact value would silently match the wrong packets).
+// exact value would silently match the wrong packets). An accepted exact
+// literal must install exactly the value it spells: a parser that
+// truncates or reads a leading zero as octal fails here.
 
 import (
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -34,6 +38,12 @@ func FuzzRuleSpec(f *testing.F) {
 		`{"op":"add","rule":{"match":{"dl_src":"0x001122334455/12"}}}`,
 		`{"op":"add","rule":{"actions":[{}]}}`,
 		`{"op":"add","rule":{"actions":[{"set":{"field":"warp","value":1}}]}}`,
+		// Literals wider than their field, and non-decimal integer syntax.
+		`{"op":"add","rule":{"match":{"tp_dst":"010"},"actions":[{"output":1}]}}`,
+		`{"op":"add","rule":{"match":{"tp_dst":"70000"},"actions":[{"output":1}]}}`,
+		`{"op":"add","rule":{"match":{"tp_dst":"1.2.3.4"},"actions":[{"output":1}]}}`,
+		`{"op":"add","rule":{"match":{"tp_dst":"0b101"},"actions":[{"output":1}]}}`,
+		`{"op":"add","rule":{"match":{"tp_dst":"1_000"},"actions":[{"output":1}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -49,8 +59,8 @@ func FuzzRuleSpec(f *testing.F) {
 		if op.Rule == nil {
 			return
 		}
-		r1, err1 := op.Rule.rule()
-		r2, err2 := op.Rule.rule()
+		r1, err1 := op.Rule.Rule()
+		r2, err2 := op.Rule.Rule()
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("nondeterministic parse: %v vs %v", err1, err2)
 		}
@@ -64,6 +74,19 @@ func FuzzRuleSpec(f *testing.F) {
 			t.Fatalf("accepted rule fails validation: %v (spec %s)", err, data)
 		}
 		for f := FieldID(0); f < NumFields; f++ {
+			lit, ok := op.Rule.Match[f.String()]
+			if !ok || strings.ContainsAny(lit, "/&") {
+				continue
+			}
+			want, ok := literalValue(lit)
+			if !ok {
+				t.Fatalf("accepted %s literal %q is not decimal, 0x hex or a dotted quad (spec %s)", f, lit, data)
+			}
+			if got := r1.Match[f]; got != Exact(f, want) || got.Value != want {
+				t.Fatalf("literal %s=%q installed %+v, want exact value %d (spec %s)", f, lit, got, want, data)
+			}
+		}
+		for f := FieldID(0); f < NumFields; f++ {
 			tern := r1.Match[f]
 			mask := uint64(1)<<FieldWidth(f) - 1
 			if FieldWidth(f) == 64 {
@@ -75,6 +98,29 @@ func FuzzRuleSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// literalValue is the fuzz oracle for an exact match literal: the value a
+// decimal, 0x-hex or dotted-quad spelling denotes, independent of the
+// field it is matched against.
+func literalValue(lit string) (uint64, bool) {
+	if parts := strings.Split(lit, "."); len(parts) == 4 {
+		var v uint64
+		for _, p := range parts {
+			o, err := strconv.ParseUint(p, 10, 8)
+			if err != nil {
+				return 0, false
+			}
+			v = v<<8 | o
+		}
+		return v, true
+	}
+	if hex, ok := strings.CutPrefix(strings.ToLower(lit), "0x"); ok {
+		v, err := strconv.ParseUint(hex, 16, 64)
+		return v, err == nil
+	}
+	v, err := strconv.ParseUint(lit, 10, 64)
+	return v, err == nil
 }
 
 // FuzzSwitchTag: the probe tag rides in dl_vlan, so a switch spec either

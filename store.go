@@ -367,7 +367,7 @@ func (fs *FileStore) Close() error {
 }
 
 // ruleSpecs converts installed rules back to their JSON wire form — the
-// inverse of RuleSpec.rule() — so expected-table snapshots round-trip
+// inverse of RuleSpec.Rule — so expected-table snapshots round-trip
 // through the store bit-identically.
 func ruleSpecs(rules []*Rule) []RuleSpec {
 	out := make([]RuleSpec, 0, len(rules))

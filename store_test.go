@@ -299,7 +299,7 @@ func TestRuleSpecRoundTrip(t *testing.T) {
 	}
 	for _, r := range rules {
 		spec := ruleSpec(r)
-		back, err := spec.rule()
+		back, err := spec.Rule()
 		if err != nil {
 			t.Fatalf("rule %d: re-parsing %+v: %v", r.ID, spec, err)
 		}
@@ -324,6 +324,45 @@ func TestParseTernaryMaskForm(t *testing.T) {
 	}
 	if _, err := parseTernary(IPSrc, "zzz&1"); err == nil {
 		t.Fatal("bad value accepted")
+	}
+	// One literal grammar: decimal (a leading zero is not octal), 0x hex
+	// or a dotted quad, and never wider than the field.
+	for _, tc := range []struct {
+		f    FieldID
+		in   string
+		want Ternary
+	}{
+		{TPDst, "010", Exact(TPDst, 10)},
+		{TPDst, "0x50", Exact(TPDst, 80)},
+		{TPDst, "65535", Exact(TPDst, 65535)},
+		{EthType, "0X800", Exact(EthType, 0x800)},
+		{IPDst, "10.0.1.0/24", Prefix(IPDst, 0x0a000100, 24)},
+		{IPSrc, "010.0.0.1", Exact(IPSrc, 0x0a000001)},
+		{TPDst, "0.0.1.2", Exact(TPDst, 258)},
+	} {
+		got, err := parseTernary(tc.f, tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("parseTernary(%s, %q) = %+v, %v; want %+v", tc.f, tc.in, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		f  FieldID
+		in string
+	}{
+		{TPDst, "0b101"},
+		{TPDst, "0o17"},
+		{TPDst, "1_000"},
+		{TPDst, "0x"},
+		{TPDst, "70000"},
+		{TPDst, "1.2.3.4"},
+		{TPDst, "70000/8"},
+		{TPDst, "0x10000&0xffff"},
+		{VlanPCP, "8"},
+		{IPSrc, "1.2.3"},
+	} {
+		if got, err := parseTernary(tc.f, tc.in); err == nil {
+			t.Errorf("parseTernary(%s, %q) = %+v, want an error", tc.f, tc.in, got)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package monocle
 
-// Simulated-testbed re-exports: the behavioural OpenFlow switch model
-// (control-channel service times, commit pipelines, failure injection)
-// used by the examples, the experiments, and integration tests to run
-// full Monocle deployments in-process on a virtual clock.
+// SwitchServer: an in-process TCP OpenFlow switch over the simulated
+// switch model (control-channel service times, commit pipelines, failure
+// injection), the live-switch stand-in for the benchmark rig, the
+// adversarial scenarios and the end-to-end tests.
 
 import (
 	"fmt"
@@ -11,68 +11,16 @@ import (
 	"sync"
 	"time"
 
+	"monocle/internal/sim"
 	"monocle/internal/switchsim"
 )
-
-// SimSwitch is a simulated OpenFlow 1.0 switch with a profiled control
-// plane and an instantly-forwarding data plane.
-type SimSwitch = switchsim.Switch
 
 // SwitchProfile captures one hardware model's measured control-plane
 // behaviour (§8's switch characterization).
 type SwitchProfile = switchsim.Profile
 
-// SwitchStats counts one simulated switch's activity.
-type SwitchStats = switchsim.Stats
-
 // Frame is a raw packet travelling the simulated data plane.
 type Frame = switchsim.Frame
-
-// Link is one simulated inter-switch (or switch-host) link; it can fail
-// and heal.
-type Link = switchsim.Link
-
-// NewSimSwitch creates a simulated switch with the given id, clock,
-// profile, and deterministic seed.
-func NewSimSwitch(id uint32, s *Sim, profile SwitchProfile, seed int64) *SimSwitch {
-	return switchsim.New(id, s, profile, seed)
-}
-
-// ConnectSwitches joins port pa of sa to port pb of sb with the given
-// one-way latency.
-func ConnectSwitches(sa *SimSwitch, pa PortID, sb *SimSwitch, pb PortID, latency time.Duration) *Link {
-	return switchsim.Connect(sa, pa, sb, pb, latency)
-}
-
-// ConnectHost attaches a host-facing port: frames emitted there are
-// handed to deliver after the latency.
-func ConnectHost(sw *SimSwitch, p PortID, latency time.Duration, deliver func(f Frame)) *Link {
-	return switchsim.ConnectHost(sw, p, latency, deliver)
-}
-
-// ProfileHP5406zl models the HP ProCurve 5406zl (the paper's primary
-// hardware switch).
-func ProfileHP5406zl() SwitchProfile { return switchsim.HP5406zl() }
-
-// ProfilePica8 models the Pica8 P-3290, whose barriers acknowledge rules
-// before they reach the data plane.
-func ProfilePica8() SwitchProfile { return switchsim.Pica8() }
-
-// ProfileHonestPica8 is Pica8 with honest barrier semantics (the
-// what-if baseline of §8.1.2).
-func ProfileHonestPica8() SwitchProfile { return switchsim.HonestPica8() }
-
-// ProfileDellS4810 models the Dell Force10 S4810.
-func ProfileDellS4810() SwitchProfile { return switchsim.DellS4810() }
-
-// ProfileDell8132F models the Dell PowerConnect 8132F.
-func ProfileDell8132F() SwitchProfile { return switchsim.Dell8132F() }
-
-// ProfileOVS models Open vSwitch (software fast path).
-func ProfileOVS() SwitchProfile { return switchsim.OVS() }
-
-// ProfileIdeal is an idealized instant switch (unit tests, upper bounds).
-func ProfileIdeal() SwitchProfile { return switchsim.Ideal() }
 
 // SwitchServerConfig configures one SwitchServer.
 type SwitchServerConfig struct {
@@ -99,8 +47,8 @@ type SwitchServerConfig struct {
 
 // SwitchServer is an in-process TCP OpenFlow 1.0 switch backed by a
 // simulated data plane: it accepts ProxyBackend connections, drives a
-// SimSwitch behind the real wire codec, and reflects every frame the
-// data plane emits back as a PacketIn — the downstream probe catcher
+// simulated switch behind the real wire codec, and reflects every frame
+// the data plane emits back as a PacketIn — the downstream probe catcher
 // collapsed into the server. The listener keeps accepting, so a proxy
 // that drops its connection (or a restarted monocled re-dialing) finds
 // the same switch state on re-dial, exactly like hardware surviving a
@@ -116,7 +64,7 @@ type SwitchServer struct {
 	cfg  SwitchServerConfig
 	ln   net.Listener
 	done chan struct{}
-	ctl  chan func(sw *SimSwitch)
+	ctl  chan func(sw *switchsim.Switch)
 	addr string
 
 	wmu  sync.Mutex
@@ -147,7 +95,7 @@ func StartSwitchServer(cfg SwitchServerConfig) (*SwitchServer, error) {
 		cfg:  cfg,
 		ln:   ln,
 		done: make(chan struct{}),
-		ctl:  make(chan func(sw *SimSwitch)),
+		ctl:  make(chan func(sw *switchsim.Switch)),
 		addr: ln.Addr().String(),
 	}
 	go s.serve()
@@ -177,14 +125,14 @@ func (s *SwitchServer) Close() error {
 // paper's monitoring exists to catch. It returns once the switch's event
 // loop has applied it (the next probe sees the fault).
 func (s *SwitchServer) FailRule(id uint64) {
-	s.do(func(sw *SimSwitch) { sw.FailRule(id) })
+	s.do(func(sw *switchsim.Switch) { sw.FailRule(id) })
 }
 
 // HealRule lifts an injected rule failure, returning once the event loop
 // has processed it so a follow-up re-install cannot race the still-armed
 // suppression.
 func (s *SwitchServer) HealRule(id uint64) {
-	s.do(func(sw *SimSwitch) { sw.HealRule(id) })
+	s.do(func(sw *switchsim.Switch) { sw.HealRule(id) })
 }
 
 // Drop forcibly closes the current proxy connection — a switch-side TCP
@@ -197,21 +145,21 @@ func (s *SwitchServer) Drop() { s.dropConn() }
 // disarms. This is the flap-mid-sweep fault — the transport dies between
 // one probe's observation and the next.
 func (s *SwitchServer) DropAfterCatches(n int) {
-	s.do(func(*SimSwitch) { s.dropAfter = n })
+	s.do(func(*switchsim.Switch) { s.dropAfter = n })
 }
 
 // SetLossy makes the data plane eat every frame it would deliver to a
 // catcher (true) or restores delivery (false): every positive probe times
 // out unobserved, the slow/lossy switch profile at its extreme.
 func (s *SwitchServer) SetLossy(lossy bool) {
-	s.do(func(*SimSwitch) { s.lossy = lossy })
+	s.do(func(*switchsim.Switch) { s.lossy = lossy })
 }
 
 // do runs fn on the event loop and waits for it.
-func (s *SwitchServer) do(fn func(sw *SimSwitch)) {
+func (s *SwitchServer) do(fn func(sw *switchsim.Switch)) {
 	ack := make(chan struct{})
 	select {
-	case s.ctl <- func(sw *SimSwitch) { fn(sw); close(ack) }:
+	case s.ctl <- func(sw *switchsim.Switch) { fn(sw); close(ack) }:
 		<-ack
 	case <-s.done:
 	}
@@ -272,20 +220,20 @@ func (s *SwitchServer) catch(port PortID, f Frame) {
 // against wall time, and all simulated-switch state stays
 // single-threaded.
 func (s *SwitchServer) serve() {
-	clock := NewSim()
+	clock := sim.New()
 	profile := s.cfg.Profile
 	if profile == (SwitchProfile{}) {
-		profile = ProfileIdeal()
+		profile = switchsim.Ideal()
 	}
 	seed := s.cfg.Seed
 	if seed == 0 {
 		seed = int64(s.cfg.ID)
 	}
-	sw := NewSimSwitch(s.cfg.ID, clock, profile, seed)
+	sw := switchsim.New(s.cfg.ID, clock, profile, seed)
 	sw.ToController = func(msg Message, xid uint32) { s.write(msg, xid) }
 	for _, p := range s.cfg.Ports {
 		port := p
-		ConnectHost(sw, port, 0, func(f Frame) { s.catch(port, f) })
+		switchsim.ConnectHost(sw, port, 0, func(f Frame) { s.catch(port, f) })
 	}
 
 	msgs := make(chan func(), 64)
@@ -314,7 +262,7 @@ func (s *SwitchServer) serve() {
 	}()
 	start := time.Now()
 	for {
-		clock.RunUntil(Time(time.Since(start)))
+		clock.RunUntil(sim.Time(time.Since(start)))
 		select {
 		case <-s.done:
 			return
@@ -331,10 +279,10 @@ func (s *SwitchServer) serve() {
 			s.wmu.Unlock()
 			go s.readConn(conn, sw, msgs)
 		case fn := <-s.ctl:
-			clock.RunUntil(Time(time.Since(start)))
+			clock.RunUntil(sim.Time(time.Since(start)))
 			fn(sw)
 		case fn := <-msgs:
-			clock.RunUntil(Time(time.Since(start)))
+			clock.RunUntil(sim.Time(time.Since(start)))
 			fn()
 		case <-time.After(time.Millisecond):
 		}
@@ -343,7 +291,7 @@ func (s *SwitchServer) serve() {
 
 // readConn pumps one proxy connection's messages onto the event loop,
 // returning (without tearing anything down) when the connection drops.
-func (s *SwitchServer) readConn(conn net.Conn, sw *SimSwitch, msgs chan func()) {
+func (s *SwitchServer) readConn(conn net.Conn, sw *switchsim.Switch, msgs chan func()) {
 	for {
 		msg, xid, err := ReadMessage(conn)
 		if err != nil {

@@ -1,14 +1,15 @@
 package monocle
 
 // OpenFlow 1.0 wire-protocol re-exports: the message types and codec that
-// transport integrations (TCP proxies, the simulated testbed) speak, and
-// the converters between wire structures and the facade's Match/Action
-// model.
+// transport integrations (TCP proxies, the SwitchServer) speak, the
+// converters between wire structures and the facade's Match/Action model,
+// and the probe frame codec (CraftFrame, ParseFrame, probe metadata).
 
 import (
 	"io"
 
 	"monocle/internal/openflow"
+	"monocle/internal/packet"
 )
 
 // Message is one OpenFlow 1.0 protocol message.
@@ -81,9 +82,6 @@ func FromMatch(m Match) (WireMatch, error) { return openflow.FromMatch(m) }
 // FromActions converts facade actions to wire actions.
 func FromActions(actions []Action) ([]WireAction, error) { return openflow.FromActions(actions) }
 
-// ToActions converts wire actions to facade actions.
-func ToActions(actions []WireAction) ([]Action, error) { return openflow.ToActions(actions) }
-
 // WriteMessage frames and writes one message.
 func WriteMessage(w io.Writer, msg Message, xid uint32) error {
 	return openflow.WriteMessage(w, msg, xid)
@@ -91,3 +89,32 @@ func WriteMessage(w io.Writer, msg Message, xid uint32) error {
 
 // ReadMessage reads exactly one framed message.
 func ReadMessage(r io.Reader) (Message, uint32, error) { return openflow.ReadMessage(r) }
+
+// ProbeMetadata identifies one in-flight probe: it rides in the probe
+// payload and routes the caught probe back to its owning Monitor.
+type ProbeMetadata = packet.Metadata
+
+// Expectation tells the collector how to interpret a probe's arrival.
+type Expectation = packet.Expectation
+
+// Expectation values.
+const (
+	// ExpectPresent: arrival consistent with Present confirms the rule.
+	ExpectPresent = packet.ExpectPresent
+	// ExpectAbsent: arrival consistent with Absent confirms a deletion.
+	ExpectAbsent = packet.ExpectAbsent
+	// ExpectModified: arrival with the new rewrite confirms a
+	// modification.
+	ExpectModified = packet.ExpectModified
+)
+
+// CraftFrame serializes an abstract probe header plus payload into a real
+// Ethernet/IPv4 frame (what PacketOut carries).
+func CraftFrame(h Header, payload []byte) ([]byte, error) { return packet.Craft(h, payload) }
+
+// ParseFrame decodes a frame back into the abstract header and payload.
+func ParseFrame(frame []byte) (Header, []byte, error) { return packet.Parse(frame) }
+
+// UnmarshalProbeMetadata decodes a probe payload; it returns an error for
+// payloads that are not Monocle probes.
+func UnmarshalProbeMetadata(b []byte) (ProbeMetadata, error) { return packet.UnmarshalMetadata(b) }
