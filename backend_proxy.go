@@ -823,10 +823,11 @@ func (w *batchWait) abort(cause error) {
 }
 
 // ObserveBatch implements Backend: each probe is injected through the
-// switch's control channel (PacketOut to OFPP_TABLE) and re-injected on
-// the Monitor's retry interval until a catch settles its expectation or
-// ObserveTimeout elapses; then silence, or else the last catch, decides
-// (silence shows whichever outcome no catcher can see).
+// switch's control channel (PacketOut to OFPP_TABLE) and re-injected
+// until a catch settles its expectation or ObserveTimeout elapses, the
+// second copy 3 ms after the first and every later gap doubled; then
+// silence, or else the last catch, decides (silence shows whichever
+// outcome no catcher can see).
 // The whole batch marshals onto the event loop with a single post, where
 // the Monitor pipelines a window of 64 observations at once. Failures
 // are positional: a context abort, transport drop or close mid-batch

@@ -26,7 +26,9 @@ import (
 // the probe tag rides in probe.TagField (dl_vlan, strategy 1, §6); a
 // steady-state attempt sends retries+1 copies within AlarmTimeout
 // (§8.1.1); a dynamic probe waits genDelay for generation (Table 2, §8.2),
-// re-injects every retryInterval until it settles (§4.1), and all pending
+// re-injects every retryInterval until it settles (§4.1), a sweep or
+// rule-op observation re-injects retryInterval after its first copy and
+// doubles the gap after every later one (observeFor), and all pending
 // updates share dynamicProbeRate PacketOuts per second (§8.4); postponed
 // drops are marked dropValue in dropField (§4.3).
 type Config struct {
@@ -83,7 +85,9 @@ const (
 	// measures 1.5–4 ms per probe on real rule sets).
 	genDelay = 2 * time.Millisecond
 	// retryInterval is the minimum re-injection gap of one observation
-	// while it waits for its rule to reach the data plane (§4.1).
+	// while it waits for its rule to reach the data plane (§4.1): the
+	// pending-update prober's spacing, and the first gap of a sweep or
+	// rule-op observation, whose later gaps double (6, 12, 24 ms, ...).
 	retryInterval = 3 * time.Millisecond
 	// dynamicProbeRate caps the aggregate dynamic-probe PacketOut rate
 	// (probes/s); pending updates share it round-robin so bursts of

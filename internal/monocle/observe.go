@@ -43,8 +43,13 @@ const defaultObserveTimeout = 2 * time.Second
 type observation struct {
 	probe  *probe.Probe
 	expect packet.Expectation
-	gap    time.Duration // spacing of the copies
-	done   func(Verdict)
+	gap    time.Duration // spacing of the copies (of the first two, with backoff)
+	// backoff doubles the gap after every copy, as TCP backs off its
+	// retransmissions (RFC 6298): sweep and rule-op observations send
+	// few copies however long their window. Steady-state attempts keep
+	// their retries+1 evenly spaced copies (§8.1.1).
+	backoff bool
+	done    func(Verdict)
 
 	copies   []sentCopy    // injected copies, oldest first
 	rtt      time.Duration // longest round trip of a caught copy
@@ -119,16 +124,24 @@ func (m *Monitor) closeWindow(ob *observation) {
 	m.finish(ob, m.silenceVerdict(ob.probe))
 }
 
-// observeFor is the bounded scheduler: it injects a copy every gap
-// while the copy can still be a gap old when the window closes, and
-// closes the window after `window`.
+// observeFor is the bounded scheduler: it injects copies ob.gap apart,
+// each gap twice the last with ob.backoff, while the copy can still be
+// one ob.gap old when the window closes, and closes the window after
+// `window`. With backoff and a 3 ms gap, a 150 ms window carries copies
+// at 0, 3, 9, 21, 45 and 93 ms.
 func (m *Monitor) observeFor(ob *observation, window time.Duration) {
-	copies := max(1, int(window/ob.gap))
 	ob.deadline = m.Sim.After(window, func() { m.closeWindow(ob) })
+	var at time.Duration // window offset of the copy being sent
+	next := ob.gap
 	var tick func()
 	tick = func() {
-		if m.inject(ob) && len(ob.copies) < copies {
-			ob.retry = m.Sim.After(ob.gap, tick)
+		if !m.inject(ob) || at+next+ob.gap > window {
+			return
+		}
+		ob.retry = m.Sim.After(next, tick)
+		at += next
+		if ob.backoff {
+			next *= 2
 		}
 	}
 	tick()
@@ -150,7 +163,8 @@ func (m *Monitor) finish(ob *observation, v Verdict) {
 }
 
 // observeProbe injects probe p and reports, through done, the verdict of
-// the data plane's response: copies go out every retry interval and the
+// the data plane's response: the second copy goes out one retry interval
+// after the first and every later gap doubles (observeFor), and the
 // observation settles by the observation rule within the timeout
 // (non-positive: defaultObserveTimeout). It runs on the event-loop
 // thread; done fires there too.
@@ -158,7 +172,7 @@ func (m *Monitor) observeProbe(p *probe.Probe, expect packet.Expectation, timeou
 	if timeout <= 0 {
 		timeout = defaultObserveTimeout
 	}
-	m.observeFor(&observation{probe: p, expect: expect, gap: retryInterval, done: done}, timeout)
+	m.observeFor(&observation{probe: p, expect: expect, gap: retryInterval, backoff: true, done: done}, timeout)
 }
 
 // observeWindow caps the observations one ObserveProbeBatch keeps in

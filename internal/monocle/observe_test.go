@@ -2,14 +2,17 @@ package monocle
 
 // Tests for single and batched probe observation: the timeout clamp
 // regression (a non-positive timeout must mean the default, never an
-// instant or infinite deadline) and batch/one-shot verdict equivalence
-// across several refills of the in-flight window.
+// instant or infinite deadline), batch/one-shot verdict equivalence
+// across several refills of the in-flight window, and the doubling copy
+// schedule.
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
+	"monocle/internal/openflow"
 	"monocle/internal/packet"
 	"monocle/internal/probe"
 	"monocle/internal/sim"
@@ -150,5 +153,98 @@ func TestObserveProbeBatchMatchesOneShot(t *testing.T) {
 	}
 	if absent != 5 {
 		t.Fatalf("%d probes judged absent, want the 5 failed rules", absent)
+	}
+}
+
+// copyTimes records, relative to the moment it is called, when the
+// monitored switch's Monitor sends each probe copy (PacketOut).
+func copyTimes(tb *lineTestbed) *[]time.Duration {
+	var at []time.Duration
+	start := tb.sim.Now()
+	sw := tb.sw[2]
+	tb.mon[2].ToSwitch = func(msg openflow.Message, xid uint32) {
+		if _, ok := msg.(*openflow.PacketOut); ok {
+			at = append(at, time.Duration(tb.sim.Now()-start))
+		}
+		sw.FromController(msg, xid)
+	}
+	return &at
+}
+
+// TestObserveCopySchedule pins the bounded scheduler's doubling gaps on
+// the virtual clock: the second copy goes out retryInterval after the
+// first, each later gap is twice the last, and no copy goes out that
+// could not be one retryInterval old when the window closes.
+func TestObserveCopySchedule(t *testing.T) {
+	const window = 150 * time.Millisecond
+	ms := time.Millisecond
+	tb := newLineTestbed(t, switchsim.Ideal(), func(c *Config) {
+		c.Ports = append(c.Ports, 3)
+		c.PortPeer[3] = HostPeer
+	})
+	// 700 leaves toward a host: its Present outcome is silent. 600 beats
+	// 601 for the same flow: both of its outcomes reach a catcher.
+	tb.mon[2].OnControllerMessage(addFM(t, 701, 5, ip4(10, 0, 8, 1), 2), 1)
+	tb.mon[2].OnControllerMessage(addFM(t, 700, 10, ip4(10, 0, 8, 1), 3), 2)
+	tb.mon[2].OnControllerMessage(addFM(t, 601, 5, ip4(10, 0, 6, 1), 2), 3)
+	tb.mon[2].OnControllerMessage(addFM(t, 600, 10, ip4(10, 0, 6, 1), 1), 4)
+	tb.sim.RunUntil(time.Second)
+	silent, both := ruleProbe(t, tb, 700), ruleProbe(t, tb, 600)
+	if !tb.mon[2].outcomeSilent(silent.Present) || tb.mon[2].outcomeSilent(silent.Absent) ||
+		tb.mon[2].outcomeSilent(both.Present) || tb.mon[2].outcomeSilent(both.Absent) {
+		t.Fatalf("test premise: 700 must be silent only when present, 600 never silent: %+v %+v", silent, both)
+	}
+
+	observe := func(p *probe.Probe) ([]time.Duration, Verdict, time.Duration) {
+		t.Helper()
+		at := copyTimes(tb)
+		start := tb.sim.Now()
+		var got Verdict
+		doneAt := time.Duration(-1)
+		tb.mon[2].observeProbe(p, packet.ExpectPresent, window, func(v Verdict) {
+			got, doneAt = v, time.Duration(tb.sim.Now()-start)
+		})
+		tb.sim.RunUntil(start + 2*sim.Time(window))
+		if doneAt < 0 {
+			t.Fatal("observation never resolved")
+		}
+		return *at, got, doneAt
+	}
+
+	// A silent probe sends every copy the window allows and is judged by
+	// silence when the window closes.
+	at, v, doneAt := observe(silent)
+	want := []time.Duration{0, 3 * ms, 9 * ms, 21 * ms, 45 * ms, 93 * ms}
+	if !slices.Equal(at, want) {
+		t.Fatalf("silent probe copies at %v, want %v", at, want)
+	}
+	if v != VerdictConfirmed || doneAt != window {
+		t.Fatalf("silent probe: %v at %v, want %v by silence at %v", v, doneAt, VerdictConfirmed, window)
+	}
+
+	// A forwarding probe settles on its first catch.
+	at, v, _ = observe(both)
+	if len(at) != 1 || v != VerdictConfirmed {
+		t.Fatalf("forwarding probe: %v after copies at %v, want %v after one copy", v, at, VerdictConfirmed)
+	}
+
+	// A first catch contrary to the expectation (the rule has not reached
+	// the data plane yet, §4.1) is followed by a second copy one
+	// retryInterval later, which catches the committed rule.
+	rule, ok := tb.sw[2].DataTable().Get(600)
+	if !ok {
+		t.Fatal("rule 600 missing from the data plane")
+	}
+	rule = rule.Clone()
+	tb.sw[2].FailRule(600)
+	tb.sim.After(ms, func() {
+		tb.sw[2].HealRule(600)
+		if err := tb.sw[2].DataTable().Insert(rule); err != nil {
+			t.Error(err)
+		}
+	})
+	at, v, _ = observe(both)
+	if !slices.Equal(at, []time.Duration{0, retryInterval}) || v != VerdictConfirmed {
+		t.Fatalf("contrary first catch: %v after copies at %v, want %v after copies at [0 %v]", v, at, VerdictConfirmed, retryInterval)
 	}
 }

@@ -85,8 +85,9 @@ type Service struct {
 	// no record storage.
 	sweepBufs   [2][]ResultRecord
 	sweepBufIdx int
-	// batchScratch holds SweepRound's per-run batch collation (probe
-	// pointers, expectations); reused across rounds, guarded by sweepMu.
+	// batchProbes/batchExpects pool SweepRound's probe pointers and
+	// expectations, each switch's observe call reading its own subslice;
+	// reused across rounds, guarded by sweepMu.
 	batchProbes  []*Probe
 	batchExpects []Expectation
 	metrics      ServiceMetrics
@@ -948,6 +949,18 @@ func (s *Service) ProbePlans() []ProbePlan {
 	return out
 }
 
+// switchBatch is one switch's share of a sweep round: the events
+// evs[lo:hi], and, when the switch has a backend (be non-nil), the
+// probes batchProbes[first:end] observed in one ObserveBatch call and
+// that call's positional results.
+type switchBatch struct {
+	lo, hi     int
+	first, end int
+	be         Backend
+	verdicts   []Verdict
+	errs       []error
+}
+
 // SweepRound runs one sweep round, judges every generated probe against
 // its switch's data plane through the Backend seam, feeds the diff
 // engine, finalizes the round, delivers the round's alerts to the
@@ -956,7 +969,9 @@ func (s *Service) ProbePlans() []ProbePlan {
 // through POST /sweep).
 //
 // The round compiles each switch's probe plan, sweeps the planned rules
-// in one Fleet.SweepPlan call, and finalizes the round's scope in one
+// in one Fleet.SweepPlan call, observes every switch's probes at once
+// (one ObserveBatch call per switch, concurrently), folds the verdicts
+// in switch order, and finalizes the round's scope in one
 // Differ.EndSweepScoped call. Without a policy the plan is one implicit
 // group: every switch, whole tables. With one, groups names the policy
 // groups to include (none = every group). Cancelling ctx aborts the
@@ -990,46 +1005,66 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 	}
 
 	// Sweep events arrive contiguous per switch (Fleet concatenates
-	// per-member slices), so each run becomes one ObserveBatch call — one
-	// event-loop post and a pipelined in-flight window on a ProxyBackend
-	// instead of len(run) serialized round trips. Verdicts fold in the
-	// original event order. The record slice and batch collation scratch
+	// per-member slices), so each switch's run becomes one ObserveBatch
+	// call — one event-loop post and a pipelined in-flight window on a
+	// ProxyBackend instead of len(run) serialized round trips. Each switch
+	// has its own control channel (§7), so the calls run concurrently,
+	// one goroutine per switch with probes, and the fold waits for all of
+	// them. Verdicts fold in the original event order, whichever switch
+	// answered first. The record slice and the batch collation scratch
 	// are pooled (see sweepBufs).
+	batches := make([]switchBatch, 0, len(plans))
+	probes, expects := s.batchProbes[:0], s.batchExpects[:0]
+	for lo := 0; lo < len(evs); {
+		hi := lo + 1
+		for hi < len(evs) && evs[hi].SwitchID == evs[lo].SwitchID {
+			hi++
+		}
+		b := switchBatch{lo: lo, hi: hi, first: len(probes)}
+		if be, ok := s.fleet.Backend(evs[lo].SwitchID); ok {
+			b.be = be
+			for i := lo; i < hi; i++ {
+				if evs[i].Result.Probe != nil {
+					probes = append(probes, evs[i].Result.Probe)
+					expects = append(expects, ExpectPresent)
+				}
+			}
+		}
+		b.end = len(probes)
+		batches = append(batches, b)
+		lo = hi
+	}
+	var wg sync.WaitGroup
+	for i := range batches {
+		b := &batches[i]
+		if b.first == b.end {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Full slice expressions: the calls' subslices never overlap,
+			// even for a driver that appends to its input.
+			b.verdicts, b.errs = b.be.ObserveBatch(ctx, probes[b.first:b.end:b.end], expects[b.first:b.end:b.end])
+		}()
+	}
+	wg.Wait()
+	s.batchProbes, s.batchExpects = probes, expects
+	if ctx.Err() != nil {
+		return abort()
+	}
+
 	recs := s.sweepBufs[s.sweepBufIdx][:0]
 	if cap(recs) < len(evs) {
 		recs = make([]ResultRecord, 0, len(evs))
 	}
 	s.sweepBufs[s.sweepBufIdx] = recs
-	for lo := 0; lo < len(evs); {
-		if ctx.Err() != nil {
-			return abort()
-		}
-		hi := lo + 1
-		for hi < len(evs) && evs[hi].SwitchID == evs[lo].SwitchID {
-			hi++
-		}
-		be, hasBE := s.fleet.Backend(evs[lo].SwitchID)
-		s.batchProbes, s.batchExpects = s.batchProbes[:0], s.batchExpects[:0]
-		if hasBE {
-			for i := lo; i < hi; i++ {
-				if evs[i].Result.Probe != nil {
-					s.batchProbes = append(s.batchProbes, evs[i].Result.Probe)
-					s.batchExpects = append(s.batchExpects, ExpectPresent)
-				}
-			}
-		}
-		var (
-			verdicts []Verdict
-			obsErrs  []error
-		)
-		if len(s.batchProbes) > 0 {
-			verdicts, obsErrs = be.ObserveBatch(ctx, s.batchProbes, s.batchExpects)
-		}
+	for _, b := range batches {
 		j := 0
-		for i := lo; i < hi; i++ {
+		for i := b.lo; i < b.hi; i++ {
 			ev := evs[i]
-			if hasBE && ev.Result.Probe != nil {
-				verdict, err := verdicts[j], obsErrs[j]
+			if b.be != nil && ev.Result.Probe != nil {
+				verdict, err := b.verdicts[j], b.errs[j]
 				j++
 				var div *DivergenceError
 				switch {
@@ -1053,9 +1088,10 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 					// surfaces as switch_stalled.
 					s.differ.ObserveSkipped(ev)
 				default:
-					// The probe was never observed (cancelled round): fold
-					// the generation result unjudged rather than manufacture
-					// a failing verdict — a drain must not page anyone.
+					// The probe was never observed (a driver's own failure;
+					// a cancelled round never reaches the fold): fold the
+					// generation result unjudged rather than manufacture a
+					// failing verdict.
 					s.differ.Observe(ev)
 				}
 			} else {
@@ -1063,7 +1099,6 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 			}
 			recs = append(recs, ev.Record())
 		}
-		lo = hi
 	}
 
 	// Matched-but-unsampled rules fold as frozen entries: still tracked
