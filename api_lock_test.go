@@ -2,8 +2,8 @@ package monocle_test
 
 // API lock: the exported surface of the public monocle package is pinned
 // to api_golden.txt. Any change to exported types, functions, methods,
-// constants, or variables fails this test until the golden file is
-// regenerated with
+// constants, variables, or the exported fields of exported structs fails
+// this test until the golden file is regenerated with
 //
 //	go test -run TestAPILock -update-api .
 //
@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/printer"
 	"go/token"
@@ -118,7 +119,7 @@ func renderAPI(t *testing.T) string {
 						if ts.Assign != token.NoPos {
 							eq = "= "
 						}
-						add("type %s %s%s", ts.Name.Name, eq, exprString(fset, ts.Type))
+						add("type %s %s%s", ts.Name.Name, eq, typeString(fset, ts.Type))
 					}
 				case token.CONST, token.VAR:
 					kind := "const"
@@ -141,6 +142,43 @@ func renderAPI(t *testing.T) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
+// typeString renders a type expression; a struct keeps only its exported
+// and embedded fields, laid out as gofmt would, so its unexported fields
+// can change without touching the golden file.
+func typeString(fset *token.FileSet, e ast.Expr) string {
+	st, ok := e.(*ast.StructType)
+	if !ok {
+		return exprString(fset, e)
+	}
+	var src strings.Builder
+	src.WriteString("package p\n\ntype _ struct {\n")
+	for _, f := range st.Fields.List {
+		var names []string
+		for _, n := range f.Names {
+			if n.IsExported() {
+				names = append(names, n.Name)
+			}
+		}
+		if len(f.Names) > 0 && len(names) == 0 {
+			continue
+		}
+		if len(names) > 0 {
+			src.WriteString(strings.Join(names, ", ") + " ")
+		}
+		src.WriteString(exprString(fset, f.Type))
+		if f.Tag != nil {
+			src.WriteString(" " + f.Tag.Value)
+		}
+		src.WriteString("\n")
+	}
+	src.WriteString("}\n")
+	out, err := format.Source([]byte(src.String()))
+	if err != nil {
+		return fmt.Sprintf("<%v>", err)
+	}
+	return strings.TrimSuffix(strings.TrimPrefix(string(out), "package p\n\ntype _ "), "\n")
+}
+
 // signatureString renders a function type's parameter/result lists.
 func signatureString(fset *token.FileSet, ft *ast.FuncType) string {
 	s := exprString(fset, ft)
@@ -153,4 +191,29 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 		return fmt.Sprintf("<%v>", err)
 	}
 	return buf.String()
+}
+
+// TestAPILockStructFields: a struct renders its exported and embedded
+// fields only, so an unexported field can come or go without touching
+// the golden file, while an exported one cannot.
+func TestAPILockStructFields(t *testing.T) {
+	render := func(body string) string {
+		t.Helper()
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "", "package p\ntype S struct {\n"+body+"}\n", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return typeString(fset, f.Decls[0].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type)
+	}
+	base := render("\tA int\n\tio.Reader\n")
+	if !strings.Contains(base, "io.Reader") {
+		t.Fatalf("embedded field dropped:\n%s", base)
+	}
+	if got := render("\tA int\n\n\tb, c string\n\tio.Reader\n\td int\n"); got != base {
+		t.Errorf("unexported fields changed the rendering:\n%s\nwant\n%s", got, base)
+	}
+	if got := render("\tA int\n\tio.Reader\n\tB int\n"); got == base {
+		t.Error("an added exported field left the rendering unchanged")
+	}
 }

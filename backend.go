@@ -47,8 +47,10 @@ type Backend interface {
 	Observe(ctx context.Context, p *Probe, expect Expectation) (Verdict, error)
 	// ObserveBatch injects probes[i] into the data plane and judges the
 	// response against the probe's two hypotheses, as Verdict defines.
-	// Live drivers re-inject, with doubling gaps, until a catch settles
-	// expects[i] or their observation timeout elapses, keeping a
+	// Live drivers re-inject in doubling slots, never while a copy is in
+	// flight (unanswered and younger than one measured RTO), until a
+	// catch settles expects[i] or their observation timeout elapses (a
+	// verdict may take up to timeout + min(RTO, timeout)), keeping a
 	// window of observations in flight so a large sweep pipelines its
 	// round trips instead of serializing them. Verdicts and per-probe
 	// errors (errs[i] nil on success) are positional; len(expects) must

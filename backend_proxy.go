@@ -228,7 +228,8 @@ type ProxyConfig struct {
 	Listen string
 	// Steady starts the Monitor's steady-state probing cycle on connect.
 	Steady bool
-	// ObserveTimeout bounds one probe's observation (default 2s).
+	// ObserveTimeout is one probe's observation window (default 2s),
+	// stretched by up to one RTO while its newest copy is in flight.
 	ObserveTimeout time.Duration
 	// Group shares an event loop and probe-routing Multiplexer with
 	// other backends (nil: a private group).
@@ -824,10 +825,14 @@ func (w *batchWait) abort(cause error) {
 
 // ObserveBatch implements Backend: each probe is injected through the
 // switch's control channel (PacketOut to OFPP_TABLE) and re-injected
-// until a catch settles its expectation or ObserveTimeout elapses, the
-// second copy 3 ms after the first and every later gap doubled; then
-// silence, or else the last catch, decides (silence shows whichever
-// outcome no catcher can see).
+// until a catch settles its expectation or ObserveTimeout elapses: copy
+// slots at 0, 3, 9, 21 ms, ... (gaps doubling), a slot owed rather than
+// sent while the newest copy is in flight (unanswered and younger than
+// one RTO of the Monitor's RFC 6298 estimator) and paid by a contrary
+// catch; then silence (the newest copy unanswered and one RTO old), or
+// else the last catch, decides (silence shows whichever outcome no
+// catcher can see). The window waits out a copy in flight, so a verdict
+// may take up to ObserveTimeout + min(RTO, ObserveTimeout).
 // The whole batch marshals onto the event loop with a single post, where
 // the Monitor pipelines a window of 64 observations at once. Failures
 // are positional: a context abort, transport drop or close mid-batch

@@ -31,7 +31,7 @@ func (m *Monitor) startPending(ruleID uint64, p *probe.Probe, kind packet.Expect
 	// evidence, or silence for a probe that can never settle. A probe
 	// that cannot be crafted finishes before its first copy goes out;
 	// its update is released unverified, like an unmonitorable rule.
-	pu.ob = &observation{probe: p, expect: kind, gap: retryInterval, done: func(Verdict) {
+	pu.ob = &observation{probe: p, expect: kind, done: func(Verdict) {
 		m.confirmRule(pu, len(pu.ob.copies) > 0)
 	}}
 	m.pending[ruleID] = pu
@@ -51,9 +51,10 @@ func (m *Monitor) armDynTicker(d time.Duration) {
 // dynamicTick probes the oldest eligible pending update first: updates
 // are forwarded to the switch in arrival order and commit in roughly that
 // order, so the head of the queue is the rule most likely to have just
-// landed in the data plane. Each visit consults the observation's silence
-// rule, so updates whose settling outcome is uncatchable (drops,
-// deletions falling through to a drop) confirm by silence.
+// landed in the data plane, and none is re-injected while in flight.
+// Each visit consults the observation's silence rule, so updates whose
+// settling outcome is uncatchable (drops, deletions falling through to a
+// drop) confirm by silence.
 func (m *Monitor) dynamicTick() {
 	if len(m.pending) == 0 {
 		m.dynQueue = m.dynQueue[:0]
@@ -80,7 +81,7 @@ func (m *Monitor) dynamicTick() {
 				continue
 			}
 		}
-		if n := len(ob.copies); n > 0 && now-ob.copies[n-1].at < ob.gap {
+		if m.inFlight(ob) {
 			continue
 		}
 		m.inject(ob)
@@ -168,6 +169,7 @@ func (m *Monitor) inject(ob *observation) bool {
 	m.frameBuf = frame
 	m.inflight[seq] = ob
 	ob.copies = append(ob.copies, sentCopy{seq, m.Sim.Now()})
+	ob.owed = false
 	m.Stats.ProbesSent++
 	m.scratchPO = openflow.PacketOut{
 		BufferID: openflow.BufferNone,
@@ -218,7 +220,10 @@ func (m *Monitor) OnProbeCaught(meta packet.Metadata, catcher uint32, obs header
 	}
 	delete(m.inflight, meta.Seq)
 	m.caughtCopy(ob, meta.Seq)
-	m.catch(ob, m.judge(ob.probe, catcher, obs))
+	// A contrary catch pays an owed slot at once (§4.1 commit race).
+	if !m.catch(ob, m.judge(ob.probe, catcher, obs)) && ob.owed && !m.inFlight(ob) {
+		m.inject(ob)
+	}
 }
 
 // judge classifies an observation by which of the probe's outcomes it

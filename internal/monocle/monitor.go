@@ -24,13 +24,11 @@ import (
 // Config parameterizes one Monitor. The paper fixes the rest of the
 // Monitor's parameters, so they are package constants rather than fields:
 // the probe tag rides in probe.TagField (dl_vlan, strategy 1, §6); a
-// steady-state attempt sends retries+1 copies within AlarmTimeout
-// (§8.1.1); a dynamic probe waits genDelay for generation (Table 2, §8.2),
-// re-injects every retryInterval until it settles (§4.1), a sweep or
-// rule-op observation re-injects retryInterval after its first copy and
-// doubles the gap after every later one (observeFor), and all pending
-// updates share dynamicProbeRate PacketOuts per second (§8.4); postponed
-// drops are marked dropValue in dropField (§4.3).
+// dynamic probe waits genDelay for generation (Table 2, §8.2); every
+// observation re-sends its probe until it settles (§4.1, §8.1.1), never
+// while a copy is in flight (unanswered and younger than one RTO, at
+// least minRTO); pending updates share dynamicProbeRate PacketOuts per
+// second (§8.4); postponed drops are marked dropValue in dropField (§4.3).
 type Config struct {
 	// SwitchID is the network-wide unique identifier of the monitored
 	// switch, used to route caught probes back to this Monitor.
@@ -51,9 +49,9 @@ type Config struct {
 	// ProbeRate caps steady-state probing (probes/second); 500/s in the
 	// paper's experiments.
 	ProbeRate float64
-	// AlarmTimeout is how long a rule may stay unconfirmed (with
-	// retries) before the steady-state monitor raises an alarm; 150 ms
-	// in the paper.
+	// AlarmTimeout is the window of one steady-state attempt: a rule
+	// still unconfirmed when it closes (up to one RTO later, observeFor)
+	// raises an alarm; 150 ms in the paper.
 	AlarmTimeout time.Duration
 
 	// DropPostpone enables the §4.3 reliable drop-rule installation:
@@ -77,18 +75,14 @@ type Config struct {
 
 // The paper's fixed Monitor parameters (see Config).
 const (
-	// retries is the number of re-sent steady-state probes within
-	// AlarmTimeout (§8.1.1).
-	retries = 3
 	// genDelay models the probe-generation latency charged on the
 	// virtual clock before a dynamic probe is first injected (Table 2
 	// measures 1.5–4 ms per probe on real rule sets).
 	genDelay = 2 * time.Millisecond
-	// retryInterval is the minimum re-injection gap of one observation
-	// while it waits for its rule to reach the data plane (§4.1): the
-	// pending-update prober's spacing, and the first gap of a sweep or
-	// rule-op observation, whose later gaps double (6, 12, 24 ms, ...).
-	retryInterval = 3 * time.Millisecond
+	// minRTO floors the retransmission timeout (rttEstimator) and is the
+	// first gap between a bounded observation's copy slots, whose later
+	// gaps double (6, 12, 24 ms, ...).
+	minRTO = 3 * time.Millisecond
 	// dynamicProbeRate caps the aggregate dynamic-probe PacketOut rate
 	// (probes/s); pending updates share it round-robin so bursts of
 	// updates do not crowd FlowMods out of the control channel (§8.4).
@@ -192,6 +186,7 @@ type Monitor struct {
 	// Steady-state monitoring state.
 	steady      *steadyState
 	inflight    map[uint64]*observation // unanswered probe copies, by seq
+	rtt         rttEstimator            // round trips of caught copies
 	nextSeq     uint64
 	nonce       uint64
 	updateEpoch uint64 // bumped on table changes; invalidates cached probes

@@ -510,7 +510,7 @@ func TestLateContraryCatchIsNotSilence(t *testing.T) {
 		t.Fatalf("test premise: rule 500 must be a drop and rule 502 must fall through to one, got %+v and %+v", drop.Present, kept.Absent)
 	}
 	tb.sw[2].FailRule(500)
-	gap := retryInterval
+	gap := minRTO
 	for _, delay := range []time.Duration{gap + 2*time.Millisecond, 4 * gap, 20 * gap} {
 		switchsim.Connect(tb.sw[2], 2, tb.sw[3], 1, delay)
 		if v := observeOnce(t, tb, drop, packet.ExpectPresent, 200*time.Millisecond); v != VerdictAbsent {

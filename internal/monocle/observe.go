@@ -27,12 +27,10 @@ const defaultObserveTimeout = 2 * time.Second
 //     modifications, Absent for deletions — finishes it at once;
 //  2. a contrary catch is recorded and never finishes it early (§4.1: the
 //     update may not have reached the data plane yet);
-//  3. it is silent when the newest two of its due copies are unanswered.
-//     A copy is due once it is older than the longest round trip the
-//     observation's own catches have measured, plus one gap, so late
-//     catches are not mistaken for silence; two, not one, so a single
-//     catch slower than any measured before is not either. Silence is
-//     evidence of whichever outcome cannot reach a catcher
+//  3. it is silent when its newest copy is unanswered and at least one
+//     RTO old (the Monitor's rttEstimator); a younger unanswered copy is
+//     still in flight, so a late catch is not mistaken for silence.
+//     Silence is evidence of whichever outcome cannot reach a catcher
 //     (silenceVerdict, §3.3's negative probing);
 //  4. when a bounded window closes, a silent observation, or one that
 //     never caught anything, reports the silence verdict; any other
@@ -43,16 +41,10 @@ const defaultObserveTimeout = 2 * time.Second
 type observation struct {
 	probe  *probe.Probe
 	expect packet.Expectation
-	gap    time.Duration // spacing of the copies (of the first two, with backoff)
-	// backoff doubles the gap after every copy, as TCP backs off its
-	// retransmissions (RFC 6298): sweep and rule-op observations send
-	// few copies however long their window. Steady-state attempts keep
-	// their retries+1 evenly spaced copies (§8.1.1).
-	backoff bool
-	done    func(Verdict)
+	done   func(Verdict)
 
-	copies   []sentCopy    // injected copies, oldest first
-	rtt      time.Duration // longest round trip of a caught copy
+	copies   []sentCopy // injected copies, oldest first
+	owed     bool       // a copy slot passed while the newest copy was in flight
 	caught   bool
 	last     Verdict
 	finished bool
@@ -66,15 +58,53 @@ type sentCopy struct {
 	at  sim.Time
 }
 
-// caughtCopy records the round trip of the copy seq that was just
-// caught.
+// rttEstimator is the Monitor's RFC 6298 round-trip estimator, fed by every
+// caught copy (each has its own seq, so none is ambiguous); srtt 0: none yet.
+type rttEstimator struct{ srtt, rttvar time.Duration }
+
+func (e *rttEstimator) sample(r time.Duration) {
+	if e.srtt == 0 {
+		e.srtt, e.rttvar = r, r/2
+		return
+	}
+	e.rttvar += ((e.srtt - r).Abs() - e.rttvar) / 4
+	e.srtt += (r - e.srtt) / 8
+}
+
+// rto is SRTT + 4·RTTVAR, never below minRTO (minRTO before any sample).
+func (e *rttEstimator) rto() time.Duration { return max(minRTO, e.srtt+4*e.rttvar) }
+
+// caughtCopy feeds the round trip of the copy seq just caught to the
+// Monitor's estimator.
 func (m *Monitor) caughtCopy(ob *observation, seq uint64) {
 	for i := len(ob.copies) - 1; i >= 0; i-- {
 		if ob.copies[i].seq == seq {
-			ob.rtt = max(ob.rtt, m.Sim.Now()-ob.copies[i].at)
+			m.rtt.sample(m.Sim.Now() - ob.copies[i].at)
 			return
 		}
 	}
+}
+
+// unanswered reports whether the newest copy is unanswered (a catch
+// removes its inflight entry), and how long until it is one RTO old.
+func (m *Monitor) unanswered(ob *observation) (left time.Duration, ok bool) {
+	if n := len(ob.copies); n > 0 {
+		_, ok = m.inflight[ob.copies[n-1].seq]
+		left = ob.copies[n-1].at + m.rtt.rto() - m.Sim.Now()
+	}
+	return left, ok
+}
+
+// inFlight reports whether a new copy would only queue behind the newest.
+func (m *Monitor) inFlight(ob *observation) bool {
+	left, ok := m.unanswered(ob)
+	return ok && left > 0
+}
+
+// silent applies rule 3.
+func (m *Monitor) silent(ob *observation) bool {
+	left, ok := m.unanswered(ob)
+	return ok && left <= 0
 }
 
 // catch applies rules 1 and 2 to one piece of evidence; it reports
@@ -89,24 +119,6 @@ func (m *Monitor) catch(ob *observation, v Verdict) bool {
 	return settles
 }
 
-// silent applies rule 3. A copy is unanswered while its inflight entry
-// stands: a catch removes it.
-func (m *Monitor) silent(ob *observation) bool {
-	due := m.Sim.Now() - ob.rtt - ob.gap
-	unanswered := 0
-	for i := len(ob.copies) - 1; i >= 0 && unanswered < 2; i-- {
-		c := ob.copies[i]
-		if c.at > due {
-			continue
-		}
-		if _, ok := m.inflight[c.seq]; !ok {
-			return false
-		}
-		unanswered++
-	}
-	return unanswered == 2
-}
-
 // silenceVerdict judges silence as an observation of the outcomes no
 // catcher can see: a probe whose Present outcome is uncatchable (a drop,
 // or every emission exiting toward hosts) and whose Absent outcome is not
@@ -115,36 +127,41 @@ func (m *Monitor) silenceVerdict(p *probe.Probe) Verdict {
 	return Classify(m.outcomeSilent(p.Present), m.outcomeSilent(p.Absent))
 }
 
-// closeWindow applies rule 4.
-func (m *Monitor) closeWindow(ob *observation) {
-	if ob.caught && !m.silent(ob) {
-		m.finish(ob, ob.last)
-		return
-	}
-	m.finish(ob, m.silenceVerdict(ob.probe))
-}
-
-// observeFor is the bounded scheduler: it injects copies ob.gap apart,
-// each gap twice the last with ob.backoff, while the copy can still be
-// one ob.gap old when the window closes, and closes the window after
-// `window`. With backoff and a 3 ms gap, a 150 ms window carries copies
-// at 0, 3, 9, 21, 45 and 93 ms.
+// observeFor is the bounded scheduler. Its copy slots double their gap
+// from minRTO while a slot can be one RTO old at the close: 0, 3, 9, 21,
+// 45 and 93 ms in a 150 ms window. A slot whose newest copy is in flight
+// is owed, not sent; a contrary catch pays it (OnProbeCaught). Rule 4
+// closes the window after `window`, but not while its newest copy is in
+// flight, and at most one window later: a verdict takes at most
+// window + min(RTO, window).
 func (m *Monitor) observeFor(ob *observation, window time.Duration) {
-	ob.deadline = m.Sim.After(window, func() { m.closeWindow(ob) })
-	var at time.Duration // window offset of the copy being sent
-	next := ob.gap
-	var tick func()
-	tick = func() {
-		if !m.inject(ob) || at+next+ob.gap > window {
+	limit := m.Sim.Now() + 2*window
+	var closeWindow func()
+	closeWindow = func() {
+		switch left, ok := m.unanswered(ob); {
+		case ok && left > 0 && m.Sim.Now() < limit:
+			ob.deadline = m.Sim.At(min(m.Sim.Now()+left, limit), closeWindow)
+		case ob.caught && !m.silent(ob):
+			m.finish(ob, ob.last)
+		default:
+			m.finish(ob, m.silenceVerdict(ob.probe))
+		}
+	}
+	ob.deadline = m.Sim.After(window, closeWindow)
+	var at time.Duration // window offset of the slot; the next gap is at+minRTO
+	var slot func()
+	slot = func() {
+		if m.inFlight(ob) {
+			ob.owed = true
+		} else if !m.inject(ob) {
 			return
 		}
-		ob.retry = m.Sim.After(next, tick)
-		at += next
-		if ob.backoff {
-			next *= 2
+		if gap := at + minRTO; at+gap+m.rtt.rto() <= window {
+			ob.retry = m.Sim.After(gap, slot)
+			at += gap
 		}
 	}
-	tick()
+	slot()
 }
 
 // finish reports the verdict once and releases the observation's timers
@@ -163,16 +180,14 @@ func (m *Monitor) finish(ob *observation, v Verdict) {
 }
 
 // observeProbe injects probe p and reports, through done, the verdict of
-// the data plane's response: the second copy goes out one retry interval
-// after the first and every later gap doubles (observeFor), and the
-// observation settles by the observation rule within the timeout
-// (non-positive: defaultObserveTimeout). It runs on the event-loop
-// thread; done fires there too.
+// the data plane's response, settled by the observation rule within
+// observeFor's window of the timeout (non-positive: defaultObserveTimeout).
+// It runs on the event-loop thread; done fires there too.
 func (m *Monitor) observeProbe(p *probe.Probe, expect packet.Expectation, timeout time.Duration, done func(Verdict)) {
 	if timeout <= 0 {
 		timeout = defaultObserveTimeout
 	}
-	m.observeFor(&observation{probe: p, expect: expect, gap: retryInterval, backoff: true, done: done}, timeout)
+	m.observeFor(&observation{probe: p, expect: expect, done: done}, timeout)
 }
 
 // observeWindow caps the observations one ObserveProbeBatch keeps in

@@ -172,9 +172,9 @@ func copyTimes(tb *lineTestbed) *[]time.Duration {
 }
 
 // TestObserveCopySchedule pins the bounded scheduler's doubling gaps on
-// the virtual clock: the second copy goes out retryInterval after the
+// the virtual clock: the second copy goes out minRTO after the
 // first, each later gap is twice the last, and no copy goes out that
-// could not be one retryInterval old when the window closes.
+// could not be one minRTO old when the window closes.
 func TestObserveCopySchedule(t *testing.T) {
 	const window = 150 * time.Millisecond
 	ms := time.Millisecond
@@ -230,7 +230,7 @@ func TestObserveCopySchedule(t *testing.T) {
 
 	// A first catch contrary to the expectation (the rule has not reached
 	// the data plane yet, §4.1) is followed by a second copy one
-	// retryInterval later, which catches the committed rule.
+	// minRTO later, which catches the committed rule.
 	rule, ok := tb.sw[2].DataTable().Get(600)
 	if !ok {
 		t.Fatal("rule 600 missing from the data plane")
@@ -244,7 +244,70 @@ func TestObserveCopySchedule(t *testing.T) {
 		}
 	})
 	at, v, _ = observe(both)
-	if !slices.Equal(at, []time.Duration{0, retryInterval}) || v != VerdictConfirmed {
-		t.Fatalf("contrary first catch: %v after copies at %v, want %v after copies at [0 %v]", v, at, VerdictConfirmed, retryInterval)
+	if !slices.Equal(at, []time.Duration{0, minRTO}) || v != VerdictConfirmed {
+		t.Fatalf("contrary first catch: %v after copies at %v, want %v after copies at [0 %v]", v, at, VerdictConfirmed, minRTO)
+	}
+}
+
+// TestSlowPacketOutBatchConfirms: a switch that serves PacketOuts slowly
+// queues a batch's first copies behind one another, so round trips grow
+// far past minRTO. Copies sent on every slot regardless would pile into
+// that queue and push catches past the window; a slot owed while its
+// copy is in flight keeps about one PacketOut per probe, and every
+// healthy rule is confirmed.
+func TestSlowPacketOutBatchConfirms(t *testing.T) {
+	const n, window = 200, 150 * time.Millisecond
+	for _, service := range []time.Duration{500 * time.Microsecond, time.Millisecond} {
+		profile := switchsim.Ideal()
+		profile.PacketOutService = service
+		tb := newLineTestbed(t, profile, nil)
+		for i := 0; i < n; i++ {
+			tb.mon[2].OnControllerMessage(addFM(t, uint64(500+i), 10, ip4(10, 9, uint64(i/250), uint64(i%250)), 2), uint32(i))
+		}
+		tb.sim.RunUntil(5 * time.Second)
+		probes := sweepProbes(t, tb, 500)
+		if len(probes) != n {
+			t.Fatalf("want %d probes, got %d", n, len(probes))
+		}
+		expects := make([]packet.Expectation, n) // all ExpectPresent
+		at := copyTimes(tb)
+		unconfirmed, delivered := 0, 0
+		tb.mon[2].ObserveProbeBatch(probes, expects, window, func(_ int, v Verdict) {
+			delivered++
+			if v != VerdictConfirmed {
+				unconfirmed++
+			}
+		})
+		tb.sim.RunUntil(tb.sim.Now() + time.Minute)
+		if delivered != n || unconfirmed != 0 {
+			t.Errorf("PacketOut service %v: %d/%d verdicts, %d not confirmed", service, delivered, n, unconfirmed)
+		}
+		if len(*at) > n*11/10 {
+			t.Errorf("PacketOut service %v: %d PacketOuts for %d probes, want at most 1.1 per probe", service, len(*at), n)
+		}
+	}
+}
+
+// TestContraryCatchesCopyBound: an observation whose every catch is
+// contrary sends no more copies than its window has slots, however its
+// round trips compare with the slot gaps: a contrary catch pays an owed
+// slot, never one more copy of its own.
+func TestContraryCatchesCopyBound(t *testing.T) {
+	const window = 150 * time.Millisecond
+	tb := newLineTestbed(t, switchsim.Ideal(), nil)
+	tb.mon[2].OnControllerMessage(addFM(t, 600, 10, ip4(10, 0, 6, 1), 2), 1)
+	tb.sim.RunUntil(time.Second)
+	p := ruleProbe(t, tb, 600)
+	for _, delay := range []time.Duration{100 * time.Microsecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond} {
+		switchsim.Connect(tb.sw[2], 2, tb.sw[3], 1, delay)
+		at := copyTimes(tb)
+		// The rule forwards: every catch shows Present, contrary to a
+		// deletion's expectation.
+		if v := observeOnce(t, tb, p, packet.ExpectAbsent, window); v != VerdictConfirmed {
+			t.Fatalf("link delay %v: verdict %v, want the contrary %v", delay, v, VerdictConfirmed)
+		}
+		if len(*at) > 6 {
+			t.Fatalf("link delay %v: %d copies, want at most the window's 6 slots", delay, len(*at))
+		}
 	}
 }

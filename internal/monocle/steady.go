@@ -1,10 +1,10 @@
 package monocle
 
 // Steady-state monitoring (§3, §8.1.1): Monocle cycles through every
-// installed rule at a capped probe rate, re-sends unanswered probes up to
-// retries times, and raises an alarm when a rule stays unconfirmed for
-// AlarmTimeout. Probes are cached per rule and regenerated whenever the
-// expected table changes (epoch bump).
+// installed rule at a capped probe rate, re-sends each probe in the
+// bounded observation's copy slots, and raises an alarm when a rule stays
+// unconfirmed for AlarmTimeout. Probes are cached per rule and
+// regenerated whenever the expected table changes (epoch bump).
 
 import (
 	"context"
@@ -178,18 +178,13 @@ func (m *Monitor) nextSteadyRule() (uint64, bool) {
 	return 0, false
 }
 
-// beginAttempt verifies one rule: retries+1 copies of its probe spaced
-// AlarmTimeout/(retries+1), settled by the observation rule when they
-// confirm or when the AlarmTimeout window closes. A confirmed rule heals;
-// anything else alarms.
+// beginAttempt verifies one rule by one bounded observation over
+// AlarmTimeout (observeFor's copy slots and window). A confirmed rule
+// heals; anything else alarms.
 func (m *Monitor) beginAttempt(ruleID uint64, p *probe.Probe) {
 	st := m.steady
-	gap := m.Cfg.AlarmTimeout / (retries + 1)
-	if gap <= 0 {
-		gap = 50 * time.Millisecond
-	}
 	st.active[ruleID] = true
-	m.observeFor(&observation{probe: p, expect: packet.ExpectPresent, gap: gap, done: func(v Verdict) {
+	m.observeFor(&observation{probe: p, expect: packet.ExpectPresent, done: func(v Verdict) {
 		delete(st.active, ruleID)
 		if v == VerdictConfirmed {
 			delete(st.failed, ruleID) // rule healed
