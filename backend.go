@@ -48,7 +48,8 @@ type Backend interface {
 	// ObserveBatch injects probes[i] into the data plane and judges the
 	// response against the probe's two hypotheses, as Verdict defines.
 	// Live drivers re-inject in doubling slots, never while a copy is in
-	// flight (unanswered and younger than one measured RTO), until a
+	// flight (unanswered and younger than one measured RTO, raised to
+	// the probe's own longest round trip plus 3 ms), until a
 	// catch settles expects[i] or their observation timeout elapses (a
 	// verdict may take up to timeout + min(RTO, timeout)), keeping a
 	// window of observations in flight so a large sweep pipelines its

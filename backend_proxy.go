@@ -828,10 +828,11 @@ func (w *batchWait) abort(cause error) {
 // until a catch settles its expectation or ObserveTimeout elapses: copy
 // slots at 0, 3, 9, 21 ms, ... (gaps doubling), a slot owed rather than
 // sent while the newest copy is in flight (unanswered and younger than
-// one RTO of the Monitor's RFC 6298 estimator) and paid by a contrary
-// catch; then silence (the newest copy unanswered and one RTO old), or
-// else the last catch, decides (silence shows whichever outcome no
-// catcher can see). The window waits out a copy in flight, so a verdict
+// one RTO: the Monitor's RFC 6298 estimate, raised to the probe's own
+// longest round trip plus 3 ms) and paid by a contrary catch, the next
+// slot, or after the last slot a lost copy leaving flight; then silence
+// (the newest copy unanswered and one RTO old), or else the last catch,
+// decides (silence shows whichever outcome no catcher can see). The window waits out a copy in flight, so a verdict
 // may take up to ObserveTimeout + min(RTO, ObserveTimeout).
 // The whole batch marshals onto the event loop with a single post, where
 // the Monitor pipelines a window of 64 observations at once. Failures

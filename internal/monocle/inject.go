@@ -51,10 +51,12 @@ func (m *Monitor) armDynTicker(d time.Duration) {
 // dynamicTick probes the oldest eligible pending update first: updates
 // are forwarded to the switch in arrival order and commit in roughly that
 // order, so the head of the queue is the rule most likely to have just
-// landed in the data plane, and none is re-injected while in flight.
-// Each visit consults the observation's silence rule, so updates whose
-// settling outcome is uncatchable (drops, deletions falling through to a
-// drop) confirm by silence.
+// landed in the data plane. None is re-injected while in flight, unless
+// only its old outcome is silent: no catch answers a copy sent before the
+// commit, so it re-injects every minRTO. Each visit consults the
+// observation's silence rule, so updates whose settling outcome is
+// uncatchable (drops, deletions falling through to a drop) confirm by
+// silence.
 func (m *Monitor) dynamicTick() {
 	if len(m.pending) == 0 {
 		m.dynQueue = m.dynQueue[:0]
@@ -81,7 +83,11 @@ func (m *Monitor) dynamicTick() {
 				continue
 			}
 		}
-		if m.inFlight(ob) {
+		old, settling := ob.probe.Absent, ob.probe.Present
+		if ob.expect == packet.ExpectAbsent {
+			old, settling = settling, old
+		}
+		if m.inFlight(ob) && (!m.outcomeSilent(old) || m.outcomeSilent(settling) || now-ob.copies[len(ob.copies)-1].at < minRTO) {
 			continue
 		}
 		m.inject(ob)

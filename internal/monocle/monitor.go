@@ -26,9 +26,10 @@ import (
 // the probe tag rides in probe.TagField (dl_vlan, strategy 1, §6); a
 // dynamic probe waits genDelay for generation (Table 2, §8.2); every
 // observation re-sends its probe until it settles (§4.1, §8.1.1), never
-// while a copy is in flight (unanswered and younger than one RTO, at
-// least minRTO); pending updates share dynamicProbeRate PacketOuts per
-// second (§8.4); postponed drops are marked dropValue in dropField (§4.3).
+// while a copy is in flight (unanswered and younger than its RTO,
+// observation rule 3); pending updates share dynamicProbeRate
+// PacketOuts per second (§8.4); postponed drops are marked dropValue in
+// dropField (§4.3).
 type Config struct {
 	// SwitchID is the network-wide unique identifier of the monitored
 	// switch, used to route caught probes back to this Monitor.

@@ -502,6 +502,7 @@ func TestLateContraryCatchIsNotSilence(t *testing.T) {
 	})
 	tb.mon[2].OnControllerMessage(addFM(t, 501, 5, ip4(10, 0, 3, 1), 2), 1)
 	tb.mon[2].OnControllerMessage(addFM(t, 502, 5, ip4(10, 0, 4, 1), 2), 2)
+	tb.mon[2].OnControllerMessage(addFM(t, 503, 5, ip4(10, 0, 5, 1), 1), 4)
 	tb.sim.RunUntil(time.Second)
 	tb.mon[2].OnControllerMessage(addFM(t, 500, 10, ip4(10, 0, 3, 1), 0), 3)
 	tb.sim.RunUntil(2 * time.Second)
@@ -519,6 +520,17 @@ func TestLateContraryCatchIsNotSilence(t *testing.T) {
 		if v := observeOnce(t, tb, kept, packet.ExpectAbsent, 200*time.Millisecond); v != VerdictConfirmed {
 			t.Fatalf("link delay %v: undeleted rule verdict %v, want %v", delay, v, VerdictConfirmed)
 		}
+	}
+	// Probes caught fast through port 1 all along keep the Monitor's RTO
+	// near minRTO; the drop rule's own catches, still 60 ms away, must not
+	// read as silence.
+	fast := ruleProbe(t, tb, 503)
+	for at := time.Duration(0); at < 400*time.Millisecond; at += time.Millisecond {
+		tb.sim.After(at, func() { tb.mon[2].observeProbe(fast, packet.ExpectPresent, 0, func(Verdict) {}) })
+	}
+	tb.sim.RunUntil(tb.sim.Now() + 100*time.Millisecond)
+	if v := observeOnce(t, tb, drop, packet.ExpectPresent, 150*time.Millisecond); v != VerdictAbsent {
+		t.Fatalf("beside fast catches: faulted drop rule verdict %v, want %v", v, VerdictAbsent)
 	}
 	tb.mon[2].StartSteadyState()
 	tb.sim.RunUntil(tb.sim.Now() + time.Second)
@@ -584,5 +596,40 @@ func TestUncraftableProbeReleasesUnverified(t *testing.T) {
 	m.observeProbe(p, packet.ExpectPresent, time.Second, func(v Verdict) { got = v })
 	if got != VerdictUnexpected {
 		t.Fatalf("sweep verdict %v, want %v at once", got, VerdictUnexpected)
+	}
+}
+
+// TestSilentOldOutcomePacesByMinRTO: on the HP 5406zl profile, rules added
+// over a drop table-miss drop every copy sent before they commit, so no
+// catch answers those copies; the prober keeps re-injecting every minRTO
+// rather than waiting out an RTO inflated by the first catches, which
+// queued behind the FlowMods.
+func TestSilentOldOutcomePacesByMinRTO(t *testing.T) {
+	committed, confirmed := map[uint64]sim.Time{}, map[uint64]sim.Time{}
+	tb := newLineTestbed(t, switchsim.HP5406zl(), func(c *Config) {
+		c.Ports = append(c.Ports, 3)
+		c.PortPeer[3] = HostPeer
+		c.OnRuleConfirmed = func(ruleID uint64, at sim.Time) { confirmed[ruleID] = at }
+	})
+	tb.sw[2].OnCommit = func(_ uint16, cookie uint64, at sim.Time) { committed[cookie] = at }
+	for i := uint64(0); i < 3; i++ {
+		tb.mon[2].OnControllerMessage(addFM(t, 100+i, 10, ip4(10, 0, 0, 1+i), 2), uint32(i))
+	}
+	tb.sim.RunUntil(time.Second)
+	// A copy every minRTO confirms each within 4.3 ms of its commit; waiting
+	// out a full RTO took up to 34 ms.
+	for id := uint64(100); id < 103; id++ {
+		c, ok := confirmed[id]
+		if !ok || c-committed[id] > 5*time.Millisecond {
+			t.Errorf("rule %d committed at %v, confirmed at %v (%v), want within 5ms", id, committed[id], c, ok)
+		}
+	}
+	// A rule toward a host added over the drop miss has no catchable
+	// outcome at all: it waits out each copy, goes silent and is
+	// released, rather than re-injecting every minRTO for good.
+	tb.mon[2].OnControllerMessage(addFM(t, 103, 10, ip4(10, 0, 0, 4), 3), 3)
+	tb.sim.RunUntil(2 * time.Second)
+	if _, ok := confirmed[103]; !ok || len(tb.mon[2].pending) != 0 {
+		t.Errorf("host-facing rule over the drop miss not released: %d pending, %d probes sent", len(tb.mon[2].pending), tb.mon[2].Stats.ProbesSent)
 	}
 }

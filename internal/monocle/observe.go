@@ -27,11 +27,12 @@ const defaultObserveTimeout = 2 * time.Second
 //     modifications, Absent for deletions — finishes it at once;
 //  2. a contrary catch is recorded and never finishes it early (§4.1: the
 //     update may not have reached the data plane yet);
-//  3. it is silent when its newest copy is unanswered and at least one
-//     RTO old (the Monitor's rttEstimator); a younger unanswered copy is
-//     still in flight, so a late catch is not mistaken for silence.
-//     Silence is evidence of whichever outcome cannot reach a catcher
-//     (silenceVerdict, §3.3's negative probing);
+//  3. it is silent when its newest copy is unanswered and at least its
+//     RTO old: the Monitor's (rttEstimator), raised to the longest round
+//     trip its own catches measured plus minRTO, so a late catch over a
+//     slower link than the Monitor's others is not mistaken for silence
+//     (a younger unanswered copy is in flight). Silence is evidence of
+//     whichever outcome cannot reach a catcher (silenceVerdict, §3.3);
 //  4. when a bounded window closes, a silent observation, or one that
 //     never caught anything, reports the silence verdict; any other
 //     reports its last catch.
@@ -43,8 +44,9 @@ type observation struct {
 	expect packet.Expectation
 	done   func(Verdict)
 
-	copies   []sentCopy // injected copies, oldest first
-	owed     bool       // a copy slot passed while the newest copy was in flight
+	copies   []sentCopy    // injected copies, oldest first
+	rtt      time.Duration // longest round trip of a caught copy
+	owed     bool          // a copy slot passed while the newest copy was in flight
 	caught   bool
 	last     Verdict
 	finished bool
@@ -75,22 +77,27 @@ func (e *rttEstimator) sample(r time.Duration) {
 func (e *rttEstimator) rto() time.Duration { return max(minRTO, e.srtt+4*e.rttvar) }
 
 // caughtCopy feeds the round trip of the copy seq just caught to the
-// Monitor's estimator.
+// Monitor's estimator and the observation's longest.
 func (m *Monitor) caughtCopy(ob *observation, seq uint64) {
 	for i := len(ob.copies) - 1; i >= 0; i-- {
 		if ob.copies[i].seq == seq {
-			m.rtt.sample(m.Sim.Now() - ob.copies[i].at)
+			r := m.Sim.Now() - ob.copies[i].at
+			m.rtt.sample(r)
+			ob.rtt = max(ob.rtt, r)
 			return
 		}
 	}
 }
 
+// rto is the observation's RTO (rule 3).
+func (m *Monitor) rto(ob *observation) time.Duration { return max(m.rtt.rto(), ob.rtt+minRTO) }
+
 // unanswered reports whether the newest copy is unanswered (a catch
-// removes its inflight entry), and how long until it is one RTO old.
+// removes its inflight entry), and how long until it is its RTO old.
 func (m *Monitor) unanswered(ob *observation) (left time.Duration, ok bool) {
 	if n := len(ob.copies); n > 0 {
 		_, ok = m.inflight[ob.copies[n-1].seq]
-		left = ob.copies[n-1].at + m.rtt.rto() - m.Sim.Now()
+		left = ob.copies[n-1].at + m.rto(ob) - m.Sim.Now()
 	}
 	return left, ok
 }
@@ -128,14 +135,17 @@ func (m *Monitor) silenceVerdict(p *probe.Probe) Verdict {
 }
 
 // observeFor is the bounded scheduler. Its copy slots double their gap
-// from minRTO while a slot can be one RTO old at the close: 0, 3, 9, 21,
+// from minRTO while a slot can be its RTO old at the close: 0, 3, 9, 21,
 // 45 and 93 ms in a 150 ms window. A slot whose newest copy is in flight
-// is owed, not sent; a contrary catch pays it (OnProbeCaught). Rule 4
-// closes the window after `window`, but not while its newest copy is in
-// flight, and at most one window later: a verdict takes at most
-// window + min(RTO, window).
+// is owed, not sent: a contrary catch pays it at once (OnProbeCaught),
+// and otherwise the next slot does; after the last slot, it is paid when
+// that copy leaves flight unanswered (lost), if the copy can still be its
+// RTO old at the close. Rule 4 closes the window after `window`, but not
+// while its newest copy is in flight, and at most one window later: a
+// verdict takes at most window + min(its RTO, window).
 func (m *Monitor) observeFor(ob *observation, window time.Duration) {
-	limit := m.Sim.Now() + 2*window
+	start := m.Sim.Now()
+	limit := start + 2*window
 	var closeWindow func()
 	closeWindow = func() {
 		switch left, ok := m.unanswered(ob); {
@@ -148,20 +158,27 @@ func (m *Monitor) observeFor(ob *observation, window time.Duration) {
 		}
 	}
 	ob.deadline = m.Sim.After(window, closeWindow)
-	var at time.Duration // window offset of the slot; the next gap is at+minRTO
-	var slot func()
-	slot = func() {
-		if m.inFlight(ob) {
+	var at time.Duration // window offset of the next slot; the gap after it is at+minRTO
+	var wake func()
+	wake = func() {
+		now := m.Sim.Now()
+		if now >= start+at {
 			ob.owed = true
-		} else if !m.inject(ob) {
+			at += at + minRTO
+		}
+		left, ok := m.unanswered(ob)
+		if ob.owed && (!ok || left <= 0) && !m.inject(ob) {
 			return
 		}
-		if gap := at + minRTO; at+gap+m.rtt.rto() <= window {
-			ob.retry = m.Sim.After(gap, slot)
-			at += gap
+		next := start + at
+		if ob.owed && next+m.rto(ob) > start+window {
+			next = now + left
+		}
+		if next+m.rto(ob) <= start+window {
+			ob.retry = m.Sim.At(next, wake)
 		}
 	}
-	slot()
+	wake()
 }
 
 // finish reports the verdict once and releases the observation's timers

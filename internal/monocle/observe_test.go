@@ -311,3 +311,32 @@ func TestContraryCatchesCopyBound(t *testing.T) {
 		}
 	}
 }
+
+// TestLostCopyIsResent: with an RTO longer than the last slot gap allows
+// (60 ms at a 150 ms window: no slot after 45 ms), the slots a lost first
+// copy keeps owed are paid once it leaves flight, one RTO after it, so a
+// healthy rule is confirmed rather than judged silent at the close.
+func TestLostCopyIsResent(t *testing.T) {
+	const window = 150 * time.Millisecond
+	tb := newLineTestbed(t, switchsim.Ideal(), nil)
+	tb.mon[2].OnControllerMessage(addFM(t, 600, 10, ip4(10, 0, 6, 1), 2), 1)
+	tb.sim.RunUntil(time.Second)
+	p := ruleProbe(t, tb, 600)
+	tb.mon[2].rtt = rttEstimator{srtt: 20 * time.Millisecond, rttvar: 10 * time.Millisecond}
+	var at []time.Duration
+	start, sw := tb.sim.Now(), tb.sw[2]
+	tb.mon[2].ToSwitch = func(msg openflow.Message, xid uint32) {
+		if _, ok := msg.(*openflow.PacketOut); ok {
+			if at = append(at, time.Duration(tb.sim.Now()-start)); len(at) == 1 {
+				return // the first copy is lost
+			}
+		}
+		sw.FromController(msg, xid)
+	}
+	if v := observeOnce(t, tb, p, packet.ExpectPresent, window); v != VerdictConfirmed {
+		t.Fatalf("verdict %v after copies at %v, want %v", v, at, VerdictConfirmed)
+	}
+	if want := []time.Duration{0, 60 * time.Millisecond}; !slices.Equal(at, want) {
+		t.Fatalf("copies at %v, want %v", at, want)
+	}
+}

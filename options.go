@@ -127,10 +127,11 @@ func WithSteadyInterval(d time.Duration) Option {
 	return func(s *settings) { s.steadyInterval = d }
 }
 
-// WithDetectionTimeout bounds how long a rule may stay unconfirmed before
+// WithDetectionTimeout sets how long a rule may stay unconfirmed before
 // the proxy Monitor raises an alarm (steady state), and a Service proxy
-// switch's observation round trips. Zero keeps the paper's 150 ms
-// steady-state default.
+// switch's observation window. Either may run up to one measured RTO
+// past it (at most twice the timeout) while a probe's newest copy is in
+// flight. Zero keeps the paper's 150 ms steady-state default.
 func WithDetectionTimeout(d time.Duration) Option {
 	return func(s *settings) { s.detectionTimeout = d }
 }
