@@ -401,7 +401,9 @@ func BenchmarkFleetSweep(b *testing.B) {
 
 // BenchmarkFleetResweep measures the steady-state cadence of the sweep
 // service: tables already compiled, one rule of one member churning per
-// iteration, whole fleet re-swept through the epoch-aware caches.
+// iteration, whole fleet re-swept through the epoch-aware caches. Only
+// the churned member re-solves; the other seven answer from their
+// session caches' sweep memos.
 func BenchmarkFleetResweep(b *testing.B) {
 	fleet := buildFleet(b, 8, 200, 0)
 	fleet.Sweep(context.Background()) // compile + prewarm
@@ -417,6 +419,21 @@ func BenchmarkFleetResweep(b *testing.B) {
 		if err := victim.Install(r); err != nil {
 			b.Fatal(err)
 		}
+		if n := len(fleet.Sweep(context.Background())); n != 8*200 {
+			b.Fatalf("swept %d results", n)
+		}
+	}
+}
+
+// BenchmarkFleetResweepUnchanged measures the sweep memo itself: the
+// same 8x200 fleet re-swept with no table change between rounds, so
+// every member answers from its session cache's memo of the last sweep.
+func BenchmarkFleetResweepUnchanged(b *testing.B) {
+	fleet := buildFleet(b, 8, 200, 0)
+	fleet.Sweep(context.Background()) // compile + first solve
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if n := len(fleet.Sweep(context.Background())); n != 8*200 {
 			b.Fatalf("swept %d results", n)
 		}

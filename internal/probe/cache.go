@@ -16,6 +16,14 @@ package probe
 // the library from scratch, which also compacts the encoder's variable
 // space.
 //
+// The cache also keeps its last complete sweep. A GenerateAllStats call at
+// the same epoch over the same id set (nil, the whole table, is not the
+// same set as an empty subset) returns a copy of those results with nil
+// WorkerStats and no solver work: every table change bumps the owner's
+// epoch, so a re-solve would return the identical probes. The copy shares
+// the immutable Probes. The memo is dropped when the epoch moves on, and
+// a cancelled or failed sweep is never kept.
+//
 // A SessionCache is not safe for concurrent use. It is designed for the
 // Monitor's single-threaded event loop: sessions it returns are valid
 // until the next table change, and the GenerateAll sweep it offers runs
@@ -23,6 +31,7 @@ package probe
 
 import (
 	"context"
+	"slices"
 
 	"monocle/internal/flowtable"
 )
@@ -39,6 +48,9 @@ type SessionCache struct {
 	epoch uint64
 	valid bool // sess matches the table state at `epoch`
 
+	memo    []Result // last complete sweep at `epoch`; nil: none
+	memoIDs []uint64 // its id set (nil: the whole table)
+
 	// Stats counts cache activity (benchmarks, tests, -stats reporting).
 	Stats CacheStats
 }
@@ -46,7 +58,8 @@ type SessionCache struct {
 // CacheStats counts SessionCache activity. The JSON form feeds the
 // monocled /metrics endpoint.
 type CacheStats struct {
-	// Hits are Session calls answered with the cached session.
+	// Hits are Session calls answered with the cached session, sweeps
+	// answered from the memo of the last sweep included.
 	Hits int `json:"hits"`
 	// Syncs are epoch changes that re-synced the library.
 	Syncs int `json:"syncs"`
@@ -94,9 +107,15 @@ func (c *SessionCache) GenerateAll(ctx context.Context, epoch uint64, parallelis
 // its members, so the probe set is bit-identical for any worker count and
 // a subset naming every rule yields exactly the whole-table probes.
 // Results come in table priority order; ids not in the table are
-// skipped.
+// skipped. A repeat of the last complete sweep (same epoch, same ids) is
+// answered from its memo: a fresh copy of the slice sharing the immutable
+// Probes, with nil WorkerStats.
 func (c *SessionCache) GenerateAllStats(ctx context.Context, epoch uint64, ids []uint64, parallelism int) ([]Result, []WorkerStats) {
 	sess, err := c.Session(epoch)
+	if err == nil && ctx.Err() == nil && c.memo != nil &&
+		(ids == nil) == (c.memoIDs == nil) && slices.Equal(ids, c.memoIDs) {
+		return slices.Clone(c.memo), nil
+	}
 	var rules []*flowtable.Rule
 	if err == nil {
 		rules = sess.rules
@@ -126,14 +145,17 @@ func (c *SessionCache) GenerateAllStats(ctx context.Context, epoch uint64, ids [
 			}
 		}
 	}
-	if pick == nil {
-		return results, stats
-	}
-	out := results[:0]
-	for i := range results {
-		if pick[i] {
-			out = append(out, results[i])
+	out := results
+	if pick != nil {
+		out = results[:0]
+		for i := range results {
+			if pick[i] {
+				out = append(out, results[i])
+			}
 		}
+	}
+	if err == nil && ctx.Err() == nil {
+		c.memo, c.memoIDs = slices.Clone(out), slices.Clone(ids)
 	}
 	return out, stats
 }
@@ -149,6 +171,7 @@ func (c *SessionCache) needsRebuild(live int) bool {
 // wholesale when the garbage threshold is crossed, and construct the new
 // session.
 func (c *SessionCache) sync() error {
+	c.memo, c.memoIDs = nil, nil
 	rules := c.table.Rules()
 	if c.b == nil || c.needsRebuild(len(rules)) {
 		if c.b != nil {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"monocle/internal/dataset"
 	"monocle/internal/flowtable"
 	"monocle/internal/header"
 )
@@ -181,5 +183,90 @@ func TestSessionCacheGenerateAllMatchesGenerator(t *testing.T) {
 	}
 	if c.Stats.Hits == 0 {
 		t.Fatalf("repeat sweep did not hit the cache: %+v", c.Stats)
+	}
+}
+
+// TestSessionCacheSweepReuse: a repeat of the last complete sweep (same
+// epoch, same ids) returns the same results with no solver work; any
+// other key, a cancelled sweep and a rebuild re-solve.
+func TestSessionCacheSweepReuse(t *testing.T) {
+	prof := dataset.Stanford()
+	prof.Rules = 200
+	tb, rules := dataset.Generate(prof)
+	c := cacheGen().NewSessionCache(tb)
+	ctx := context.Background()
+	epoch := uint64(1)
+	resolves := func(what string, ids []uint64) []Result {
+		t.Helper()
+		res, stats := c.GenerateAllStats(ctx, epoch, ids, 2)
+		if stats == nil {
+			t.Fatalf("%s: reused a sweep that must re-solve", what)
+		}
+		return res
+	}
+
+	first := resolves("first sweep", nil)
+	hits := c.Stats.Hits
+	again, stats := c.GenerateAllStats(ctx, epoch, nil, 2)
+	if stats != nil {
+		t.Fatalf("repeat sweep did solver work: %+v", stats)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatal("repeat sweep differs from the first")
+	}
+	if c.Stats.Hits != hits+1 {
+		t.Fatalf("reuse not counted as a hit: %d, want %d", c.Stats.Hits, hits+1)
+	}
+	// The caller owns the returned slice.
+	again[0] = Result{}
+	if next, _ := c.GenerateAllStats(ctx, epoch, nil, 2); !reflect.DeepEqual(next, first) {
+		t.Fatal("mutating a returned slice changed the memo")
+	}
+
+	sub := []uint64{rules[3].ID, rules[7].ID, rules[50].ID}
+	resolves("a subset", sub)
+	if _, stats := c.GenerateAllStats(ctx, epoch, sub, 2); stats != nil {
+		t.Fatal("repeat subset sweep did solver work")
+	}
+	resolves("another subset", sub[:2])
+	resolves("the whole table after a subset", nil)
+	if res := resolves("an empty subset after nil", []uint64{}); len(res) != 0 {
+		t.Fatalf("empty subset returned %d results", len(res))
+	}
+	resolves("nil after an empty subset", nil)
+
+	epoch++
+	if res := resolves("an epoch bump", nil); !reflect.DeepEqual(res, first) {
+		t.Fatal("re-solve of an unchanged table differs")
+	}
+
+	// A cancelled sweep is neither reused nor kept.
+	epoch++
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	res, _ := c.GenerateAllStats(cancelled, epoch, nil, 2)
+	if !errors.Is(res[0].Err, context.Canceled) {
+		t.Fatalf("cancelled sweep: err %v", res[0].Err)
+	}
+	for _, r := range resolves("after a cancelled sweep", nil) {
+		if errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("rule %d kept the cancelled sweep's error", r.Rule.ID)
+		}
+	}
+
+	// The garbage left by deleting 150 rules triggers a rebuild at the
+	// sync after the one that dropped them.
+	for _, r := range rules[:150] {
+		_ = tb.Delete(r.ID)
+	}
+	epoch++
+	resolves("deleting 150 rules", nil)
+	rebuilds := c.Stats.Rebuilds
+	epoch++
+	if res := resolves("a rebuild", nil); len(res) != 50 {
+		t.Fatalf("after deleting 150 of 200 rules: %d results", len(res))
+	}
+	if c.Stats.Rebuilds != rebuilds+1 {
+		t.Fatalf("deleting 150 of 200 rules did not rebuild: %+v", c.Stats)
 	}
 }
