@@ -11,8 +11,9 @@
 //     generate a probe for any rule (steady-state monitoring), and build
 //     dynamic-update confirmation probes for additions, modifications and
 //     deletions. Generation is incremental: repeated probes and sweeps
-//     reuse the compiled table library, and table changes recompile only
-//     the changed rules.
+//     reuse the compiled table library, table changes recompile only
+//     the changed rules, and a sweep of an unchanged table returns the
+//     last sweep's probes without solving.
 //
 //   - Fleet: multi-switch deployment. Fleet shards its member switches
 //     across a bounded solver-worker budget and runs concurrent

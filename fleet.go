@@ -154,7 +154,9 @@ func (f *Fleet) Sweep(ctx context.Context) []SweepEvent {
 // table priority order within a member. Members sweep concurrently under
 // the fleet worker budget, and each member's probe set is bit-identical
 // for any budget: a subset naming every rule yields exactly a standalone
-// Verifier's sweep of the same table.
+// Verifier's sweep of the same table. A member whose table is unchanged
+// since its last sweep over the same subset solves nothing: it returns
+// that sweep's results again, sharing their immutable Probes.
 func (f *Fleet) SweepPlan(ctx context.Context, sel map[uint32][]uint64) []SweepEvent {
 	members := f.snapshot()
 	if sel != nil {

@@ -55,3 +55,25 @@ func TestMonitorSessionCacheDeltaRecompile(t *testing.T) {
 			st.DeltaRules, limit, st)
 	}
 }
+
+// TestFailedReplacingAddMovesEpoch: an add whose strict delete removed a
+// rule but whose insert then failed has still changed the expected
+// table, so it must move the epoch that the session cache (and its sweep
+// memo) keys on.
+func TestFailedReplacingAddMovesEpoch(t *testing.T) {
+	tb := newLineTestbed(t, switchsim.Ideal(), nil)
+	m := tb.mon[2]
+	m.OnControllerMessage(addFM(t, 100, 10, ip4(10, 0, 0, 1), 2), 1)
+	m.OnControllerMessage(addFM(t, 200, 20, ip4(10, 0, 0, 2), 2), 2)
+	tb.sim.RunUntil(time.Second)
+	before := m.Epoch()
+	// Rule 100's match and priority under rule 200's id: the strict
+	// delete removes rule 100, the insert fails on the duplicate id.
+	m.OnControllerMessage(addFM(t, 200, 10, ip4(10, 0, 0, 1), 2), 3)
+	if _, ok := m.expected.Get(100); ok {
+		t.Fatal("the replacing add kept rule 100")
+	}
+	if m.Epoch() == before {
+		t.Fatalf("expected table changed but the epoch stayed %d", before)
+	}
+}

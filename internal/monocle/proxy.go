@@ -122,11 +122,15 @@ func (m *Monitor) processFlowMod(fm *openflow.FlowMod, xid uint32) {
 
 func (m *Monitor) addRule(fm *openflow.FlowMod, xid uint32, match flowtable.Match, actions []flowtable.Action) {
 	// Add-or-replace semantics.
-	m.expected.DeleteMatching(match, int(fm.Priority))
+	removed := m.expected.DeleteMatching(match, int(fm.Priority))
 	rule := &flowtable.Rule{ID: fm.Cookie, Priority: int(fm.Priority), Match: match, Actions: actions}
 	if err := m.expected.Insert(rule); err != nil {
 		// Equal-priority overlap or duplicate id: undefined on the
-		// switch too; forward unmonitored.
+		// switch too; forward unmonitored. The strict delete still
+		// changed the table.
+		if len(removed) > 0 {
+			m.tableChanged(match)
+		}
 		m.forwardToSwitch(fm, xid)
 		return
 	}
@@ -162,9 +166,12 @@ func (m *Monitor) addWithDropPostpone(fm *openflow.FlowMod, xid uint32) {
 	}
 	markedFM := *fm
 	markedFM.Actions = wireActs
-	m.expected.DeleteMatching(match, int(fm.Priority))
+	removed := m.expected.DeleteMatching(match, int(fm.Priority))
 	rule := &flowtable.Rule{ID: fm.Cookie, Priority: int(fm.Priority), Match: match, Actions: marked}
 	if err := m.expected.Insert(rule); err != nil {
+		if len(removed) > 0 {
+			m.tableChanged(match)
+		}
 		m.forwardToSwitch(fm, xid)
 		return
 	}

@@ -153,13 +153,17 @@ func (v *Verifier) ProbeFor(id uint64) (*Probe, error) {
 // monitoring set — in table priority order, fanning the solves out over
 // the configured worker budget. Results are deterministic: the probe set
 // is bit-identical for any worker count. Cancelling the context stops the
-// sweep early; unprocessed rules carry the context error.
+// sweep early; unprocessed rules carry the context error. A repeat sweep
+// with no table change in between solves nothing: it returns the last
+// sweep's results, sharing their immutable Probes.
 func (v *Verifier) Sweep(ctx context.Context) []ProbeResult {
 	res, _ := v.SweepStats(ctx)
 	return res
 }
 
-// SweepStats is Sweep surfacing per-worker solver statistics.
+// SweepStats is Sweep surfacing per-worker solver statistics. The stats
+// are nil when the sweep was answered from the last one (no table change
+// since).
 func (v *Verifier) SweepStats(ctx context.Context) ([]ProbeResult, []WorkerStats) {
 	_, res, stats := v.sweep(ctx, nil, v.set.effectiveWorkers())
 	return res, stats
