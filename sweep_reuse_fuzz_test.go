@@ -64,7 +64,7 @@ func runSweepReuse(t *testing.T, seed int64, ops []byte) {
 	}
 	ctx := context.Background()
 	for step, op := range ops {
-		switch op % 9 {
+		switch kind := op % 9; kind {
 		case 0: // Install zero or one rule
 			var rs []*monocle.Rule
 			if len(extra) > 0 && rng.Intn(2) == 0 {
@@ -102,7 +102,6 @@ func runSweepReuse(t *testing.T, seed int64, ops []byte) {
 				_, _ = v.ProbeFor(id)
 			}
 		default: // a sweep: Verifier.Sweep, all ids, a subset, nil plan
-			kind := op % 9
 			var ids []uint64
 			if kind == 6 || kind == 7 {
 				ids = []uint64{}

@@ -153,9 +153,10 @@ func (v *Verifier) ProbeFor(id uint64) (*Probe, error) {
 // monitoring set — in table priority order, fanning the solves out over
 // the configured worker budget. Results are deterministic: the probe set
 // is bit-identical for any worker count. Cancelling the context stops the
-// sweep early; unprocessed rules carry the context error. A repeat sweep
-// with no table change in between solves nothing: it returns the last
-// sweep's results, sharing their immutable Probes.
+// sweep early; unprocessed rules carry the context error. A Sweep that
+// repeats this Verifier's previous sweep with no table change in between
+// solves nothing: it returns that sweep's results, sharing their
+// immutable Probes.
 func (v *Verifier) Sweep(ctx context.Context) []ProbeResult {
 	res, _ := v.SweepStats(ctx)
 	return res
