@@ -440,6 +440,43 @@ func BenchmarkFleetResweepUnchanged(b *testing.B) {
 	}
 }
 
+// roundService builds the BenchmarkServiceRoundUnchanged workload: a
+// Service over n SimBackend switches holding `rules` Stanford-shaped
+// rules each (seed = switch id), after one warm-up round that compiles
+// every member's table library and fills its sweep memo.
+func roundService(tb testing.TB, n, rules int) *monocle.Service {
+	tb.Helper()
+	svc := monocle.NewService()
+	tb.Cleanup(func() { svc.Close() })
+	for id := uint32(1); id <= uint32(n); id++ {
+		if _, err := svc.Fleet().AddBackend(monocle.NewSimBackend(id)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := svc.InstallRules(id, datasetRules(rules, int64(id))...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	svc.SweepRound(context.Background())
+	return svc
+}
+
+// BenchmarkServiceRoundUnchanged measures one whole SweepRound (plan,
+// memoized generation, observation on the simulated data planes, Differ
+// fold, publish) over an 8x200 fleet whose tables never change, so the
+// fold and publish layers are not hidden behind solver work.
+func BenchmarkServiceRoundUnchanged(b *testing.B) {
+	svc := roundService(b, 8, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc.SweepRound(context.Background())
+	}
+	b.StopTimer()
+	if n := svc.Metrics().LastRoundRules; n != 8*200 {
+		b.Fatalf("swept %d rules", n)
+	}
+}
+
 // BenchmarkSATSolverProbeShape measures the raw SAT backend on a
 // probe-shaped instance (hundreds of vars, unit-heavy clauses).
 func BenchmarkSATSolverProbeShape(b *testing.B) {

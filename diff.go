@@ -177,13 +177,14 @@ type Alert struct {
 	Record *ResultRecord `json:"record,omitempty"`
 }
 
-// observation is one rule's result within the accumulating snapshot.
+// observation is one rule's result within the accumulating snapshot. It
+// keeps the sweep event itself: a rule-level alert renders the event's
+// ResultRecord when it is raised, so a quiet round renders nothing.
 type observation struct {
 	status    RuleStatus
-	rec       ResultRecord
-	rule      *Rule // the probed rule, for alert-filter predicates (may be nil)
-	skipped   bool  // present in the table but unjudgeable this round
-	unsampled bool  // present in the table but not selected by the round's plan
+	ev        SweepEvent // zero for an unsampled rule
+	skipped   bool       // present in the table but unjudgeable this round
+	unsampled bool       // present in the table but not selected by the round's plan
 }
 
 // ruleDiff is the folded cross-epoch state of one rule.
@@ -345,11 +346,7 @@ func (d *Differ) ObserveSkipped(ev SweepEvent) {
 	if ev.Epoch < sw.epoch {
 		return // superseded epoch: the table changed under the sweep
 	}
-	sw.cur[ev.Result.Rule.ID] = &observation{
-		skipped: true,
-		rule:    ev.Result.Rule,
-		rec:     NewResultRecord(ev.SwitchID, ev.Epoch, ev.Result),
-	}
+	sw.cur[ev.Result.Rule.ID] = &observation{skipped: true, ev: ev}
 }
 
 // ObserveUnsampled records a rule the round's probe plan deliberately left
@@ -423,11 +420,7 @@ func (d *Differ) observe(ev SweepEvent, st RuleStatus) {
 	}
 	sw.epoch = ev.Epoch
 	sw.seen = true
-	sw.cur[ev.Result.Rule.ID] = &observation{
-		status: st,
-		rule:   ev.Result.Rule,
-		rec:    NewResultRecord(ev.SwitchID, ev.Epoch, ev.Result),
-	}
+	sw.cur[ev.Result.Rule.ID] = &observation{status: st, ev: ev}
 }
 
 // EndSweep finalizes the current round: every switch's accumulated
@@ -573,7 +566,7 @@ func (d *Differ) endSweepLocked(ids []uint32) []Alert {
 				// untouched.
 				continue
 			}
-			pass := eff.filter == nil || eff.filter(rid, o.rule)
+			pass := eff.filter == nil || eff.filter(rid, o.ev.Result.Rule)
 			r := sw.rules[rid]
 			if r == nil {
 				r = &ruleDiff{}
@@ -589,7 +582,7 @@ func (d *Differ) endSweepLocked(ids []uint32) []Alert {
 			if bad && !r.alerted && r.streak >= eff.debounce {
 				r.alerted = true
 				if pass {
-					rec := o.rec
+					rec := o.ev.Record()
 					alerts = append(alerts, Alert{
 						Type:     AlertRuleFailing,
 						SwitchID: id,
@@ -605,7 +598,7 @@ func (d *Differ) endSweepLocked(ids []uint32) []Alert {
 			if !bad && r.alerted {
 				r.alerted = false
 				if pass {
-					rec := o.rec
+					rec := o.ev.Record()
 					alerts = append(alerts, Alert{
 						Type:     AlertRuleRecovered,
 						SwitchID: id,
@@ -633,7 +626,7 @@ func (d *Differ) endSweepLocked(ids []uint32) []Alert {
 				if !r.flapped {
 					r.flapped = true
 					if pass {
-						rec := o.rec
+						rec := o.ev.Record()
 						alerts = append(alerts, Alert{
 							Type:     AlertVerdictFlapping,
 							SwitchID: id,

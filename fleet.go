@@ -156,7 +156,9 @@ func (f *Fleet) Sweep(ctx context.Context) []SweepEvent {
 // for any budget: a subset naming every rule yields exactly a standalone
 // Verifier's sweep of the same table. A member whose table is unchanged
 // since its last sweep over the same subset solves nothing: it returns
-// that sweep's results again, sharing their immutable Probes.
+// that sweep's results again, sharing their immutable Probes. Every call
+// returns a fresh slice, built in one allocation, that the fleet never
+// touches again; the Service folds it and publishes it as its last sweep.
 func (f *Fleet) SweepPlan(ctx context.Context, sel map[uint32][]uint64) []SweepEvent {
 	members := f.snapshot()
 	if sel != nil {
@@ -168,26 +170,24 @@ func (f *Fleet) SweepPlan(ctx context.Context, sel map[uint32][]uint64) []SweepE
 		}
 		members = picked
 	}
-	perMember := make([][]SweepEvent, len(members))
-	f.sweepInto(ctx, members, sel, func(i int, evs []SweepEvent) { perMember[i] = evs })
-	return collectEvents(perMember)
-}
-
-// collectEvents concatenates per-member event slices into one result
-// sized in a single allocation (the old grow-by-append doubled its way
-// up every round), then recycles the per-member backing arrays for the
-// next round's memberEvents.
-func collectEvents(perMember [][]SweepEvent) []SweepEvent {
+	swept := f.sweepInto(ctx, members, sel)
 	total := 0
-	for _, evs := range perMember {
-		total += len(evs)
+	for _, ms := range swept {
+		total += len(ms.results)
 	}
 	out := make([]SweepEvent, 0, total)
-	for _, evs := range perMember {
-		out = append(out, evs...)
-		recycleMemberEvents(evs)
+	for i, ms := range swept {
+		for _, res := range ms.results {
+			out = append(out, SweepEvent{SwitchID: members[i].id, Epoch: ms.epoch, Result: res})
+		}
 	}
 	return out
+}
+
+// memberSweep is one member's sweep: its table epoch and its results.
+type memberSweep struct {
+	epoch   uint64
+	results []ProbeResult
 }
 
 // snapshot copies the member list under the lock.
@@ -198,14 +198,15 @@ func (f *Fleet) snapshot() []*fleetMember {
 }
 
 // sweepInto sweeps every member concurrently, each over its subset in sel
-// (nil: the whole table), invoking done(i, events) once per member. The
+// (nil: the whole table), and returns their sweeps in member order. The
 // worker budget B is sharded: with K = min(B, members) member sweeps in
 // flight, each gets B/K solver workers, so the fleet never runs more than
 // B solver goroutines at once.
-func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[uint32][]uint64, done func(int, []SweepEvent)) {
+func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[uint32][]uint64) []memberSweep {
+	out := make([]memberSweep, len(members))
 	k := len(members)
 	if k == 0 {
-		return
+		return out
 	}
 	budget := f.set.effectiveWorkers()
 	if k > budget {
@@ -232,50 +233,10 @@ func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[u
 					return
 				}
 				m := members[i]
-				epoch, results, _ := m.v.sweep(ctx, sel[m.id], share)
-				done(i, memberEvents(m.id, epoch, results))
+				out[i].epoch, out[i].results, _ = m.v.sweep(ctx, sel[m.id], share)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// memberEvents wraps one member's sweep results as events, reusing a
-// recycled backing array when one fits (see collectEvents).
-func memberEvents(id uint32, epoch uint64, results []ProbeResult) []SweepEvent {
-	evs := takeMemberEvents(len(results))
-	for _, res := range results {
-		evs = append(evs, SweepEvent{SwitchID: id, Epoch: epoch, Result: res})
-	}
-	return evs
-}
-
-// memberEventPool recycles per-member event slice backing arrays across
-// sweep rounds.
-var memberEventPool sync.Pool
-
-// takeMemberEvents returns a zero-length event slice with capacity for
-// n, pooled when a big-enough recycled array is available.
-func takeMemberEvents(n int) []SweepEvent {
-	if p, ok := memberEventPool.Get().(*[]SweepEvent); ok {
-		if evs := *p; cap(evs) >= n {
-			return evs[:0]
-		}
-	}
-	return make([]SweepEvent, 0, n)
-}
-
-// recycleMemberEvents clears and pools one per-member slice. Elements
-// are zeroed first so the pool does not pin the round's Rule and Probe
-// objects beyond the round that produced them.
-func recycleMemberEvents(evs []SweepEvent) {
-	if cap(evs) == 0 {
-		return
-	}
-	evs = evs[:cap(evs)]
-	for i := range evs {
-		evs[i] = SweepEvent{}
-	}
-	boxed := evs[:0]
-	memberEventPool.Put(&boxed)
+	return out
 }

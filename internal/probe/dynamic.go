@@ -3,13 +3,11 @@ package probe
 // Dynamic-monitoring probe construction (§4.1): probes for rule additions,
 // deletions, and modifications.
 //
-// Additions reuse the steady-state generator against the expected table
-// that already includes the new rule; the probe confirms installation once
-// the data plane produces the Present outcome.
-//
-// Deletions reuse the same probe with the interpretation swapped: the
-// deletion has taken effect once the probe produces the Absent outcome
-// (the underlying lower-priority rule's actions).
+// Additions and deletions need no construction of their own: both call
+// Generate on the expected table that holds the rule. An addition is
+// confirmed once the data plane produces the probe's Present outcome; a
+// deletion, with the interpretation swapped, once it produces the Absent
+// outcome (the underlying lower-priority rule's actions).
 //
 // Modifications keep match and priority, so the probe always hits either
 // the old or the new version. Per the paper we clone the expected table,
@@ -23,19 +21,6 @@ import (
 
 	"monocle/internal/flowtable"
 )
-
-// GenerateAddition creates a probe confirming that newRule (already part
-// of the expected table) has reached the data plane.
-func (g *Generator) GenerateAddition(table *flowtable.Table, newRule *flowtable.Rule) (*Probe, error) {
-	return g.Generate(table, newRule)
-}
-
-// GenerateDeletion creates a probe confirming that the rule has left the
-// data plane. The table passed in must still contain the rule. Deletion is
-// confirmed when the observed behaviour equals the probe's Absent outcome.
-func (g *Generator) GenerateDeletion(table *flowtable.Table, rule *flowtable.Rule) (*Probe, error) {
-	return g.Generate(table, rule)
-}
 
 // GenerateModification creates a probe distinguishing the new version of a
 // rule from the old one. oldRule must be in table; newActions are the

@@ -421,7 +421,7 @@ func TestDeletionProbe(t *testing.T) {
 		Match:   srcMatch(10, 0, 0, 0, 8),
 		Actions: []flowtable.Action{flowtable.Output(2)}}
 	tb := newTable(t, flowtable.MissDrop, def, target)
-	p, err := gen().GenerateDeletion(tb, target)
+	p, err := gen().Generate(tb, target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,22 +55,6 @@ func SwitchConfig(tag uint64, ports []flowtable.PortID, counting bool) (Config, 
 	return cfg, nil
 }
 
-// Collecting returns a generator with g's configuration but the Collect
-// constraint collect, reserving every field collect pins: a scheme that
-// tags probes in several fields (strategy 2 of §6) refuses rules
-// rewriting any of them.
-func (g *Generator) Collecting(collect flowtable.Match) *Generator {
-	cfg := g.cfg
-	cfg.Collect = collect
-	cfg.ReservedFields = nil
-	for f := header.FieldID(0); f < header.NumFields; f++ {
-		if !collect[f].IsWildcard() {
-			cfg.ReservedFields = append(cfg.ReservedFields, f)
-		}
-	}
-	return &Generator{cfg: cfg}
-}
-
 // Generate generates the probe for a rule of the cache's table at epoch
 // through the cached session, falling back to one-shot generation when no
 // session can be built.

@@ -76,20 +76,11 @@ type Service struct {
 	tags    map[uint32][]string
 	planVer uint64
 
-	mu        sync.Mutex
-	lastSweep []ResultRecord
-	// sweepBufs double-buffers the published result records: round N
-	// fills the buffer round N-2 published, which round N-1 already
-	// unpublished — so the fill (outside s.mu) never races a reader
-	// copying s.lastSweep under s.mu, and steady-state rounds allocate
-	// no record storage.
-	sweepBufs   [2][]ResultRecord
-	sweepBufIdx int
-	// batchProbes/batchExpects pool SweepRound's probe pointers and
-	// expectations, each switch's observe call reading its own subslice;
-	// reused across rounds, guarded by sweepMu.
-	batchProbes  []*Probe
-	batchExpects []Expectation
+	mu sync.Mutex
+	// lastSweep is the last round's events, as Fleet.SweepPlan returned
+	// them. Each round publishes a fresh slice and never writes it again,
+	// so readers render its records outside s.mu.
+	lastSweep    []SweepEvent
 	metrics      ServiceMetrics
 	alertsByType map[string]uint64
 	groupRounds  map[string]uint64
@@ -951,8 +942,8 @@ func (s *Service) ProbePlans() []ProbePlan {
 
 // switchBatch is one switch's share of a sweep round: the events
 // evs[lo:hi], and, when the switch has a backend (be non-nil), the
-// probes batchProbes[first:end] observed in one ObserveBatch call and
-// that call's positional results.
+// round's probes[first:end] observed in one ObserveBatch call and that
+// call's positional results.
 type switchBatch struct {
 	lo, hi     int
 	first, end int
@@ -1004,17 +995,17 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 		return abort()
 	}
 
-	// Sweep events arrive contiguous per switch (Fleet concatenates
-	// per-member slices), so each switch's run becomes one ObserveBatch
+	// Sweep events arrive contiguous per switch (Fleet groups them by
+	// member), so each switch's run becomes one ObserveBatch
 	// call — one event-loop post and a pipelined in-flight window on a
 	// ProxyBackend instead of len(run) serialized round trips. Each switch
 	// has its own control channel (§7), so the calls run concurrently,
 	// one goroutine per switch with probes, and the fold waits for all of
 	// them. Verdicts fold in the original event order, whichever switch
-	// answered first. The record slice and the batch collation scratch
-	// are pooled (see sweepBufs).
+	// answered first.
 	batches := make([]switchBatch, 0, len(plans))
-	probes, expects := s.batchProbes[:0], s.batchExpects[:0]
+	probes := make([]*Probe, 0, len(evs))
+	expects := make([]Expectation, 0, len(evs))
 	for lo := 0; lo < len(evs); {
 		hi := lo + 1
 		for hi < len(evs) && evs[hi].SwitchID == evs[lo].SwitchID {
@@ -1049,16 +1040,10 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 		}()
 	}
 	wg.Wait()
-	s.batchProbes, s.batchExpects = probes, expects
 	if ctx.Err() != nil {
 		return abort()
 	}
 
-	recs := s.sweepBufs[s.sweepBufIdx][:0]
-	if cap(recs) < len(evs) {
-		recs = make([]ResultRecord, 0, len(evs))
-	}
-	s.sweepBufs[s.sweepBufIdx] = recs
 	for _, b := range batches {
 		j := 0
 		for i := b.lo; i < b.hi; i++ {
@@ -1097,7 +1082,6 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 			} else {
 				s.differ.Observe(ev)
 			}
-			recs = append(recs, ev.Record())
 		}
 	}
 
@@ -1153,26 +1137,24 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepBufs[s.sweepBufIdx] = recs
-	s.sweepBufIdx = 1 - s.sweepBufIdx
-	s.lastSweep = recs
+	s.lastSweep = evs
 	s.metrics.Rounds++
 	s.liveRounds++
-	s.metrics.RulesSwept += uint64(len(recs))
+	s.metrics.RulesSwept += uint64(len(evs))
 	s.metrics.AlertsTotal += uint64(len(alerts))
 	s.metrics.SinkErrors += sinkErrs
 	s.metrics.StoreErrors += storeErrs
 	for _, a := range alerts {
 		s.alertsByType[a.Type.String()]++
 	}
-	s.metrics.LastRoundRules = len(recs)
+	s.metrics.LastRoundRules = len(evs)
 	s.metrics.LastRoundMicros = time.Since(start).Microseconds()
-	if len(recs) > 0 {
-		s.metrics.LastRoundMicrosPerRule = float64(s.metrics.LastRoundMicros) / float64(len(recs))
+	if len(evs) > 0 {
+		s.metrics.LastRoundMicrosPerRule = float64(s.metrics.LastRoundMicros) / float64(len(evs))
 	} else {
 		s.metrics.LastRoundMicrosPerRule = 0
 	}
-	s.noteGroupRound(plans, recs)
+	s.noteGroupRound(plans, evs)
 	// Mark the completed round on every session trace and flush: a crash
 	// loses at most the round in flight, and cmd/monotrace re-drives one
 	// SweepRound per round mark.
@@ -1189,7 +1171,7 @@ func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
 // that swept and advances their round counters (the sampling sequence
 // index the next plan compilation uses). The implicit no-policy group ""
 // keeps no stats. Callers hold s.mu.
-func (s *Service) noteGroupRound(plans []roundPlan, recs []ResultRecord) {
+func (s *Service) noteGroupRound(plans []roundPlan, evs []SweepEvent) {
 	var bySwitch map[uint32]string
 	groupRules := make(map[string]int)
 	for _, rp := range plans {
@@ -1207,8 +1189,8 @@ func (s *Service) noteGroupRound(plans []roundPlan, recs []ResultRecord) {
 	if bySwitch == nil {
 		return
 	}
-	for i := range recs {
-		groupRules[bySwitch[recs[i].Switch]]++
+	for i := range evs {
+		groupRules[bySwitch[evs[i].SwitchID]]++
 	}
 	for g, n := range groupRules {
 		gs := s.groupStats[g]
@@ -1368,11 +1350,21 @@ func sweepArgs(name string) []string {
 // Alerts returns a snapshot of the alert ring (oldest first).
 func (s *Service) Alerts() []Alert { return s.ring.Alerts() }
 
-// LastSweep returns the most recent round's per-rule records.
+// LastSweep returns the most recent round's per-rule records, rendered
+// on each call from the round's sweep events (nil before the first round
+// and after a round that swept no rules).
 func (s *Service) LastSweep() []ResultRecord {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ResultRecord(nil), s.lastSweep...)
+	evs := s.lastSweep
+	s.mu.Unlock()
+	if len(evs) == 0 {
+		return nil
+	}
+	recs := make([]ResultRecord, len(evs))
+	for i, ev := range evs {
+		recs[i] = ev.Record()
+	}
+	return recs
 }
 
 // Close shuts the service down: every switch backend and every alert sink
@@ -1755,10 +1747,7 @@ func (s *Service) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSweeps(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	recs := append([]ResultRecord(nil), s.lastSweep...)
-	s.mu.Unlock()
-	writeJSONLines(w, recs)
+	writeJSONLines(w, s.LastSweep())
 }
 
 func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
