@@ -282,6 +282,9 @@ type ProxyBackend struct {
 	nextXID      uint32
 }
 
+// defaultObserveTimeout is ProxyConfig.ObserveTimeout's default.
+const defaultObserveTimeout = 2 * time.Second
+
 // NewProxyBackend builds the TCP proxy driver for cfg. The options
 // parameterize the embedded Monitor (see newMonitorConfig): WithProbeTag
 // sets the probe tag, WithPeers the port-to-catcher map, WithPorts the
@@ -290,7 +293,7 @@ type ProxyBackend struct {
 // multicast/ECMP exception.
 func NewProxyBackend(cfg ProxyConfig, opts ...Option) *ProxyBackend {
 	if cfg.ObserveTimeout <= 0 {
-		cfg.ObserveTimeout = 2 * time.Second
+		cfg.ObserveTimeout = defaultObserveTimeout
 	}
 	if cfg.ReconnectMin <= 0 {
 		cfg.ReconnectMin = 100 * time.Millisecond

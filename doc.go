@@ -36,9 +36,11 @@
 //     observes N probes per call — on a ProxyBackend one marshal loop
 //     over pooled zero-alloc packet buffers, one event-loop post, and an
 //     in-flight window of 64 pipelined wire observations in place of
-//     inject→wait→inject. Service.SweepRound observes each switch's
-//     sweep as one batch and a rule-op confirmation as a batch of one
-//     (BENCH_probe.json records the throughput delta).
+//     inject→wait→inject. Service.SweepRound takes each switch as one
+//     unit — its plan, its member sweep, one batch observed concurrently
+//     with the other switches', its share of the fold — and a rule-op
+//     confirmation observes a batch of one (BENCH_probe.json records the
+//     throughput delta).
 //
 //   - Service: the long-running monocled fleet service. A Fleet of
 //     Backends, the cross-epoch diff engine (Differ) folding every sweep

@@ -158,53 +158,36 @@ func (f *Fleet) Sweep(ctx context.Context) []SweepEvent {
 // since its last sweep over the same subset solves nothing: it returns
 // that sweep's results again, sharing their immutable Probes. Every call
 // returns a fresh slice, built in one allocation, that the fleet never
-// touches again; the Service folds it and publishes it as its last sweep.
+// touches again. The Service's round takes the same per-member sweeps
+// unflattened: each switch is one unit from generation to fold.
 func (f *Fleet) SweepPlan(ctx context.Context, sel map[uint32][]uint64) []SweepEvent {
-	members := f.snapshot()
-	if sel != nil {
-		picked := members[:0]
-		for _, m := range members {
-			if _, ok := sel[m.id]; ok {
-				picked = append(picked, m)
-			}
-		}
-		members = picked
-	}
-	swept := f.sweepInto(ctx, members, sel)
-	total := 0
-	for _, ms := range swept {
-		total += len(ms.results)
-	}
-	out := make([]SweepEvent, 0, total)
-	for i, ms := range swept {
-		for _, res := range ms.results {
-			out = append(out, SweepEvent{SwitchID: members[i].id, Epoch: ms.epoch, Result: res})
-		}
-	}
-	return out
+	return sweepEvents(f.sweepPlan(ctx, sel))
 }
 
-// memberSweep is one member's sweep: its table epoch and its results.
+// memberSweep is one member's sweep: the member, the table epoch it swept
+// and its results.
 type memberSweep struct {
+	m       *fleetMember
 	epoch   uint64
 	results []ProbeResult
 }
 
-// snapshot copies the member list under the lock.
-func (f *Fleet) snapshot() []*fleetMember {
+// sweepPlan is SweepPlan's per-member form: one sweep per member present
+// in sel (nil: every member), in registration order, each over its subset
+// (nil: the whole table). Members sweep concurrently. The worker budget B
+// is sharded: with K = min(B, members) member sweeps in flight, each gets
+// B/K solver workers, so the fleet never runs more than B solver
+// goroutines at once.
+func (f *Fleet) sweepPlan(ctx context.Context, sel map[uint32][]uint64) []memberSweep {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*fleetMember(nil), f.members...)
-}
-
-// sweepInto sweeps every member concurrently, each over its subset in sel
-// (nil: the whole table), and returns their sweeps in member order. The
-// worker budget B is sharded: with K = min(B, members) member sweeps in
-// flight, each gets B/K solver workers, so the fleet never runs more than
-// B solver goroutines at once.
-func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[uint32][]uint64) []memberSweep {
-	out := make([]memberSweep, len(members))
-	k := len(members)
+	out := make([]memberSweep, 0, len(f.members))
+	for _, m := range f.members {
+		if _, ok := sel[m.id]; ok || sel == nil {
+			out = append(out, memberSweep{m: m})
+		}
+	}
+	f.mu.Unlock()
+	k := len(out)
 	if k == 0 {
 		return out
 	}
@@ -229,14 +212,30 @@ func (f *Fleet) sweepInto(ctx context.Context, members []*fleetMember, sel map[u
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(members) {
+				if i >= len(out) {
 					return
 				}
-				m := members[i]
-				out[i].epoch, out[i].results, _ = m.v.sweep(ctx, sel[m.id], share)
+				ms := &out[i]
+				ms.epoch, ms.results, _ = ms.m.v.sweep(ctx, sel[ms.m.id], share)
 			}
 		}()
 	}
 	wg.Wait()
+	return out
+}
+
+// sweepEvents flattens member sweeps into one fresh event slice, built in
+// one allocation.
+func sweepEvents(swept []memberSweep) []SweepEvent {
+	total := 0
+	for _, ms := range swept {
+		total += len(ms.results)
+	}
+	out := make([]SweepEvent, 0, total)
+	for _, ms := range swept {
+		for _, res := range ms.results {
+			out = append(out, SweepEvent{SwitchID: ms.m.id, Epoch: ms.epoch, Result: res})
+		}
+	}
 	return out
 }

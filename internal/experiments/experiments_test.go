@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -315,5 +316,24 @@ func TestHarnessHelpers(t *testing.T) {
 	}
 	if Percentile(nil, 0.5) != 0 {
 		t.Fatal("empty percentile")
+	}
+}
+
+// TestFormatFigure4Repeatable: a result renders to the same text on every
+// call, its series sorted by label.
+func TestFormatFigure4Repeatable(t *testing.T) {
+	r := Figure4Result{Series: map[string][]time.Duration{}}
+	for i, label := range []string{"rule x1", "link", "rules 10 of 20", "rules 1 of 5", "b", "a"} {
+		r.Series[label] = []time.Duration{time.Duration(i+1) * time.Millisecond}
+	}
+	r.Series["none"] = nil
+	want := FormatFigure4(r)
+	for i := 0; i < 20; i++ {
+		if got := FormatFigure4(r); got != want {
+			t.Fatalf("render %d differs from the first:\n%s\nwant:\n%s", i+1, got, want)
+		}
+	}
+	if a, b := strings.Index(want, "  a "), strings.Index(want, "  b "); a < 0 || b < a {
+		t.Fatalf("series not sorted by label:\n%s", want)
 	}
 }

@@ -9,11 +9,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"monocle/internal/controller"
 	"monocle/internal/flowtable"
-	"monocle/internal/openflow"
 	"monocle/internal/sim"
 	"monocle/internal/switchsim"
 )
@@ -212,10 +212,17 @@ func relinkStar(net *Net) *switchsim.Link {
 	return switchsim.Connect(net.Switches[0], 4, net.Switches[4], 1, 50*time.Microsecond)
 }
 
-// FormatFigure4 renders the result like the paper's CDF description.
+// FormatFigure4 renders the result like the paper's CDF description, one
+// series per line, sorted by label.
 func FormatFigure4(r Figure4Result) string {
 	out := "Figure 4: time to detect >=x of y failed rules (1000 rules, 500 probes/s)\n"
-	for label, s := range r.Series {
+	labels := make([]string, 0, len(r.Series))
+	for label := range r.Series {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
+		s := r.Series[label]
 		if len(s) == 0 {
 			out += fmt.Sprintf("  %-22s no detections\n", label)
 			continue
@@ -228,7 +235,3 @@ func FormatFigure4(r Figure4Result) string {
 
 // Interface check: the harness satisfies the controller's resolver.
 var _ controller.PortResolver = (*Net)(nil)
-
-// Silence unused-import vigilance for openflow in this file's signature
-// evolution.
-var _ = openflow.FCAdd

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"monocle/internal/coloring"
 )
@@ -113,7 +114,14 @@ func PreferentialAttachment(n, m int, seed int64) Topology {
 				chosen[w] = true
 			}
 		}
+		// Sorted, not map order: edge order and every later draw from
+		// targets must not depend on map iteration.
+		ws := make([]int, 0, k)
 		for w := range chosen {
+			ws = append(ws, w)
+		}
+		sort.Ints(ws)
+		for _, w := range ws {
 			g.AddEdge(v, w)
 			targets = append(targets, w)
 		}

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 
 	"monocle/internal/coloring"
@@ -178,4 +179,16 @@ func TestFatTreePanicsOnOddK(t *testing.T) {
 		}
 	}()
 	NewFatTree(3)
+}
+
+// TestPreferentialAttachmentRepeatable: the same arguments build the same
+// graph, edge order included, on every call — Figure 9's coloring rows
+// are computed from these graphs.
+func TestPreferentialAttachmentRepeatable(t *testing.T) {
+	want := PreferentialAttachment(300, 3, 7)
+	for i := 0; i < 20; i++ {
+		if got := PreferentialAttachment(300, 3, 7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d differs from the first", i+1)
+		}
+	}
 }

@@ -15,23 +15,14 @@ package monocle
 // controller's back" fault the paper's monitoring exists to catch.
 
 import (
-	"container/heap"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
-
-	"context"
-
-	"monocle/internal/header"
 )
 
 // Service is the long-running monocled fleet service. Build one with
@@ -52,8 +43,8 @@ type Service struct {
 
 	// proxyGroup is the one event loop + probe-routing Multiplexer all
 	// of this service's proxy backends share, so probes caught at any
-	// member switch route back to their owner (created on first use).
-	groupMu    sync.Mutex
+	// member switch route back to their owner (its loop starts with the
+	// first proxy that connects).
 	proxyGroup *ProxyGroup
 
 	// recorders holds the per-switch session recorders WithRecordDir
@@ -77,15 +68,16 @@ type Service struct {
 	planVer uint64
 
 	mu sync.Mutex
-	// lastSweep is the last round's events, as Fleet.SweepPlan returned
-	// them. Each round publishes a fresh slice and never writes it again,
-	// so readers render its records outside s.mu.
+	// lastSweep is the last round's events, its member sweeps flattened.
+	// Each round publishes a fresh slice and never writes it again, so
+	// readers render its records outside s.mu.
 	lastSweep    []SweepEvent
 	metrics      ServiceMetrics
 	alertsByType map[string]uint64
-	groupRounds  map[string]uint64
-	groupStats   map[string]*GroupMetrics
-	draining     bool
+	// groupStats holds the per-group counters; a group's Rounds is also
+	// its sampling sequence index (see compilePlans).
+	groupStats map[string]*GroupMetrics
+	draining   bool
 	// resuming is true while Resume replays the WAL: the service is alive
 	// but must not be routed to (GET /readyz stays 503).
 	resuming bool
@@ -205,32 +197,6 @@ type SwitchSpec struct {
 	Peers map[uint16]uint32 `json:"peers,omitempty"`
 }
 
-// RuleSpec is the JSON form of one rule in rule operations.
-type RuleSpec struct {
-	ID       uint64 `json:"id"`
-	Priority int    `json:"priority"`
-	// Match maps OpenFlow 1.0 field names (dl_type, nw_src, ...) to
-	// values: decimal or 0x-hex integers, dotted quads, value/prefixlen
-	// prefixes (nw_src/nw_dst style) and value&mask ternaries. A value or
-	// mask wider than its field is an error.
-	Match   map[string]string `json:"match,omitempty"`
-	Actions []ActionSpec      `json:"actions,omitempty"`
-}
-
-// ActionSpec is the JSON form of one rule action: exactly one of Output,
-// ECMP, or Set is used. An empty Actions list on a RuleSpec drops.
-type ActionSpec struct {
-	Output uint16        `json:"output,omitempty"`
-	ECMP   []uint16      `json:"ecmp,omitempty"`
-	Set    *SetFieldSpec `json:"set,omitempty"`
-}
-
-// SetFieldSpec is the JSON form of a set-field rewrite action.
-type SetFieldSpec struct {
-	Field string `json:"field"`
-	Value uint64 `json:"value"`
-}
-
 // RuleOp is the POST /switches/{id}/rules request body.
 type RuleOp struct {
 	// Op is "add", "modify", or "delete".
@@ -279,10 +245,10 @@ func NewService(opts ...Option) *Service {
 		set:          set,
 		fleet:        NewFleet(opts...),
 		differ:       NewDiffer(opts...),
+		proxyGroup:   NewProxyGroup(),
 		recorders:    make(map[uint32]*RecordBackend),
 		alertsByType: make(map[string]uint64),
 		tags:         make(map[uint32][]string),
-		groupRounds:  make(map[string]uint64),
 		groupStats:   make(map[string]*GroupMetrics),
 	}
 	for _, sink := range set.sinks {
@@ -375,28 +341,19 @@ func (s *Service) SetPolicy(p *Policy) {
 	s.polMu.Lock()
 	s.pol = p
 	s.planVer++
-	tags := make(map[uint32][]string, len(s.tags))
-	for id, t := range s.tags {
-		tags[id] = t
-	}
 	s.polMu.Unlock()
 
-	for _, id := range s.switchIDs() {
+	ids, _ := s.switchIDs()
+	for _, id := range ids {
+		tags := s.tagsOf(id)
 		var ov *DiffOverrides
-		confirm := s.set.detectionTimeout
 		if p != nil {
-			ov = p.overridesFor(id, tags[id])
-			if c := p.confirmOf(id, tags[id]); c > 0 {
-				confirm = c
-			}
+			ov = p.overridesFor(id, tags)
 		}
 		s.differ.SetOverrides(id, ov)
 		if be, ok := s.fleet.Backend(id); ok {
-			if ts, ok := UnwrapBackend(be).(interface{ SetObserveTimeout(time.Duration) }); ok {
-				if confirm <= 0 {
-					confirm = 2 * time.Second // NewProxyBackend's own default
-				}
-				ts.SetObserveTimeout(confirm)
+			if pb, ok := UnwrapBackend(be).(*ProxyBackend); ok {
+				pb.SetObserveTimeout(s.confirmWithin(p, id, tags))
 			}
 		}
 	}
@@ -409,6 +366,21 @@ func (s *Service) SetPolicy(p *Policy) {
 			s.noteStoreErr()
 		}
 	}
+}
+
+// confirmWithin resolves a proxy switch's observation deadline: the
+// policy's "confirm within" for it, else WithDetectionTimeout, else the
+// proxy driver's default.
+func (s *Service) confirmWithin(pol *Policy, id uint32, tags []string) time.Duration {
+	if pol != nil {
+		if c := pol.confirmOf(id, tags); c > 0 {
+			return c
+		}
+	}
+	if s.set.detectionTimeout > 0 {
+		return s.set.detectionTimeout
+	}
+	return defaultObserveTimeout
 }
 
 // AddSwitch registers a switch with the service: a fleet Verifier for the
@@ -472,26 +444,14 @@ func (s *Service) AddSwitch(spec SwitchSpec) (*Verifier, error) {
 		if spec.Address == "" {
 			return nil, fmt.Errorf("monocle: backend \"proxy\" needs an address")
 		}
-		s.groupMu.Lock()
-		if s.proxyGroup == nil {
-			s.proxyGroup = NewProxyGroup()
-		}
-		group := s.proxyGroup
-		s.groupMu.Unlock()
 		// A policy "confirm within" deadline for this switch bounds the
 		// proxy's Observe round trips from the first observation on.
-		confirm := s.set.detectionTimeout
-		if pol != nil {
-			if c := pol.confirmOf(spec.ID, spec.Tags); c > 0 {
-				confirm = c
-			}
-		}
 		be = NewProxyBackend(ProxyConfig{
 			SwitchID:       spec.ID,
 			SwitchAddr:     spec.Address,
 			Listen:         spec.Listen,
-			ObserveTimeout: confirm,
-			Group:          group,
+			ObserveTimeout: s.confirmWithin(pol, spec.ID, spec.Tags),
+			Group:          s.proxyGroup,
 			ReconnectMin:   s.set.reconnectMin,
 			ReconnectMax:   s.set.reconnectMax,
 		}, opts...)
@@ -853,519 +813,8 @@ func (s *Service) applyRule(ctx context.Context, id uint32, op RuleOp) (UpdateRe
 	return reply, nil
 }
 
-// roundPlan pairs one switch's compiled ProbePlan with the table epoch
-// it was compiled against (the frozen-entry folds of unsampled rules
-// need an epoch even when the switch contributed no sweep events).
-type roundPlan struct {
-	plan  ProbePlan
-	epoch uint64
-}
-
-// compilePlans compiles the active policy against the live fleet: one
-// plan per member switch whose group is named in groups (empty = every
-// group), at each group's current round counter. It also returns the
-// round's scope: those switches plus every remembered one (see track)
-// whose group is named. A nil policy is one implicit group holding every
-// switch, planned as whole-table (nil) subsets with no per-rule work.
-// Plans are deterministic — a pure function of (policy, switch, installed
-// rules, group round).
-func (s *Service) compilePlans(pol *Policy, groups []string) ([]roundPlan, []uint32) {
-	var filter map[string]bool
-	if pol != nil && len(groups) > 0 {
-		filter = make(map[string]bool, len(groups))
-		for _, g := range groups {
-			filter[g] = true
-		}
-	}
-	s.mu.Lock()
-	rounds := make(map[string]uint64, len(s.groupRounds))
-	for g, n := range s.groupRounds {
-		rounds[g] = n
-	}
-	s.mu.Unlock()
-	var (
-		plans []roundPlan
-		scope []uint32
-	)
-	for _, id := range s.switchIDs() {
-		tags := s.tagsOf(id)
-		group := pol.groupOf(id, tags)
-		if filter != nil && !filter[group] {
-			continue
-		}
-		scope = append(scope, id)
-		v, ok := s.fleet.Verifier(id)
-		if !ok {
-			continue // remembered: in scope, nothing to sweep
-		}
-		rp := roundPlan{plan: ProbePlan{Switch: id, Group: group}, epoch: v.Epoch()}
-		if pol != nil {
-			rp.plan = pol.Plan(id, tags, v.Rules(), rounds[group])
-		}
-		plans = append(plans, rp)
-	}
-	return plans, scope
-}
-
-// switchIDs returns every switch a round can scope: the fleet members in
-// registration order, then the remembered switches (tracked but not
-// members) in id order.
-func (s *Service) switchIDs() []uint32 {
-	ids := s.fleet.Switches()
-	var lost []uint32
-	s.polMu.Lock()
-	for id := range s.tags {
-		if _, ok := s.fleet.Verifier(id); !ok {
-			lost = append(lost, id)
-		}
-	}
-	s.polMu.Unlock()
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	return append(ids, lost...)
-}
-
-// ProbePlans compiles the active policy against the live fleet at each
-// group's next round counter and returns the per-switch plans — exactly
-// what the next SweepRound will probe. Nil without a policy.
-func (s *Service) ProbePlans() []ProbePlan {
-	pol := s.Policy()
-	if pol == nil {
-		return nil
-	}
-	rps, _ := s.compilePlans(pol, nil)
-	out := make([]ProbePlan, len(rps))
-	for i, rp := range rps {
-		out[i] = rp.plan
-	}
-	return out
-}
-
-// switchBatch is one switch's share of a sweep round: the events
-// evs[lo:hi], and, when the switch has a backend (be non-nil), the
-// round's probes[first:end] observed in one ObserveBatch call and that
-// call's positional results.
-type switchBatch struct {
-	lo, hi     int
-	first, end int
-	be         Backend
-	verdicts   []Verdict
-	errs       []error
-}
-
-// SweepRound runs one sweep round, judges every generated probe against
-// its switch's data plane through the Backend seam, feeds the diff
-// engine, finalizes the round, delivers the round's alerts to the
-// attached sinks, and returns them. Run calls this on the per-group
-// cadences; tests and externally-paced deployments call it directly (or
-// through POST /sweep).
-//
-// The round compiles each switch's probe plan, sweeps the planned rules
-// in one Fleet.SweepPlan call, observes every switch's probes at once
-// (one ObserveBatch call per switch, concurrently), folds the verdicts
-// in switch order, and finalizes the round's scope in one
-// Differ.EndSweepScoped call. Without a policy the plan is one implicit
-// group: every switch, whole tables. With one, groups names the policy
-// groups to include (none = every group). Cancelling ctx aborts the
-// round: the partial fold is discarded (no false failing-rule streaks
-// from unprocessed rules), the round is not counted, and nil is
-// returned.
-func (s *Service) SweepRound(ctx context.Context, groups ...string) []Alert {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	start := time.Now()
-	// Driver lifecycle events queued since the last round fold first, so a
-	// reconnect cycle lands in the same round as the sweep that follows it.
-	s.drainBackendEvents()
-
-	plans, scope := s.compilePlans(s.Policy(), groups)
-	sel := make(map[uint32][]uint64, len(plans))
-	for _, rp := range plans {
-		sel[rp.plan.Switch] = rp.plan.Rules
-	}
-	evs := s.fleet.SweepPlan(ctx, sel)
-
-	// abort discards a cancelled round: folding its partial results would
-	// turn every unprocessed rule into a false failing streak, so the
-	// diff engine drops the partial fold and the round is not counted.
-	abort := func() []Alert {
-		s.differ.AbortSweep()
-		return nil
-	}
-	if ctx.Err() != nil {
-		return abort()
-	}
-
-	// Sweep events arrive contiguous per switch (Fleet groups them by
-	// member), so each switch's run becomes one ObserveBatch
-	// call — one event-loop post and a pipelined in-flight window on a
-	// ProxyBackend instead of len(run) serialized round trips. Each switch
-	// has its own control channel (§7), so the calls run concurrently,
-	// one goroutine per switch with probes, and the fold waits for all of
-	// them. Verdicts fold in the original event order, whichever switch
-	// answered first.
-	batches := make([]switchBatch, 0, len(plans))
-	probes := make([]*Probe, 0, len(evs))
-	expects := make([]Expectation, 0, len(evs))
-	for lo := 0; lo < len(evs); {
-		hi := lo + 1
-		for hi < len(evs) && evs[hi].SwitchID == evs[lo].SwitchID {
-			hi++
-		}
-		b := switchBatch{lo: lo, hi: hi, first: len(probes)}
-		if be, ok := s.fleet.Backend(evs[lo].SwitchID); ok {
-			b.be = be
-			for i := lo; i < hi; i++ {
-				if evs[i].Result.Probe != nil {
-					probes = append(probes, evs[i].Result.Probe)
-					expects = append(expects, ExpectPresent)
-				}
-			}
-		}
-		b.end = len(probes)
-		batches = append(batches, b)
-		lo = hi
-	}
-	var wg sync.WaitGroup
-	for i := range batches {
-		b := &batches[i]
-		if b.first == b.end {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Full slice expressions: the calls' subslices never overlap,
-			// even for a driver that appends to its input.
-			b.verdicts, b.errs = b.be.ObserveBatch(ctx, probes[b.first:b.end:b.end], expects[b.first:b.end:b.end])
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return abort()
-	}
-
-	for _, b := range batches {
-		j := 0
-		for i := b.lo; i < b.hi; i++ {
-			ev := evs[i]
-			if b.be != nil && ev.Result.Probe != nil {
-				verdict, err := b.verdicts[j], b.errs[j]
-				j++
-				var div *DivergenceError
-				switch {
-				case err == nil:
-					s.differ.ObserveVerdict(ev, verdict)
-				case errors.As(err, &div):
-					// A replayed session departed from its recording: the
-					// loudest possible judgement, never a quiet skip — a
-					// silent divergence would defeat the whole point of
-					// deterministic replay.
-					s.differ.ObserveVerdict(ev, VerdictUnexpected)
-				case errors.Is(err, ErrBackendDisconnected), errors.Is(err, ErrBackendClosed):
-					// The backend is down: record presence without judging.
-					// Folding unjudged would mark the rule recovered the
-					// moment the transport died (a false all-clear mid-
-					// outage); dropping the event entirely would make a
-					// mid-sweep flap look like the unswept rules left the
-					// table, forgetting their outstanding alerts. A skipped
-					// observation does neither — and a full-outage round
-					// still counts as missed, so a persistent outage
-					// surfaces as switch_stalled.
-					s.differ.ObserveSkipped(ev)
-				default:
-					// The probe was never observed (a driver's own failure;
-					// a cancelled round never reaches the fold): fold the
-					// generation result unjudged rather than manufacture a
-					// failing verdict.
-					s.differ.Observe(ev)
-				}
-			} else {
-				s.differ.Observe(ev)
-			}
-		}
-	}
-
-	// Matched-but-unsampled rules fold as frozen entries: still tracked
-	// (their absence from the sweep must not read as "left the table"),
-	// never alerted on, streaks and epochs kept.
-	var epochs map[uint32]uint64
-	for _, rp := range plans {
-		if len(rp.plan.Unsampled) == 0 {
-			continue
-		}
-		if epochs == nil {
-			epochs = make(map[uint32]uint64, len(plans))
-			for _, ev := range evs {
-				epochs[ev.SwitchID] = ev.Epoch
-			}
-		}
-		epoch, ok := epochs[rp.plan.Switch]
-		if !ok {
-			epoch = rp.epoch
-		}
-		for _, rid := range rp.plan.Unsampled {
-			s.differ.ObserveUnsampled(rp.plan.Switch, epoch, rid)
-		}
-	}
-	if ctx.Err() != nil {
-		return abort()
-	}
-
-	// Only the swept groups' switches participate in this round: unswept
-	// groups accrue neither missed-round streaks nor rule-left-table
-	// inferences from a round that never probed them.
-	alerts := s.differ.EndSweepScoped(scope)
-
-	// WAL ordering: persist the round (fold state + alerts) before any
-	// sink sees the alerts. A crash between the two re-delivers on the
-	// next life; the reverse order would lose alerts the operator saw.
-	var storeErrs uint64
-	if s.store != nil {
-		if err := s.store.SaveRound(s.differ.State(), alerts); err != nil {
-			storeErrs++
-		}
-	}
-
-	var sinkErrs uint64
-	if len(alerts) > 0 {
-		for _, sink := range s.sinks {
-			if err := sink.Deliver(ctx, alerts); err != nil {
-				sinkErrs++
-			}
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastSweep = evs
-	s.metrics.Rounds++
-	s.liveRounds++
-	s.metrics.RulesSwept += uint64(len(evs))
-	s.metrics.AlertsTotal += uint64(len(alerts))
-	s.metrics.SinkErrors += sinkErrs
-	s.metrics.StoreErrors += storeErrs
-	for _, a := range alerts {
-		s.alertsByType[a.Type.String()]++
-	}
-	s.metrics.LastRoundRules = len(evs)
-	s.metrics.LastRoundMicros = time.Since(start).Microseconds()
-	if len(evs) > 0 {
-		s.metrics.LastRoundMicrosPerRule = float64(s.metrics.LastRoundMicros) / float64(len(evs))
-	} else {
-		s.metrics.LastRoundMicrosPerRule = 0
-	}
-	s.noteGroupRound(plans, evs)
-	// Mark the completed round on every session trace and flush: a crash
-	// loses at most the round in flight, and cmd/monotrace re-drives one
-	// SweepRound per round mark.
-	s.recMu.Lock()
-	for _, rb := range s.recorders {
-		rb.MarkRound(s.metrics.Rounds)
-		rb.Flush()
-	}
-	s.recMu.Unlock()
-	return alerts
-}
-
-// noteGroupRound attributes one round's results to the policy groups
-// that swept and advances their round counters (the sampling sequence
-// index the next plan compilation uses). The implicit no-policy group ""
-// keeps no stats. Callers hold s.mu.
-func (s *Service) noteGroupRound(plans []roundPlan, evs []SweepEvent) {
-	var bySwitch map[uint32]string
-	groupRules := make(map[string]int)
-	for _, rp := range plans {
-		if rp.plan.Group == "" {
-			continue
-		}
-		if bySwitch == nil {
-			bySwitch = make(map[uint32]string, len(plans))
-		}
-		bySwitch[rp.plan.Switch] = rp.plan.Group
-		if _, ok := groupRules[rp.plan.Group]; !ok {
-			groupRules[rp.plan.Group] = 0 // a group with no results still counts its round
-		}
-	}
-	if bySwitch == nil {
-		return
-	}
-	for i := range evs {
-		groupRules[bySwitch[evs[i].SwitchID]]++
-	}
-	for g, n := range groupRules {
-		gs := s.groupStats[g]
-		if gs == nil {
-			gs = &GroupMetrics{Group: g}
-			s.groupStats[g] = gs
-		}
-		gs.Rounds++
-		gs.RulesCovered += uint64(n)
-		gs.LastRoundRules = n
-		gs.LastRoundMicros = s.metrics.LastRoundMicros
-		if n > 0 {
-			gs.LastRoundMicrosPerRule = float64(gs.LastRoundMicros) / float64(n)
-		} else {
-			gs.LastRoundMicrosPerRule = 0
-		}
-		s.groupRounds[g]++
-	}
-}
-
-// groupEntry is one scheduled policy group in Run's cadence heap.
-type groupEntry struct {
-	name  string // "" is the no-policy catch-all sweeping everything
-	every time.Duration
-	due   time.Time
-}
-
-// groupHeap orders entries by due time, ties broken by name so the
-// schedule is deterministic.
-type groupHeap []*groupEntry
-
-func (h groupHeap) Len() int { return len(h) }
-func (h groupHeap) Less(i, j int) bool {
-	if !h[i].due.Equal(h[j].due) {
-		return h[i].due.Before(h[j].due)
-	}
-	return h[i].name < h[j].name
-}
-func (h groupHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *groupHeap) Push(x any)   { *h = append(*h, x.(*groupEntry)) }
-func (h *groupHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// buildSchedule computes Run's sweep schedule: one entry per populated
-// group at the group's declared cadence (the service interval when it
-// declares none; without a policy, the one implicit group), or a single
-// catch-all entry at the service interval when no switch is known.
-// Groups surviving a rebuild keep their due times; new groups are due
-// immediately — installing a policy mid-run starts its cadences at once.
-func (s *Service) buildSchedule(prev *groupHeap, now time.Time) *groupHeap {
-	prevDue := make(map[string]time.Time)
-	if prev != nil {
-		for _, e := range *prev {
-			prevDue[e.name] = e.due
-		}
-	}
-	h := &groupHeap{}
-	add := func(name string, every time.Duration) {
-		if every <= 0 {
-			every = s.set.steadyInterval
-		}
-		due, ok := prevDue[name]
-		if !ok {
-			due = now
-		}
-		heap.Push(h, &groupEntry{name: name, every: every, due: due})
-	}
-	pol := s.Policy()
-	seen := make(map[string]bool)
-	for _, id := range s.switchIDs() {
-		g := pol.groupOf(id, s.tagsOf(id))
-		if seen[g] {
-			continue
-		}
-		seen[g] = true
-		add(g, pol.everyOf(g))
-	}
-	if h.Len() == 0 {
-		add("", 0)
-	}
-	return h
-}
-
-// Run drives steady-state sweep rounds until the context is cancelled.
-// Without a policy every round sweeps everything on WithSteadyInterval;
-// with one, each policy group sweeps at its own cadence (a min-heap of
-// next-due groups), rebuilt whenever the policy is swapped or a switch
-// registers. Cancellation aborts an in-flight round cleanly — the
-// partial fold is discarded rather than turned into false alerts — then
-// the service is marked draining for /healthz and the context's error is
-// returned.
-func (s *Service) Run(ctx context.Context) error {
-	// A previous Run marked the service draining on its way out; a new
-	// Run is the restart-lifecycle moment to clear it, or /healthz
-	// reports a healthy, sweeping service as draining forever.
-	s.mu.Lock()
-	s.draining = false
-	s.mu.Unlock()
-	drain := func() error {
-		s.mu.Lock()
-		s.draining = true
-		s.mu.Unlock()
-		return ctx.Err()
-	}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var (
-		sched *groupHeap
-		ver   uint64
-	)
-	for {
-		if v := s.planVersion(); sched == nil || v != ver {
-			sched = s.buildSchedule(sched, time.Now())
-			ver = v
-		}
-		next := (*sched)[0]
-		timer.Reset(time.Until(next.due))
-		select {
-		case <-ctx.Done():
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return drain()
-		case <-timer.C:
-		}
-		s.SweepRound(ctx, sweepArgs(next.name)...)
-		if ctx.Err() != nil {
-			return drain()
-		}
-		next.due = next.due.Add(next.every)
-		if !next.due.After(time.Now()) {
-			// The round overran its cadence: rebase instead of sweeping a
-			// burst of make-up rounds.
-			next.due = time.Now().Add(next.every)
-		}
-		heap.Fix(sched, 0)
-	}
-}
-
-// sweepArgs turns a schedule entry name into SweepRound's group list
-// (the catch-all entry sweeps every group).
-func sweepArgs(name string) []string {
-	if name == "" {
-		return nil
-	}
-	return []string{name}
-}
-
 // Alerts returns a snapshot of the alert ring (oldest first).
 func (s *Service) Alerts() []Alert { return s.ring.Alerts() }
-
-// LastSweep returns the most recent round's per-rule records, rendered
-// on each call from the round's sweep events (nil before the first round
-// and after a round that swept no rules).
-func (s *Service) LastSweep() []ResultRecord {
-	s.mu.Lock()
-	evs := s.lastSweep
-	s.mu.Unlock()
-	if len(evs) == 0 {
-		return nil
-	}
-	recs := make([]ResultRecord, len(evs))
-	for i, ev := range evs {
-		recs[i] = ev.Record()
-	}
-	return recs
-}
 
 // Close shuts the service down: every switch backend and every alert sink
 // is closed. It does not stop a concurrently running Run loop — cancel
@@ -1540,17 +989,17 @@ func (s *Service) Metrics() ServiceMetrics {
 		groups[g] = *gs
 	}
 	s.mu.Unlock()
+	pol := s.Policy()
 	for _, id := range s.fleet.Switches() {
-		v, ok := s.fleet.Verifier(id)
-		if !ok {
-			continue
+		v, _ := s.fleet.Verifier(id)
+		sm := SwitchMetrics{Switch: id, Epoch: v.Epoch(), Rules: v.Len(), Cache: v.CacheStats()}
+		if be, ok := s.fleet.Backend(id); ok {
+			sm.EventsDropped = be.EventDrops()
 		}
-		m.Switches = append(m.Switches, s.switchMetrics(id, v))
-	}
-	if pol := s.Policy(); pol != nil {
-		// Current membership counts; a populated group appears even
-		// before its first round.
-		for _, id := range s.fleet.Switches() {
+		m.Switches = append(m.Switches, sm)
+		if pol != nil {
+			// Current membership counts; a populated group appears even
+			// before its first round.
 			g := pol.groupOf(id, s.tagsOf(id))
 			gm := groups[g]
 			gm.Group = g
@@ -1563,552 +1012,4 @@ func (s *Service) Metrics() ServiceMetrics {
 	}
 	sort.Slice(m.Groups, func(i, j int) bool { return m.Groups[i].Group < m.Groups[j].Group })
 	return m
-}
-
-// switchMetrics builds one switch's metrics slice, including its driver's
-// event drop count.
-func (s *Service) switchMetrics(id uint32, v *Verifier) SwitchMetrics {
-	sm := SwitchMetrics{Switch: id, Epoch: v.Epoch(), Rules: v.Len(), Cache: v.CacheStats()}
-	if be, ok := s.fleet.Backend(id); ok {
-		sm.EventsDropped = be.EventDrops()
-	}
-	return sm
-}
-
-// Handler returns the monocled HTTP control surface:
-//
-//	POST /switches            add a switch (SwitchSpec)
-//	GET  /switches            list switches with epochs and rule counts
-//	POST /switches/{id}/rules apply a RuleOp, returns UpdateReply
-//	POST /sweep               run one sweep round now (?group= limits it
-//	                          to named policy groups), returns its alerts
-//	GET  /policy              active policy source text (404 when none)
-//	PUT  /policy              validate-then-swap the monitoring policy
-//	                          (422 with line/column on a parse error,
-//	                          leaving the running plan untouched; an
-//	                          empty body clears the policy)
-//	GET  /sweeps              last round's ResultRecords, one JSON line each
-//	GET  /alerts              retained alerts, one JSON line each
-//	GET  /healthz             combined liveness/readiness/drain view
-//	GET  /livez               liveness only: 200 while the process serves
-//	GET  /readyz              readiness: 200 only after Resume finished
-//	                          and the first round of this life completed
-//	                          (503 with the blocking state otherwise) — a
-//	                          cluster coordinator routes on this, never
-//	                          on /livez, so a replica still replaying its
-//	                          WAL receives no traffic
-//	GET  /metrics             ServiceMetrics (JSON; Prometheus text with
-//	                          Accept: text/plain)
-func (s *Service) Handler() http.Handler { return mountRoutes(s) }
-
-// routeHandlers is the HTTP surface a Service and a Coordinator both
-// serve, one method per route: a route added to mountRoutes does not
-// compile until both implement it.
-type routeHandlers interface {
-	handleAddSwitch(http.ResponseWriter, *http.Request)
-	handleListSwitches(http.ResponseWriter, *http.Request)
-	handleRules(http.ResponseWriter, *http.Request)
-	handleSweep(http.ResponseWriter, *http.Request)
-	handleGetPolicy(http.ResponseWriter, *http.Request)
-	handlePutPolicy(http.ResponseWriter, *http.Request)
-	handleSweeps(http.ResponseWriter, *http.Request)
-	handleAlerts(http.ResponseWriter, *http.Request)
-	handleHealthz(http.ResponseWriter, *http.Request)
-	handleReadyz(http.ResponseWriter, *http.Request)
-	handleMetrics(http.ResponseWriter, *http.Request)
-}
-
-// mountRoutes returns a mux serving the shared route table on h.
-func mountRoutes(h routeHandlers) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /switches", h.handleAddSwitch)
-	mux.HandleFunc("GET /switches", h.handleListSwitches)
-	mux.HandleFunc("POST /switches/{id}/rules", h.handleRules)
-	mux.HandleFunc("POST /sweep", h.handleSweep)
-	mux.HandleFunc("GET /policy", h.handleGetPolicy)
-	mux.HandleFunc("PUT /policy", h.handlePutPolicy)
-	mux.HandleFunc("GET /sweeps", h.handleSweeps)
-	mux.HandleFunc("GET /alerts", h.handleAlerts)
-	mux.HandleFunc("GET /healthz", h.handleHealthz)
-	mux.HandleFunc("GET /livez", handleLivez)
-	mux.HandleFunc("GET /readyz", h.handleReadyz)
-	mux.HandleFunc("GET /metrics", h.handleMetrics)
-	return mux
-}
-
-func (s *Service) handleAddSwitch(w http.ResponseWriter, r *http.Request) {
-	var spec SwitchSpec
-	if !decodeJSONBody(w, r, &spec) {
-		return
-	}
-	if _, err := s.AddSwitch(spec); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrDuplicateSwitch) {
-			status = http.StatusConflict
-		}
-		httpError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"switch": spec.ID})
-}
-
-func (s *Service) handleListSwitches(w http.ResponseWriter, _ *http.Request) {
-	var out []SwitchMetrics
-	for _, id := range s.fleet.Switches() {
-		if v, ok := s.fleet.Verifier(id); ok {
-			out = append(out, s.switchMetrics(id, v))
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {
-	id64, err := strconv.ParseUint(r.PathValue("id"), 10, 32)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad switch id: %w", err))
-		return
-	}
-	var op RuleOp
-	if !decodeJSONBody(w, r, &op) {
-		return
-	}
-	reply, err := s.applyRule(r.Context(), uint32(id64), op)
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrNotFound):
-			status = http.StatusNotFound
-		case errors.Is(err, ErrDuplicateID), errors.Is(err, ErrSamePriorityOverlap):
-			status = http.StatusConflict
-		case errors.Is(err, ErrBackendDisconnected):
-			// Transient: the proxy driver is redialing its switch with
-			// backoff; the client should retry after backend_reconnected.
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, reply)
-}
-
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	// Deliberately not the request context: a client disconnect mid-sweep
-	// would abort the round, and an operator-requested sweep should
-	// complete once started.
-	alerts := s.SweepRound(context.Background(), r.URL.Query()["group"]...)
-	s.mu.Lock()
-	round := s.metrics.Rounds
-	rules := s.metrics.LastRoundRules
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"round": round, "rules": rules, "alerts": alerts,
-	})
-}
-
-func (s *Service) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
-	pol := s.Policy()
-	if pol == nil {
-		httpError(w, http.StatusNotFound, errors.New("no active policy"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(pol.Source()))
-}
-
-// handlePutPolicy validates, then swaps: a body that does not parse is
-// rejected with 422 Unprocessable Entity carrying the offending source
-// line and column, and the running plan stays untouched. An empty body
-// clears the active policy.
-func (s *Service) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	if strings.TrimSpace(string(body)) == "" {
-		s.SetPolicy(nil)
-		writeJSON(w, http.StatusOK, map[string]any{"policy": nil})
-		return
-	}
-	p, err := ParsePolicy(string(body))
-	if err != nil {
-		writePolicyError(w, err)
-		return
-	}
-	s.SetPolicy(p)
-	assignments := make(map[string][]uint32)
-	for _, id := range s.fleet.Switches() {
-		g := p.groupOf(id, s.tagsOf(id))
-		assignments[g] = append(assignments[g], id)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"groups":      p.GroupNames(),
-		"assignments": assignments,
-	})
-}
-
-func (s *Service) handleSweeps(w http.ResponseWriter, _ *http.Request) {
-	writeJSONLines(w, s.LastSweep())
-}
-
-func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSONLines(w, s.Alerts())
-}
-
-// healthState is one consistent snapshot of the liveness/readiness axes.
-type healthState struct {
-	draining   bool
-	resuming   bool
-	rounds     uint64
-	liveRounds uint64
-}
-
-func (s *Service) healthState() healthState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return healthState{
-		draining:   s.draining,
-		resuming:   s.resuming,
-		rounds:     s.metrics.Rounds,
-		liveRounds: s.liveRounds,
-	}
-}
-
-// ready reports whether the service should receive routed traffic: the
-// WAL replay (Resume) has finished, at least one sweep round of this
-// process life has completed, and the service is not draining.
-func (h healthState) ready() bool {
-	return !h.resuming && !h.draining && h.liveRounds > 0
-}
-
-// Ready reports the service's readiness (the GET /readyz state): Resume
-// is not in flight, the first sweep round of this process life has
-// completed, and the service is not draining.
-func (s *Service) Ready() bool { return s.healthState().ready() }
-
-// handleHealthz is the combined health view (kept for operators and
-// backward compatibility; orchestrators should probe /livez and /readyz).
-func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := s.healthState()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":       true,
-		"ready":    h.ready(),
-		"draining": h.draining,
-		"resuming": h.resuming,
-		"switches": s.fleet.Size(),
-		"rounds":   h.rounds,
-	})
-}
-
-// handleLivez reports process liveness only: if this handler runs at all,
-// the process is alive — restarts are for the orchestrator to decide on
-// timeouts, not on body content. A monocled and a coordinator share it.
-func handleLivez(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-}
-
-// handleReadyz reports routability: 200 only once Resume has completed
-// and the first sweep round of this life has finished (503 otherwise,
-// with the blocking state in the body). A restarted replica behind a
-// cluster coordinator therefore serves no routed traffic until its WAL
-// replay is done and its diff engine has re-proven the fleet once.
-func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	h := s.healthState()
-	status := http.StatusOK
-	if !h.ready() {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, map[string]any{
-		"ready":    h.ready(),
-		"resuming": h.resuming,
-		"draining": h.draining,
-		"rounds":   h.rounds,
-		"switches": s.fleet.Size(),
-	})
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r.Header.Get("Accept")) {
-		s.writePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// wantsPrometheus reports whether the Accept header asks for the
-// Prometheus text exposition format. JSON stays the default; scrapers
-// sending text/plain or OpenMetrics media types get the text format.
-func wantsPrometheus(accept string) bool {
-	if strings.Contains(accept, "application/json") {
-		return false
-	}
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
-// writePrometheus renders the service counters in the Prometheus text
-// exposition format: sweep-round totals, alert counts by type, the last
-// round's per-rule cost, per-group counters under a policy, and
-// per-switch epoch/rule/cache gauges.
-func (s *Service) writePrometheus(w http.ResponseWriter) {
-	m := s.Metrics()
-	var p promWriter
-	p.metric("monocle_sweep_rounds_total", "counter", "Completed sweep rounds.", m.Rounds)
-	p.metric("monocle_rules_swept_total", "counter", "Per-rule results across all rounds.", m.RulesSwept)
-	p.metric("monocle_sink_errors_total", "counter", "Failed alert-sink deliveries.", m.SinkErrors)
-	p.metric("monocle_store_errors_total", "counter", "Failed persistence-store writes.", m.StoreErrors)
-	p.metric("monocle_policy_errors_total", "counter", "Rejected monitoring-policy loads.", m.PolicyErrors)
-
-	p.family("monocle_alerts_total", "counter", "Alerts raised, by type.")
-	for t := AlertRuleFailing; t <= AlertBackendFlapping; t++ {
-		p.sample("monocle_alerts_total", m.AlertsByType[t.String()], "type", t.String())
-	}
-
-	p.metric("monocle_last_round_rules", "gauge", "Result count of the most recent round.", m.LastRoundRules)
-	p.metric("monocle_last_round_us_per_rule", "gauge", "Per-rule cost of the most recent round in microseconds.", m.LastRoundMicrosPerRule)
-
-	if len(m.Groups) > 0 {
-		perGroup := func(name, kind, help string, value func(GroupMetrics) any) {
-			p.family(name, kind, help)
-			for _, g := range m.Groups {
-				p.sample(name, value(g), "group", g.Group)
-			}
-		}
-		perGroup("monocle_group_switches", "gauge", "Fleet members per policy group.",
-			func(g GroupMetrics) any { return g.Switches })
-		perGroup("monocle_group_rounds_total", "counter", "Completed sweep rounds per policy group.",
-			func(g GroupMetrics) any { return g.Rounds })
-		perGroup("monocle_group_rules_covered_total", "counter", "Per-rule results per policy group across all rounds.",
-			func(g GroupMetrics) any { return g.RulesCovered })
-		perGroup("monocle_group_last_round_us_per_rule", "gauge", "Per-rule cost of the group's most recent round in microseconds.",
-			func(g GroupMetrics) any { return g.LastRoundMicrosPerRule })
-	}
-
-	sortSwitches(m.Switches)
-	perSwitch := func(name, kind, help string, value func(SwitchMetrics) any) {
-		p.family(name, kind, help)
-		for _, sw := range m.Switches {
-			p.sample(name, value(sw), "switch", strconv.FormatUint(uint64(sw.Switch), 10))
-		}
-	}
-	perSwitch("monocle_switch_epoch", "gauge", "Table-change epoch per switch.",
-		func(sw SwitchMetrics) any { return sw.Epoch })
-	perSwitch("monocle_switch_rules", "gauge", "Installed rules per switch.",
-		func(sw SwitchMetrics) any { return sw.Rules })
-	perSwitch("monocle_switch_cache_hits_total", "counter", "Session-cache hits per switch.",
-		func(sw SwitchMetrics) any { return sw.Cache.Hits })
-	perSwitch("monocle_switch_cache_syncs_total", "counter", "Session-cache epoch syncs per switch.",
-		func(sw SwitchMetrics) any { return sw.Cache.Syncs })
-	perSwitch("monocle_switch_cache_delta_rules_total", "counter", "Incrementally recompiled rules per switch.",
-		func(sw SwitchMetrics) any { return sw.Cache.DeltaRules })
-	perSwitch("monocle_switch_cache_rebuilds_total", "counter", "Full library rebuilds per switch.",
-		func(sw SwitchMetrics) any { return sw.Cache.Rebuilds })
-	perSwitch("monocle_backend_events_dropped_total", "counter", "Driver lifecycle events dropped from the backend event stream per switch.",
-		func(sw SwitchMetrics) any { return sw.EventsDropped })
-	p.send(w)
-}
-
-// sortSwitches orders per-switch metrics by ascending switch id.
-func sortSwitches(sws []SwitchMetrics) {
-	sort.Slice(sws, func(i, j int) bool { return sws[i].Switch < sws[j].Switch })
-}
-
-// promWriter accumulates the Prometheus text exposition format (version
-// 0.0.4) for a monocled's and a coordinator's GET /metrics: metric
-// families, each a # HELP/# TYPE header followed by its samples.
-type promWriter struct{ strings.Builder }
-
-// family writes the header of metric family name; kind is its TYPE.
-func (p *promWriter) family(name, kind, help string) {
-	fmt.Fprintf(p, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-// sample writes one sample of family name. labels alternate label names
-// and values; v is formatted with %v (decimal integers, shortest floats).
-func (p *promWriter) sample(name string, v any, labels ...string) {
-	p.WriteString(name)
-	sep := "{"
-	for i := 0; i+1 < len(labels); i += 2 {
-		p.WriteString(sep + labels[i] + "=" + strconv.Quote(labels[i+1]))
-		sep = ","
-	}
-	if sep == "," {
-		p.WriteByte('}')
-	}
-	fmt.Fprintf(p, " %v\n", v)
-}
-
-// metric writes a family holding a single unlabelled sample.
-func (p *promWriter) metric(name, kind, help string, v any) {
-	p.family(name, kind, help)
-	p.sample(name, v)
-}
-
-// send writes the accumulated text as the response.
-func (p *promWriter) send(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, p.String())
-}
-
-// maxBodyBytes caps every request body the HTTP surfaces read.
-const maxBodyBytes = 1 << 20
-
-// decodeJSONBody decodes the request's JSON body into v under the
-// maxBodyBytes cap. It answers 413 for an oversized body and 400 for any
-// other decode error, and reports whether v was decoded.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return bodyOK(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v))
-}
-
-// readBody reads the whole request body under the same cap, answering a
-// failure like decodeJSONBody.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	return body, bodyOK(w, err)
-}
-
-// bodyOK reports whether reading a request body succeeded, answering 413
-// (oversized) or 400 (anything else) when it did not.
-func bodyOK(w http.ResponseWriter, err error) bool {
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooBig):
-		httpError(w, http.StatusRequestEntityTooLarge, err)
-	default:
-		httpError(w, http.StatusBadRequest, err)
-	}
-	return false
-}
-
-// writePolicyError answers a policy that does not parse: 422 carrying the
-// offending source line and column.
-func writePolicyError(w http.ResponseWriter, err error) {
-	var perr *PolicyError
-	if errors.As(err, &perr) {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-			"error": perr.Error(), "line": perr.Line, "column": perr.Col,
-		})
-		return
-	}
-	httpError(w, http.StatusUnprocessableEntity, err)
-}
-
-// httpError writes a JSON error body.
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeJSON writes one JSON document.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeJSONLines writes items as JSON lines (ndjson).
-func writeJSONLines[T any](w http.ResponseWriter, items []T) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, it := range items {
-		if enc.Encode(it) != nil {
-			return
-		}
-	}
-}
-
-// Rule builds and validates the flow rule a RuleSpec describes.
-func (rs *RuleSpec) Rule() (*Rule, error) {
-	m := MatchAll()
-	for name, val := range rs.Match {
-		f, ok := header.FieldByName(name)
-		if !ok {
-			return nil, fmt.Errorf("monocle: unknown match field %q", name)
-		}
-		t, err := parseTernary(f, val)
-		if err != nil {
-			return nil, err
-		}
-		m = m.With(f, t)
-	}
-	actions, err := actionList(rs.Actions)
-	if err != nil {
-		return nil, err
-	}
-	r := &Rule{ID: rs.ID, Priority: rs.Priority, Match: m, Actions: actions}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// actionList builds a rule action list from specs.
-func actionList(specs []ActionSpec) ([]Action, error) {
-	var out []Action
-	for _, a := range specs {
-		switch {
-		case a.Set != nil:
-			f, ok := header.FieldByName(a.Set.Field)
-			if !ok {
-				return nil, fmt.Errorf("monocle: unknown set field %q", a.Set.Field)
-			}
-			out = append(out, SetField(f, a.Set.Value))
-		case len(a.ECMP) > 0:
-			ports := make([]PortID, len(a.ECMP))
-			for i, p := range a.ECMP {
-				ports[i] = PortID(p)
-			}
-			out = append(out, ECMP(ports...))
-		case a.Output != 0:
-			out = append(out, Output(PortID(a.Output)))
-		default:
-			return nil, fmt.Errorf("monocle: action needs output, ecmp, or set")
-		}
-	}
-	return out, nil
-}
-
-// cloneActions copies an action list so the expected and actual tables
-// never share Action slices.
-func cloneActions(actions []Action) []Action {
-	out := make([]Action, len(actions))
-	copy(out, actions)
-	for i := range out {
-		if len(out[i].Ports) > 0 {
-			out[i].Ports = append([]PortID(nil), out[i].Ports...)
-		}
-	}
-	return out
-}
-
-// parseTernary parses one match value: "5", "0x800", "10.0.0.0",
-// "10.0.0.0/8", "value/prefixlen", or "value&mask" (an arbitrary ternary
-// mask — the persisted form of matches that are neither exact nor
-// prefix). Values and masks follow header.ParseValue: wider than the
-// field is an error, never truncated.
-func parseTernary(f FieldID, s string) (Ternary, error) {
-	if valPart, maskPart, hasMask := strings.Cut(s, "&"); hasMask {
-		v, err := header.ParseValue(f, valPart)
-		if err != nil {
-			return Ternary{}, fmt.Errorf("monocle: field %s: %w", f, err)
-		}
-		m, err := header.ParseValue(f, maskPart)
-		if err != nil {
-			return Ternary{}, fmt.Errorf("monocle: field %s: bad mask: %w", f, err)
-		}
-		return Ternary{Value: v & m, Mask: m}, nil
-	}
-	valPart, plenPart, hasPlen := strings.Cut(s, "/")
-	v, err := header.ParseValue(f, valPart)
-	if err != nil {
-		return Ternary{}, fmt.Errorf("monocle: field %s: %w", f, err)
-	}
-	if !hasPlen {
-		return Exact(f, v), nil
-	}
-	plen, err := strconv.Atoi(plenPart)
-	if err != nil || plen < 0 || plen > FieldWidth(f) {
-		return Ternary{}, fmt.Errorf("monocle: field %s: bad prefix length %q", f, plenPart)
-	}
-	return Prefix(f, v, plen), nil
 }

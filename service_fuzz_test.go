@@ -9,10 +9,13 @@ package monocle
 // accepted match values stay inside their field's width (an out-of-width
 // exact value would silently match the wrong packets). An accepted exact
 // literal must install exactly the value it spells: a parser that
-// truncates or reads a leading zero as octal fails here.
+// truncates or reads a leading zero as octal fails here. Every accepted
+// rule must also survive the store's round trip: ruleSpec(r).Rule()
+// rebuilds r's id, priority, match and actions.
 
 import (
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,6 +99,17 @@ func FuzzRuleSpec(f *testing.F) {
 				t.Fatalf("field %s ternary %+v exceeds its %d-bit width (spec %s)",
 					f, tern, FieldWidth(f), data)
 			}
+		}
+		// The store snapshots an installed rule as ruleSpec(r) and Resume
+		// parses that back: the round trip must rebuild the same rule.
+		ws := ruleSpec(r1)
+		back, err := ws.Rule()
+		if err != nil {
+			t.Fatalf("WAL form %+v of an accepted rule does not parse: %v (spec %s)", ws, err, data)
+		}
+		if back.ID != r1.ID || back.Priority != r1.Priority || back.Match != r1.Match ||
+			!reflect.DeepEqual(back.Actions, r1.Actions) {
+			t.Fatalf("WAL round trip:\n got %+v\nwant %+v\n(WAL form %+v, spec %s)", back, r1, ws, data)
 		}
 	})
 }

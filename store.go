@@ -17,7 +17,6 @@ package monocle
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,8 +24,6 @@ import (
 	"strings"
 	"sync"
 
-	"monocle/internal/flowtable"
-	"monocle/internal/header"
 	"monocle/internal/jsonl"
 )
 
@@ -364,65 +361,4 @@ func (fs *FileStore) Close() error {
 		errs = append(errs, fs.closeLocked(name))
 	}
 	return errors.Join(errs...)
-}
-
-// ruleSpecs converts installed rules back to their JSON wire form — the
-// inverse of RuleSpec.Rule — so expected-table snapshots round-trip
-// through the store bit-identically.
-func ruleSpecs(rules []*Rule) []RuleSpec {
-	out := make([]RuleSpec, 0, len(rules))
-	for _, r := range rules {
-		out = append(out, ruleSpec(r))
-	}
-	return out
-}
-
-// ruleSpec converts one rule to its JSON wire form.
-func ruleSpec(r *Rule) RuleSpec {
-	rs := RuleSpec{ID: r.ID, Priority: r.Priority}
-	for f := FieldID(0); f < NumFields; f++ {
-		t := r.Match[f]
-		if t.Mask == 0 {
-			continue // wildcard
-		}
-		if rs.Match == nil {
-			rs.Match = make(map[string]string)
-		}
-		rs.Match[f.String()] = ternaryString(f, t)
-	}
-	for _, a := range r.Actions {
-		rs.Actions = append(rs.Actions, actionSpec(a))
-	}
-	return rs
-}
-
-// ternaryString renders one match cell in the form parseTernary accepts:
-// a bare value for exact matches, value/prefixlen for contiguous prefix
-// masks, and value&mask for arbitrary ternary masks.
-func ternaryString(f FieldID, t Ternary) string {
-	full := header.WidthMask(f)
-	if t.Mask == full {
-		return strconv.FormatUint(t.Value, 10)
-	}
-	ones := bits.OnesCount64(t.Mask)
-	if t.Mask == full&^(full>>uint(ones)) {
-		return fmt.Sprintf("%d/%d", t.Value, ones)
-	}
-	return fmt.Sprintf("0x%x&0x%x", t.Value, t.Mask)
-}
-
-// actionSpec converts one action to its JSON wire form.
-func actionSpec(a Action) ActionSpec {
-	switch a.Kind {
-	case flowtable.ActionOutput:
-		return ActionSpec{Output: uint16(a.Port)}
-	case flowtable.ActionGroupECMP:
-		ports := make([]uint16, len(a.Ports))
-		for i, p := range a.Ports {
-			ports[i] = uint16(p)
-		}
-		return ActionSpec{ECMP: ports}
-	default: // ActionSetField
-		return ActionSpec{Set: &SetFieldSpec{Field: a.Field.String(), Value: a.Value}}
-	}
 }
