@@ -46,7 +46,10 @@
 //     Backends, the cross-epoch diff engine (Differ) folding every sweep
 //     round into typed debounced Alerts, and pluggable alert delivery
 //     (Sink: RingSink, LogSink, WebhookSink via WithAlertSink) behind a
-//     net/http control surface with JSON and Prometheus metrics.
+//     net/http control surface with JSON and Prometheus metrics. A Store
+//     (FileStore via WithStateDir) makes it crash-safe: per-switch WALs
+//     hold a table snapshot plus one small record per committed rule op,
+//     and Service.Resume picks up where the previous process stopped.
 //
 //   - Monitoring policies: a declarative DSL (ParsePolicy /
 //     ParsePolicyFile, installed via WithPolicy, Service.SetPolicy, or

@@ -47,6 +47,11 @@ type Service struct {
 	// first proxy that connects).
 	proxyGroup *ProxyGroup
 
+	// opLocks holds one *sync.Mutex per switch, held from an
+	// expected-table mutation through its WAL append so a switch's
+	// records land in the order its table committed them.
+	opLocks sync.Map
+
 	// recorders holds the per-switch session recorders WithRecordDir
 	// created, for the session-layer annotations (rule ops, round marks).
 	recMu     sync.Mutex
@@ -291,14 +296,30 @@ func (s *Service) noteStoreErr() {
 	s.mu.Unlock()
 }
 
-// persistRules snapshots switch id's expected table to the store.
-func (s *Service) persistRules(id uint32, v *Verifier) {
-	if s.store == nil {
-		return
+// lockSwitchOps takes switch id's op lock and returns its unlock.
+func (s *Service) lockSwitchOps(id uint32) func() {
+	mu, _ := s.opLocks.LoadOrStore(id, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	return mu.(*sync.Mutex).Unlock
+}
+
+// commitRuleOp runs one expected-table mutation of switch id under its
+// op lock and, when the mutation moved the table's epoch, logs op (in its
+// canonical form, see Store.SaveRuleOp) with the new epoch before the
+// lock is released, and so before any confirmation observation: a crash
+// mid-observation restarts with the post-op table. An op whose probe
+// generation failed after the table changed is logged too: the change
+// stands.
+func (s *Service) commitRuleOp(id uint32, v *Verifier, op RuleOp, mutate func() (*Probe, error)) (*Probe, error) {
+	defer s.lockSwitchOps(id)()
+	before := v.Epoch()
+	p, err := mutate()
+	if epoch := v.Epoch(); epoch != before && s.store != nil {
+		if err := s.store.SaveRuleOp(id, epoch, op); err != nil {
+			s.noteStoreErr()
+		}
 	}
-	if err := s.store.SaveRules(id, v.Epoch(), ruleSpecs(v.Rules())); err != nil {
-		s.noteStoreErr()
-	}
+	return p, err
 }
 
 // Fleet returns the service's underlying fleet (programmatic access from
@@ -637,8 +658,15 @@ func (s *Service) InstallRules(id uint32, rules ...*Rule) error {
 			}
 		}
 	}
+	unlock := s.lockSwitchOps(id)
 	err := v.Install(rules...)
-	s.persistRules(id, v)
+	if s.store != nil {
+		epoch, specs := v.snapshot()
+		if err := s.store.SaveRules(id, epoch, specs); err != nil {
+			s.noteStoreErr()
+		}
+	}
+	unlock()
 	if err == nil {
 		if rec := s.recorder(id); rec != nil {
 			for _, r := range rules {
@@ -736,7 +764,8 @@ func (s *Service) applyRule(ctx context.Context, id uint32, op RuleOp) (UpdateRe
 			}
 		}
 		if expected {
-			p, genErr = v.Add(r)
+			rs := ruleSpec(r)
+			p, genErr = s.commitRuleOp(id, v, RuleOp{Op: "add", Rule: &rs}, func() (*Probe, error) { return v.Add(r) })
 			if genErr != nil && !unprobeable(genErr) {
 				return UpdateReply{}, genErr
 			}
@@ -754,7 +783,11 @@ func (s *Service) applyRule(ctx context.Context, id uint32, op RuleOp) (UpdateRe
 			}
 		}
 		if expected {
-			p, genErr = v.Modify(op.ID, actions)
+			specs := make([]ActionSpec, len(actions))
+			for i, a := range actions {
+				specs[i] = actionSpec(a)
+			}
+			p, genErr = s.commitRuleOp(id, v, RuleOp{Op: "modify", ID: op.ID, Actions: specs}, func() (*Probe, error) { return v.Modify(op.ID, actions) })
 			if genErr != nil && !unprobeable(genErr) {
 				return UpdateReply{}, genErr
 			}
@@ -763,27 +796,34 @@ func (s *Service) applyRule(ctx context.Context, id uint32, op RuleOp) (UpdateRe
 		ruleID = op.ID
 		expect = ExpectAbsent
 		pre := preImage(op.ID)
+		var applyErr error
+		applyDelete := func() {
+			if dataplane {
+				applyErr = be.Apply(BackendOp{Op: "delete", ID: op.ID, Rule: pre})
+			}
+		}
 		if expected {
-			p, genErr = v.Delete(op.ID)
+			// The FlowMod leaves before the WAL append, as an add's and a
+			// modify's do, so the switch commits it while the record syncs.
+			p, genErr = s.commitRuleOp(id, v, RuleOp{Op: "delete", ID: op.ID}, func() (*Probe, error) {
+				p, err := v.Delete(op.ID)
+				if err == nil || unprobeable(err) {
+					applyDelete()
+				}
+				return p, err
+			})
 			if genErr != nil && !unprobeable(genErr) {
 				return UpdateReply{}, genErr
 			}
+		} else {
+			applyDelete()
 		}
-		if dataplane {
-			if err := be.Apply(BackendOp{Op: "delete", ID: op.ID, Rule: pre}); err != nil {
-				return UpdateReply{}, err
-			}
+		if applyErr != nil {
+			return UpdateReply{}, applyErr
 		}
 	default:
 		return UpdateReply{}, fmt.Errorf("monocle: unknown op %q", op.Op)
 	}
-	if expected {
-		// The expected-table mutation committed: snapshot it before the
-		// confirmation probe round trip, so a crash during observation
-		// still restarts with the post-mutation table.
-		s.persistRules(id, v)
-	}
-
 	reply := UpdateReply{Switch: id, Rule: ruleID, Op: op.Op, Verdict: "none"}
 	switch {
 	case unprobeable(genErr):

@@ -2,9 +2,10 @@ package monocle
 
 // Crash-safe persistence for the monocled service. A Store is the seam
 // the Service writes its cross-restart state through: switch
-// registrations, expected-table snapshots (stamped with their
-// table-change epoch), the diff engine's folded cross-epoch state, and
-// every emitted alert. FileStore is the built-in implementation: one
+// registrations, expected tables (a snapshot at install, then one
+// record per committed rule op, each stamped with its table-change
+// epoch), the diff engine's folded cross-epoch state, and every emitted
+// alert. FileStore is the built-in implementation: one
 // append-only JSON-line WAL per switch plus one service-level WAL,
 // compacted in place once they accumulate enough superseded records. The
 // file discipline (appends, fsync, the torn-tail rule, the atomic
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,9 +36,18 @@ import (
 type Store interface {
 	// SaveSwitch persists one switch registration.
 	SaveSwitch(spec SwitchSpec) error
-	// SaveRules persists switch id's full expected rule set as of the
-	// given table-change epoch (a snapshot, superseding earlier ones).
+	// SaveRules persists switch id's full expected rule set, in table
+	// order, as of the given table-change epoch: a snapshot, superseding
+	// earlier snapshots and every rule op saved before it.
 	SaveRules(id uint32, epoch uint64, rules []RuleSpec) error
+	// SaveRuleOp persists one committed rule op on switch id's expected
+	// table and the epoch the op moved it to. Load folds the ops saved
+	// since the last snapshot into it, in save order, so a switch's ops
+	// must be saved in the order its table committed them. The op is in
+	// canonical form: an add carries the installed rule rendered back to
+	// a RuleSpec, a modify the id and the rendered new actions, a delete
+	// the id; Dataplane is empty.
+	SaveRuleOp(id uint32, epoch uint64, op RuleOp) error
 	// SaveRound persists one completed sweep round: the diff engine's
 	// folded state and the alerts the round raised.
 	SaveRound(state DifferState, alerts []Alert) error
@@ -54,9 +65,10 @@ type Store interface {
 type SwitchState struct {
 	// Spec is the switch registration.
 	Spec SwitchSpec `json:"spec"`
-	// Epoch is the table-change epoch of the Rules snapshot.
+	// Epoch is the table-change epoch of Rules.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Rules is the last persisted expected rule set.
+	// Rules is the persisted expected rule set in table order: the last
+	// snapshot with every rule op saved after it applied.
 	Rules []RuleSpec `json:"rules,omitempty"`
 	// Diff is the switch's folded diff state; HasDiff marks it valid
 	// (a switch may have been registered but never swept).
@@ -82,15 +94,17 @@ type FleetState struct {
 }
 
 // walRecord is one WAL line. Kind selects which payload fields are set:
-// "spec" (Spec), "rules" (Epoch, Rules), "diff" (Diff), "round" (Rounds),
-// "alert" (Alert), "policy" (Policy). Seq is a store-global monotonic
-// sequence number stamped on every appended record.
+// "spec" (Spec), "rules" (Epoch, Rules), "rule_op" (Epoch, RuleOp),
+// "diff" (Diff), "round" (Rounds), "alert" (Alert), "policy" (Policy).
+// Seq is a store-global monotonic sequence number stamped on every
+// appended record.
 type walRecord struct {
 	Kind     string           `json:"kind"`
 	Seq      uint64           `json:"seq"`
 	Spec     *SwitchSpec      `json:"spec,omitempty"`
 	Epoch    uint64           `json:"epoch,omitempty"`
 	Rules    []RuleSpec       `json:"rules,omitempty"`
+	RuleOp   *RuleOp          `json:"rule_op,omitempty"`
 	Diff     *SwitchDiffState `json:"diff,omitempty"`
 	Rounds   uint64           `json:"rounds,omitempty"`
 	AlertSeq uint64           `json:"alert_seq,omitempty"`
@@ -165,6 +179,13 @@ func (fs *FileStore) SaveRules(id uint32, epoch uint64, rules []RuleSpec) error 
 		rules = []RuleSpec{} // distinguish "empty table" from "no snapshot"
 	}
 	return fs.appendLocked(switchWALName(id), walRecord{Kind: "rules", Epoch: epoch, Rules: rules})
+}
+
+// SaveRuleOp implements Store.
+func (fs *FileStore) SaveRuleOp(id uint32, epoch uint64, op RuleOp) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.appendLocked(switchWALName(id), walRecord{Kind: "rule_op", Epoch: epoch, RuleOp: &op})
 }
 
 // SaveRound implements Store.
@@ -247,8 +268,11 @@ func (fs *FileStore) compactLocked(name string) error {
 }
 
 // compact returns the records of one WAL that a compaction keeps, in file
-// order: the latest record of each kind, and the last alertKeep alerts.
+// order: the latest record of each kind, the last alertKeep alerts, and in
+// place of the last rules or rule_op record one rules snapshot of the
+// table they fold to. It folds into the latest snapshot's slice in place.
 func compact(recs []walRecord) []walRecord {
+	epoch, rules, lastRules := foldRules(recs)
 	last := make(map[string]int)
 	alerts := 0
 	for i, r := range recs {
@@ -259,16 +283,77 @@ func compact(recs []walRecord) []walRecord {
 	}
 	var keep []walRecord
 	for i, r := range recs {
-		if r.Kind == "alert" {
+		switch {
+		case i == lastRules:
+			keep = append(keep, walRecord{Kind: "rules", Seq: r.Seq, Epoch: epoch, Rules: rules})
+		case r.Kind == "rules" || r.Kind == "rule_op":
+		case r.Kind == "alert":
 			alerts--
 			if alerts < alertKeep {
 				keep = append(keep, r)
 			}
-		} else if last[r.Kind] == i {
+		case last[r.Kind] == i:
 			keep = append(keep, r)
 		}
 	}
 	return keep
+}
+
+// foldRules returns the expected table a switch WAL's records leave, and
+// the epoch of the last record folded: the latest rules snapshot (an
+// empty table when there is none) with every later rule_op applied in
+// file order, in place in the snapshot's slice. An add inserts where
+// flowtable.Table.Insert would (after every rule of higher or equal
+// priority), a modify replaces the rule's actions, a delete removes the
+// rule, so the fold equals ruleSpecs of the live table the ops were
+// committed to. last is the index of the last rules or rule_op record,
+// -1 when the WAL holds neither.
+func foldRules(recs []walRecord) (epoch uint64, rules []RuleSpec, last int) {
+	last = -1
+	from := 0
+	for i, r := range recs {
+		switch r.Kind {
+		case "rules":
+			from, last = i, i
+		case "rule_op":
+			last = i
+		}
+	}
+	if last < 0 {
+		return 0, nil, -1
+	}
+	for _, r := range recs[from : last+1] {
+		switch r.Kind {
+		case "rules":
+			epoch, rules = r.Epoch, r.Rules
+		case "rule_op":
+			epoch = r.Epoch
+			if r.RuleOp != nil {
+				rules = foldRuleOp(rules, *r.RuleOp)
+			}
+		}
+	}
+	return epoch, rules, last
+}
+
+// foldRuleOp applies one canonical rule op to a table in table order.
+func foldRuleOp(rules []RuleSpec, op RuleOp) []RuleSpec {
+	if op.Op == "add" {
+		if op.Rule != nil {
+			i := sort.Search(len(rules), func(i int) bool { return rules[i].Priority < op.Rule.Priority })
+			rules = slices.Insert(rules, i, *op.Rule)
+		}
+		return rules
+	}
+	i := slices.IndexFunc(rules, func(rs RuleSpec) bool { return rs.ID == op.ID })
+	switch {
+	case i < 0:
+	case op.Op == "modify":
+		rules[i].Actions = op.Actions
+	case op.Op == "delete":
+		rules = slices.Delete(rules, i, i+1)
+	}
+	return rules
 }
 
 // closeLocked closes one WAL's append handle, if it is open.
@@ -304,7 +389,9 @@ func (fs *FileStore) Load() (*FleetState, error) {
 			return nil, err
 		}
 		var st SwitchState
-		var haveSpec, haveRules bool
+		var haveSpec bool
+		var lastRules int
+		st.Epoch, st.Rules, lastRules = foldRules(recs)
 		for _, r := range recs {
 			fs.seq = max(fs.seq, r.Seq)
 			switch r.Kind {
@@ -313,10 +400,6 @@ func (fs *FileStore) Load() (*FleetState, error) {
 					st.Spec = *r.Spec
 					haveSpec = true
 				}
-			case "rules":
-				st.Epoch = r.Epoch
-				st.Rules = r.Rules
-				haveRules = true
 			case "diff":
 				if r.Diff != nil {
 					st.Diff = *r.Diff
@@ -324,7 +407,7 @@ func (fs *FileStore) Load() (*FleetState, error) {
 				}
 			}
 		}
-		if haveSpec || haveRules || st.HasDiff {
+		if haveSpec || lastRules >= 0 || st.HasDiff {
 			state.Switches[uint32(id64)] = st
 		}
 	}

@@ -203,6 +203,15 @@ func (v *Verifier) Rules() []*Rule {
 	return v.table.Rules()
 }
 
+// snapshot renders the installed rules in table order together with the
+// epoch they stand at, both read under one lock so a concurrent mutation
+// cannot stamp one epoch on another epoch's table.
+func (v *Verifier) snapshot() (uint64, []RuleSpec) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.epoch, ruleSpecs(v.table.View())
+}
+
 // Len returns the number of installed rules.
 func (v *Verifier) Len() int {
 	v.mu.Lock()
