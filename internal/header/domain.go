@@ -93,9 +93,10 @@ type Dependency struct {
 // abstract packet:
 //
 //	nw_* fields require dl_type == IPv4;
-//	tp_* fields require nw_proto in {TCP, UDP} (for ICMP the "ports"
-//	carry type/code per the OpenFlow 1.0 convention, which we treat as
-//	included);
+//	tp_* fields require nw_proto in {TCP, UDP, ICMP}; for ICMP the
+//	"ports" carry the 8-bit type and code (OpenFlow 1.0 convention), so
+//	only values up to 255 survive the wire and the probe generator
+//	constrains them to that range;
 //	dl_vlan_pcp requires a VLAN tag to be present (dl_vlan != VlanNone).
 //
 // dl_vlan_pcp is handled specially by callers because its condition is an

@@ -74,6 +74,22 @@ func fieldEquals(f header.FieldID, v uint64) *cnf.Formula {
 	return cnf.And(lits...)
 }
 
+// wireSafe is the constraint that keeps a probe representable on the
+// wire: for ICMP the abstract tp_src/tp_dst carry the 8-bit ICMP type and
+// code (OpenFlow 1.0), so a value above 255 would be crafted truncated and
+// the packet would no longer match the rule it probes. Asserted, it is one
+// clause per high bit (nw_proto ≠ ICMP ∨ bit = 0) and no fresh variable.
+func wireSafe() *cnf.Formula {
+	notICMP := cnf.Not(fieldEquals(header.IPProto, header.ProtoICMP))
+	var cs []*cnf.Formula
+	for _, f := range []header.FieldID{header.TPSrc, header.TPDst} {
+		for b := 0; b < header.Width(f)-8; b++ {
+			cs = append(cs, cnf.Or(notICMP, cnf.Lit(-header.BitVar(f, b))))
+		}
+	}
+	return cnf.And(cs...)
+}
+
 // fwdView caches a rule's forwarding analysis (sorted forwarding set and
 // ECMP-ness) so the O(rules²) Distinguish term construction of a sweep
 // does not rebuild it per rule pair. All port iteration runs over the

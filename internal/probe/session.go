@@ -60,7 +60,7 @@ import (
 // and all its forks. (A libraryBuilder may still append to it; sessions
 // handed out before such an append must no longer be used.)
 type tableLibrary struct {
-	baseVec   []int          // Collect + domain clauses (the solver base)
+	baseVec   []int          // Collect, wire-safety and domain clauses (the solver base)
 	baseVars  int            // variable count of the base encoder state
 	baseNC    int            // clause count of the base
 	matchLit  map[uint64]int // rule ID → definition literal of its match
@@ -91,8 +91,8 @@ type libraryBuilder struct {
 	removed int // rules dropped since the last full rebuild (garbage metric)
 }
 
-// newLibraryBuilder encodes the base region: Collect and the limited
-// domains (§5.2), iterated in field order so every builder for the same
+// newLibraryBuilder encodes the base region: Collect, wire safety and the
+// limited domains (§5.2), iterated in field order so every builder for the same
 // config emits the identical clause sequence (determinism). The
 // constant-true variable is pinned here so later regions can reference it.
 func (g *Generator) newLibraryBuilder() *libraryBuilder {
@@ -101,6 +101,7 @@ func (g *Generator) newLibraryBuilder() *libraryBuilder {
 		enc.MaxChain = g.cfg.MaxChain
 	}
 	enc.Assert(matchFormula(g.cfg.Collect))
+	enc.Assert(wireSafe())
 	fields := make([]header.FieldID, 0, len(g.cfg.Domains))
 	for f := range g.cfg.Domains {
 		fields = append(fields, f)
@@ -264,7 +265,7 @@ type Session struct {
 	libVars    int      // encoder variable count at the library mark
 	libClauses int      // encoder clause count at the library mark
 	solver     *sat.Solver
-	cp         sat.Checkpoint // the tiny base (Collect + domains)
+	cp         sat.Checkpoint // the tiny base (Collect, wire safety, domains)
 
 	// Block-dedup scratch: loaded[i] == epoch when block i is already
 	// attached for the current Generate call.
@@ -314,8 +315,9 @@ func (s *Session) fwdViewOf(r *flowtable.Rule) *fwdView {
 	return newFwdView(r)
 }
 
-// NewSession compiles the table (Collect, domains, one definition block
-// per match atom and rule) and prepares the persistent solver.
+// NewSession compiles the table (Collect, wire safety, domains, one
+// definition block per match atom and rule) and prepares the persistent
+// solver.
 func (g *Generator) NewSession(table *flowtable.Table) (*Session, error) {
 	b := g.newLibraryBuilder()
 	rules := table.Rules()

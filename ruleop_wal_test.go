@@ -8,6 +8,7 @@ package monocle
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -247,7 +248,10 @@ func walScript(svc *Service) error {
 
 // TestSnapshotOnlyWALLoads resumes the committed state directory of the
 // snapshot-only format and checks it against walScript run without a
-// store: tables, epochs, alerts and policy.
+// store: tables, epochs, alerts and policy. Stored alerts are history:
+// they load exactly as the fixture holds them, and they agree with the
+// script's alerts on every field but the probe, whose header and instance
+// size belong to the generator of the binary that wrote them.
 func TestSnapshotOnlyWALLoads(t *testing.T) {
 	want := NewService(WithDebounce(2))
 	defer want.Close()
@@ -263,6 +267,7 @@ func TestSnapshotOnlyWALLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stored []Alert
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
@@ -270,6 +275,15 @@ func TestSnapshotOnlyWALLoads(t *testing.T) {
 		}
 		if strings.Contains(string(data), `"kind":"rule_op"`) {
 			t.Fatalf("%s holds rule_op records; it must be the snapshot-only format", e.Name())
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var rec walRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			if rec.Kind == "alert" {
+				stored = append(stored, *rec.Alert)
+			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -292,9 +306,7 @@ func TestSnapshotOnlyWALLoads(t *testing.T) {
 				id, st.Epoch, st.Rules, v.Epoch(), ruleSpecs(v.Rules()))
 		}
 	}
-	if !reflect.DeepEqual(state.Alerts, want.Alerts()) {
-		t.Fatalf("loaded alerts %+v, want %+v", state.Alerts, want.Alerts())
-	}
+	checkStoredAlerts(t, "loaded", state.Alerts, stored, want.Alerts())
 	if state.Policy != want.Policy().Source() {
 		t.Fatalf("loaded policy %q, want %q", state.Policy, want.Policy().Source())
 	}
@@ -311,12 +323,39 @@ func TestSnapshotOnlyWALLoads(t *testing.T) {
 			t.Fatalf("switch %d did not resume to the script's table at epoch %d", id, wv.Epoch())
 		}
 	}
-	if !reflect.DeepEqual(got.Alerts(), want.Alerts()) {
-		t.Fatalf("resumed alerts %+v, want %+v", got.Alerts(), want.Alerts())
-	}
+	checkStoredAlerts(t, "resumed", got.Alerts(), stored, want.Alerts())
 	if got.Policy() == nil || got.Policy().Source() != want.Policy().Source() {
 		t.Fatalf("resumed policy %v, want %q", got.Policy(), want.Policy().Source())
 	}
+}
+
+// checkStoredAlerts requires alerts to equal the stored records exactly
+// and the script's alerts with each record's probe left out.
+func checkStoredAlerts(t *testing.T, what string, alerts, stored, script []Alert) {
+	t.Helper()
+	if len(stored) == 0 {
+		t.Fatal("the fixture holds no alerts; the check would be vacuous")
+	}
+	if !reflect.DeepEqual(alerts, stored) {
+		t.Fatalf("%s alerts %+v, want the stored %+v", what, alerts, stored)
+	}
+	if !reflect.DeepEqual(withoutProbes(alerts), withoutProbes(script)) {
+		t.Fatalf("%s alerts %+v, want the script's %+v (probes aside)", what, alerts, script)
+	}
+}
+
+// withoutProbes copies alerts with every record's probe cleared.
+func withoutProbes(alerts []Alert) []Alert {
+	out := make([]Alert, len(alerts))
+	for i, a := range alerts {
+		if a.Record != nil {
+			rec := *a.Record
+			rec.Probe = nil
+			a.Record = &rec
+		}
+		out[i] = a
+	}
+	return out
 }
 
 // FuzzRuleOpWAL drives random installs and rule ops into one switch, then
