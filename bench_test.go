@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -402,8 +403,8 @@ func BenchmarkFleetSweep(b *testing.B) {
 // BenchmarkFleetResweep measures the steady-state cadence of the sweep
 // service: tables already compiled, one rule of one member churning per
 // iteration, whole fleet re-swept through the epoch-aware caches. Only
-// the churned member re-solves; the other seven answer from their
-// session caches' sweep memos.
+// the rules the churn touched re-solve; every other rule answers from its
+// session cache's last result.
 func BenchmarkFleetResweep(b *testing.B) {
 	fleet := buildFleet(b, 8, 200, 0)
 	fleet.Sweep(context.Background()) // compile + prewarm
@@ -425,9 +426,63 @@ func BenchmarkFleetResweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetResweepUnchanged measures the sweep memo itself: the
-// same 8x200 fleet re-swept with no table change between rounds, so
-// every member answers from its session cache's memo of the last sweep.
+// BenchmarkFleetChurn is churn_cpu's generation layer in process: 8
+// switches x 500 Stanford-shaped rules, two action-only modifies of
+// forwarding rules per switch between sweeps, then every member re-swept
+// (through its Verifier's SweepStats, in registration order, so the
+// solver work can be counted). It reports the rules solved and the SAT
+// decisions per round: only the rules a modify touched are solved.
+func BenchmarkFleetChurn(b *testing.B) {
+	const switches, rules = 8, 500
+	fleet := buildFleet(b, switches, rules, 1)
+	ctx := context.Background()
+	var vs []*monocle.Verifier
+	var fwd [][]*monocle.Rule
+	for _, id := range fleet.Switches() {
+		v, _ := fleet.Verifier(id)
+		v.Sweep(ctx) // compile + first solve
+		vs = append(vs, v)
+		var f []*monocle.Rule
+		for _, r := range v.Rules() {
+			if len(r.Actions) > 0 {
+				f = append(f, r)
+			}
+		}
+		fwd = append(fwd, f)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var solved, decisions int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, v := range vs {
+			for k := 0; k < 2; k++ {
+				r := fwd[j][rng.Intn(len(fwd[j]))]
+				acts := []monocle.Action{monocle.Output(monocle.PortID(1 + rng.Intn(16)))}
+				if _, err := v.Modify(r.ID, acts); err != nil && !errors.Is(err, monocle.ErrUnmonitorable) {
+					b.Fatal(err)
+				}
+			}
+		}
+		for _, v := range vs {
+			res, stats := v.SweepStats(ctx)
+			if len(res) != rules {
+				b.Fatalf("swept %d results", len(res))
+			}
+			for _, ws := range stats {
+				solved += int64(ws.Rules)
+				decisions += ws.Decisions
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(solved)/float64(b.N), "solved_rules/op")
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
+}
+
+// BenchmarkFleetResweepUnchanged measures the per-rule results alone: the
+// same 8x200 fleet re-swept with no table change between rounds, so every
+// rule answers from its session cache's last result.
 func BenchmarkFleetResweepUnchanged(b *testing.B) {
 	fleet := buildFleet(b, 8, 200, 0)
 	fleet.Sweep(context.Background()) // compile + first solve
@@ -443,7 +498,7 @@ func BenchmarkFleetResweepUnchanged(b *testing.B) {
 // roundService builds the BenchmarkServiceRoundUnchanged workload: a
 // Service over n SimBackend switches holding `rules` Stanford-shaped
 // rules each (seed = switch id), after one warm-up round that compiles
-// every member's table library and fills its sweep memo.
+// every member's table library and fills its per-rule results.
 func roundService(tb testing.TB, n, rules int) *monocle.Service {
 	tb.Helper()
 	svc := monocle.NewService()

@@ -154,9 +154,9 @@ func (f *Fleet) Sweep(ctx context.Context) []SweepEvent {
 // table priority order within a member. Members sweep concurrently under
 // the fleet worker budget, and each member's probe set is bit-identical
 // for any budget: a subset naming every rule yields exactly a standalone
-// Verifier's sweep of the same table. A member whose table is unchanged
-// since its last sweep over the same subset solves nothing: it returns
-// that sweep's results again, sharing their immutable Probes. Every call
+// Verifier's sweep of the same table. A member solves only the rules a
+// table change touched since their last result; the others return that
+// result again, sharing its immutable Probe. Every call
 // returns a fresh slice, built in one allocation, that the fleet never
 // touches again. The Service's round takes the same per-member sweeps
 // unflattened: each switch is one unit from generation to fold.

@@ -338,6 +338,8 @@ func (s *Service) writePrometheus(w http.ResponseWriter) {
 		func(sw SwitchMetrics) any { return sw.Cache.DeltaRules })
 	perSwitch("monocle_switch_cache_rebuilds_total", "counter", "Full library rebuilds per switch.",
 		func(sw SwitchMetrics) any { return sw.Cache.Rebuilds })
+	perSwitch("monocle_switch_cache_solved_rules_total", "counter", "Rules solved per switch; results kept from an earlier solve are not counted.",
+		func(sw SwitchMetrics) any { return sw.Cache.Solved })
 	perSwitch("monocle_backend_events_dropped_total", "counter", "Driver lifecycle events dropped from the backend event stream per switch.",
 		func(sw SwitchMetrics) any { return sw.EventsDropped })
 	p.send(w)

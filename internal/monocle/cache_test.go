@@ -58,8 +58,8 @@ func TestMonitorSessionCacheDeltaRecompile(t *testing.T) {
 
 // TestFailedReplacingAddMovesEpoch: an add whose strict delete removed a
 // rule but whose insert then failed has still changed the expected
-// table, so it must move the epoch that the session cache (and its sweep
-// memo) keys on.
+// table, so it must move the epoch that the session cache (and its
+// per-rule results) keys on.
 func TestFailedReplacingAddMovesEpoch(t *testing.T) {
 	tb := newLineTestbed(t, switchsim.Ideal(), nil)
 	m := tb.mon[2]

@@ -1,15 +1,15 @@
 package probe
 
-// Batch probe generation: a worker pool of forked Sessions sweeping every
-// rule of a table, used by steady-state monitoring and the experiment
+// Batch probe generation: a worker pool of forked Sessions sweeping rules
+// of a table, used by steady-state monitoring and the experiment
 // harnesses. Work is scheduled cluster-by-cluster (see cluster.go): a
 // worker claims a whole scope cluster, attaches its shared block prefix
 // once, and solves the member rules back to back with learnt-clause,
-// phase, and activity reuse between them. Because clusters are planned
-// deterministically, processed atomically in member order, and always
-// start from an exactly-restored base state, the probe set is bit-
-// identical regardless of how many workers run or how clusters are
-// scheduled onto them.
+// phase, and activity reuse between them. None of that can move a probe:
+// the solver decides the header bits first toward a fixed reference
+// (referencePhase), so each probe header is the first one its rule's
+// constraints admit, and the probe set is bit-identical however the rules
+// are clustered, how many workers run, or which rules are swept together.
 
 import (
 	"context"
@@ -29,6 +29,10 @@ type Result struct {
 	// Err reports why no probe exists: ErrUnmonitorable,
 	// ErrRewritesProbeField, a context error, or an internal failure.
 	Err error
+	// repaired reports that the header took a spare value chosen from
+	// the whole table (repairDomains), so the result depends on more
+	// than the rule's overlap set.
+	repaired bool
 }
 
 // WorkerStats aggregates one sweep worker's solver effort, for benchmarks
@@ -71,7 +75,7 @@ func (g *Generator) GenerateAllStats(ctx context.Context, table *flowtable.Table
 		}
 		return results, nil
 	}
-	stats, err := root.generateAllInto(ctx, results, nil, parallelism)
+	stats, err := root.generateAllInto(ctx, rules, results, parallelism)
 	if err != nil {
 		for i := range results {
 			results[i].Err = err
@@ -80,22 +84,21 @@ func (g *Generator) GenerateAllStats(ctx context.Context, table *flowtable.Table
 	return results, stats
 }
 
-// generateAllInto runs the clustered sweep for the session's table,
-// writing into results (indexed like s.rules). A non-nil pick limits the
-// sweep to the rules it marks (indexed like s.rules); the others are left
-// untouched. The session itself serves as worker 0 and is returned to its
-// base state afterwards, so a cached session (SessionCache) can sweep
+// generateAllInto runs the clustered sweep over rules of the session's
+// table, writing results[i] for rules[i]. The cluster plan covers exactly
+// these rules. The session itself serves as worker 0 and is returned to
+// its base state afterwards, so a cached session (SessionCache) can sweep
 // repeatedly.
-func (s *Session) generateAllInto(ctx context.Context, results []Result, pick []bool, parallelism int) ([]WorkerStats, error) {
+func (s *Session) generateAllInto(ctx context.Context, rules []*flowtable.Rule, results []Result, parallelism int) ([]WorkerStats, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 
 	if s.g.cfg.DisableClustering {
-		return s.sweepUnclustered(ctx, results, pick, parallelism)
+		return s.sweepUnclustered(ctx, rules, results, parallelism)
 	}
 
-	clusters := pickClusters(s.clusterPlan(), pick)
+	clusters := s.planClusters(rules)
 	if parallelism > len(clusters) {
 		parallelism = len(clusters)
 	}
@@ -137,7 +140,7 @@ func (s *Session) generateAllInto(ctx context.Context, results []Result, pick []
 						results[m.idx].Err = m.err
 						continue
 					}
-					results[m.idx].Probe, results[m.idx].Err = sess.generate(s.rules[m.idx], m.scope, m)
+					results[m.idx] = sess.generate(rules[m.idx], m.scope, m)
 					ws.Rules++
 				}
 				sess.endCluster()
@@ -151,44 +154,12 @@ func (s *Session) generateAllInto(ctx context.Context, results []Result, pick []
 	return stats, nil
 }
 
-// pickClusters filters a cluster plan down to the picked members (nil
-// pick: the whole plan). A cluster's prefix is shared by every member, so
-// it stays a valid prefix for any subset of them, and each kept member
-// keeps its own suffix; clusters left empty are dropped. Because the
-// filtered clusters are still processed atomically from an exact base
-// restore, a subset sweep is as deterministic across worker counts as a
-// whole-table one, and a pick of every rule is the whole-table sweep.
-func pickClusters(plan []cluster, pick []bool) []cluster {
-	if pick == nil {
-		return plan
-	}
-	var out []cluster
-	for _, c := range plan {
-		var members []clusterMember
-		for _, m := range c.members {
-			if pick[m.idx] {
-				members = append(members, m)
-			}
-		}
-		if len(members) > 0 {
-			out = append(out, cluster{prefix: c.prefix, members: members})
-		}
-	}
-	return out
-}
-
 // sweepUnclustered is the ablation path (DisableClustering): the PR-1
-// engine, one rule at a time through the classic Generate with an exact
+// engine, one rule at a time through the classic path with an exact
 // retract to base after every rule.
-func (s *Session) sweepUnclustered(ctx context.Context, results []Result, pick []bool, parallelism int) ([]WorkerStats, error) {
-	todo := make([]int, 0, len(s.rules))
-	for i := range s.rules {
-		if pick == nil || pick[i] {
-			todo = append(todo, i)
-		}
-	}
-	if parallelism > len(todo) {
-		parallelism = len(todo)
+func (s *Session) sweepUnclustered(ctx context.Context, rules []*flowtable.Rule, results []Result, parallelism int) ([]WorkerStats, error) {
+	if parallelism > len(rules) {
+		parallelism = len(rules)
 	}
 	sessions, err := s.workerSessions(parallelism)
 	if err != nil {
@@ -205,16 +176,15 @@ func (s *Session) sweepUnclustered(ctx context.Context, results []Result, pick [
 			ws.Worker = w
 			d0, p0, c0 := sess.solver.Stats()
 			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(todo) {
+				i := int(next.Add(1)) - 1
+				if i >= len(rules) {
 					break
 				}
-				i := todo[n]
 				if err := ctx.Err(); err != nil {
 					results[i].Err = err
 					continue
 				}
-				results[i].Probe, results[i].Err = sess.Generate(s.rules[i])
+				results[i] = sess.result(rules[i])
 				ws.Rules++
 			}
 			d1, p1, c1 := sess.solver.Stats()

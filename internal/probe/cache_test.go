@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"monocle/internal/dataset"
@@ -186,87 +187,177 @@ func TestSessionCacheGenerateAllMatchesGenerator(t *testing.T) {
 	}
 }
 
-// TestSessionCacheSweepReuse: a repeat of the last complete sweep (same
-// epoch, same ids) returns the same results with no solver work; any
-// other key, a cancelled sweep and a rebuild re-solve.
+// TestSessionCacheSweepReuse: a rule keeps its result until a table change
+// touches it. A repeat sweep, a subset and an unchanged epoch bump solve
+// nothing; a change solves exactly the rules it touched, and what the
+// cache answers always equals a fresh cache's sweep of the same table. A
+// cancelled sweep keeps nothing, and a rebuild keeps the results.
 func TestSessionCacheSweepReuse(t *testing.T) {
 	prof := dataset.Stanford()
 	prof.Rules = 200
 	tb, rules := dataset.Generate(prof)
-	c := cacheGen().NewSessionCache(tb)
+	g := cacheGen()
+	c := g.NewSessionCache(tb)
 	ctx := context.Background()
 	epoch := uint64(1)
-	resolves := func(what string, ids []uint64) []Result {
+	// sweep runs c over ids, requires it to solve exactly `solves` rules
+	// and to equal a fresh cache's sweep.
+	sweep := func(what string, ids []uint64, solves int) []Result {
 		t.Helper()
+		before := c.Stats.Solved
 		res, stats := c.GenerateAllStats(ctx, epoch, ids, 2)
-		if stats == nil {
-			t.Fatalf("%s: reused a sweep that must re-solve", what)
+		if got := c.Stats.Solved - before; got != solves {
+			t.Fatalf("%s: solved %d rules, want %d", what, got, solves)
+		}
+		if (stats == nil) != (solves == 0) {
+			t.Fatalf("%s: stats %v after solving %d rules", what, stats, solves)
+		}
+		fresh, _ := g.NewSessionCache(tb).GenerateAllStats(ctx, 1, ids, 1)
+		if len(res) != len(fresh) {
+			t.Fatalf("%s: %d results, fresh cache %d", what, len(res), len(fresh))
+		}
+		for i := range res {
+			a, b := res[i], fresh[i]
+			if a.Rule != b.Rule || (a.Err == nil) != (b.Err == nil) ||
+				(a.Err == nil && (a.Probe.Header != b.Probe.Header || a.Probe.Stats.Vars != b.Probe.Stats.Vars ||
+					a.Probe.Stats.Clauses != b.Probe.Stats.Clauses || !reflect.DeepEqual(a.Probe.Absent, b.Probe.Absent))) {
+				t.Fatalf("%s: rule %d differs from a fresh cache's sweep", what, a.Rule.ID)
+			}
 		}
 		return res
 	}
 
-	first := resolves("first sweep", nil)
-	hits := c.Stats.Hits
-	again, stats := c.GenerateAllStats(ctx, epoch, nil, 2)
-	if stats != nil {
-		t.Fatalf("repeat sweep did solver work: %+v", stats)
-	}
+	first := sweep("first sweep", nil, len(rules))
+	again := sweep("repeat sweep", nil, 0)
 	if !reflect.DeepEqual(again, first) {
 		t.Fatal("repeat sweep differs from the first")
 	}
-	if c.Stats.Hits != hits+1 {
-		t.Fatalf("reuse not counted as a hit: %d, want %d", c.Stats.Hits, hits+1)
-	}
 	// The caller owns the returned slice.
 	again[0] = Result{}
-	if next, _ := c.GenerateAllStats(ctx, epoch, nil, 2); !reflect.DeepEqual(next, first) {
-		t.Fatal("mutating a returned slice changed the memo")
+	if next := sweep("after mutating a result", nil, 0); !reflect.DeepEqual(next, first) {
+		t.Fatal("mutating a returned slice changed the cache")
 	}
-
 	sub := []uint64{rules[3].ID, rules[7].ID, rules[50].ID}
-	resolves("a subset", sub)
-	if _, stats := c.GenerateAllStats(ctx, epoch, sub, 2); stats != nil {
-		t.Fatal("repeat subset sweep did solver work")
+	if res := sweep("a subset", sub, 0); len(res) != 3 || res[1].Probe != first[7].Probe {
+		t.Fatal("a subset was not answered with the whole sweep's results")
 	}
-	resolves("another subset", sub[:2])
-	resolves("the whole table after a subset", nil)
-	if res := resolves("an empty subset after nil", []uint64{}); len(res) != 0 {
+	if res := sweep("an empty subset", []uint64{}, 0); len(res) != 0 {
 		t.Fatalf("empty subset returned %d results", len(res))
 	}
-	resolves("nil after an empty subset", nil)
-
 	epoch++
-	if res := resolves("an epoch bump", nil); !reflect.DeepEqual(res, first) {
-		t.Fatal("re-solve of an unchanged table differs")
-	}
+	sweep("an epoch bump without a change", nil, 0)
 
-	// A cancelled sweep is neither reused nor kept.
+	// An action-only modify touches the rule and the rules above it that
+	// overlap it; Generate solves the rule and leaves its result behind.
+	x := rules[120]
+	touched := 0
+	for _, r := range rules {
+		if r == x || (r.Priority > x.Priority && r.Match.Overlaps(x.Match)) {
+			touched++
+		}
+	}
+	if err := tb.Modify(x.ID, []flowtable.Action{flowtable.Output(15)}); err != nil {
+		t.Fatal(err)
+	}
+	epoch++
+	before := c.Stats.Solved
+	if _, err := c.Generate(epoch, x); err != nil && !errors.Is(err, ErrUnmonitorable) {
+		t.Fatal(err)
+	}
+	if _, err := c.Generate(epoch, x); err != nil && !errors.Is(err, ErrUnmonitorable) {
+		t.Fatal(err)
+	}
+	if c.Stats.Solved != before+1 {
+		t.Fatalf("two Generate calls solved %d rules, want 1", c.Stats.Solved-before)
+	}
+	sweep("an action-only modify", nil, touched-1)
+
+	// A delete touches every rule overlapping the deleted match.
+	touched = 0
+	for _, r := range tb.Rules() {
+		if r != x && r.Match.Overlaps(x.Match) {
+			touched++
+		}
+	}
+	if err := tb.Delete(x.ID); err != nil {
+		t.Fatal(err)
+	}
 	epoch++
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	res, _ := c.GenerateAllStats(cancelled, epoch, nil, 2)
-	if !errors.Is(res[0].Err, context.Canceled) {
-		t.Fatalf("cancelled sweep: err %v", res[0].Err)
+	if !slices.ContainsFunc(res, func(r Result) bool { return errors.Is(r.Err, context.Canceled) }) {
+		t.Fatal("a cancelled sweep solved every touched rule")
 	}
-	for _, r := range resolves("after a cancelled sweep", nil) {
+	for _, r := range sweep("a delete, after a cancelled sweep", nil, touched) {
 		if errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("rule %d kept the cancelled sweep's error", r.Rule.ID)
 		}
 	}
 
+	// A table miss change touches every rule.
+	tb.Miss = flowtable.MissController
+	epoch++
+	sweep("a table miss change", nil, tb.Len())
+
 	// The garbage left by deleting 150 rules triggers a rebuild at the
-	// sync after the one that dropped them.
+	// sync after the one that dropped them; the rebuild keeps results.
 	for _, r := range rules[:150] {
 		_ = tb.Delete(r.ID)
 	}
+	touched = 0
+	for _, r := range tb.Rules() {
+		for _, d := range rules[:150] {
+			if d != x && r.Match.Overlaps(d.Match) {
+				touched++
+				break
+			}
+		}
+	}
 	epoch++
-	resolves("deleting 150 rules", nil)
+	sweep("deleting 150 rules", nil, touched)
 	rebuilds := c.Stats.Rebuilds
 	epoch++
-	if res := resolves("a rebuild", nil); len(res) != 50 {
+	if res := sweep("a rebuild", nil, 0); len(res) != 50 {
 		t.Fatalf("after deleting 150 of 200 rules: %d results", len(res))
 	}
 	if c.Stats.Rebuilds != rebuilds+1 {
 		t.Fatalf("deleting 150 of 200 rules did not rebuild: %+v", c.Stats)
+	}
+}
+
+// TestSessionCacheSpareValueChange: an untagged probe whose dl_vlan is a
+// spare value (repairDomains) depends on the dl_vlan matches of the whole
+// table, so a rule it does not overlap can still change it.
+func TestSessionCacheSpareValueChange(t *testing.T) {
+	net := func(a uint64) flowtable.Match {
+		return flowtable.MatchAll().With(header.IPDst, header.Prefix(header.IPDst, a<<24, 8))
+	}
+	rule := func(id uint64, prio int, m flowtable.Match, port flowtable.PortID) *flowtable.Rule {
+		return &flowtable.Rule{ID: id, Priority: prio, Match: m, Actions: []flowtable.Action{flowtable.Output(port)}}
+	}
+	tb := newTable(t, flowtable.MissDrop,
+		rule(1, 100, net(10).WithExact(header.VlanID, header.VlanNone), 1),
+		rule(2, 50, net(10), 2),
+		rule(3, 1, flowtable.MatchAll(), 3))
+	g := NewGenerator(Config{ValidateModel: true})
+	c := g.NewSessionCache(tb)
+	vlanOf := func(epoch uint64) uint64 {
+		t.Helper()
+		res, _ := c.GenerateAllStats(context.Background(), epoch, []uint64{2}, 1)
+		if len(res) != 1 || res[0].Err != nil {
+			t.Fatalf("rule 2: %+v", res)
+		}
+		return res[0].Probe.Header.Get(header.VlanID)
+	}
+	if v := vlanOf(1); v != 0 {
+		t.Fatalf("rule 2 probe on dl_vlan %d, want the spare value 0", v)
+	}
+	// Rule 4 overlaps neither rule 1 nor rule 2, but takes value 0.
+	if err := tb.Insert(rule(4, 60, net(11).WithExact(header.VlanID, 0), 4)); err != nil {
+		t.Fatal(err)
+	}
+	if v := vlanOf(2); v != 1 {
+		t.Fatalf("rule 2 probe on dl_vlan %d after dl_vlan 0 was taken, want 1", v)
 	}
 }

@@ -6,14 +6,13 @@ package probe
 // clauses derived from the shared prefix can be carried from rule to rule
 // (sat.RetractToReuse).
 //
-// The plan is a pure function of the table and the compiled library: rule
-// scope signatures are sorted lexicographically (similar scopes become
-// neighbours) and grouped greedily while the running block intersection
-// stays large. Each cluster is later processed atomically by exactly one
-// worker, in member order, starting from an exactly-restored base state —
-// which is what keeps GenerateAll's probe set bit-identical across worker
-// counts even though solver state now flows between the rules of a
-// cluster.
+// A plan covers exactly the rules a sweep solves: their scope signatures
+// are sorted lexicographically (similar scopes become neighbours) and
+// grouped greedily while the running block intersection stays large, so
+// planning costs one overlap scan per solved rule. The plan only shapes
+// the work: each cluster is processed by one worker, in member order,
+// from an exactly-restored base state, and the solver's static header
+// decision order makes every probe header independent of its cluster.
 
 import (
 	"slices"
@@ -28,7 +27,7 @@ const maxClusterSize = 32
 
 // clusterMember is one rule of a cluster with its planning-time context.
 type clusterMember struct {
-	idx    int               // index into the session's rule slice
+	idx    int               // index into the swept rules (and results)
 	scope  []*flowtable.Rule // precomputed overlap scope
 	err    error             // reserved-field violation found at planning
 	suffix []int32           // scope blocks beyond the cluster prefix
@@ -40,20 +39,13 @@ type cluster struct {
 	members []clusterMember
 }
 
-// clusterPlan returns the session's cluster plan, computing it on first
-// use. Only root sessions plan; forked workers receive cluster values.
-func (s *Session) clusterPlan() []cluster {
-	if s.plan == nil {
-		s.plan = s.planClusters()
-	}
-	return s.plan
-}
-
-func (s *Session) planClusters() []cluster {
-	n := len(s.rules)
+// planClusters plans the sweep of rules, which belong to the session's
+// table. Only root sessions plan; forked workers receive cluster values.
+func (s *Session) planClusters(rules []*flowtable.Rule) []cluster {
+	n := len(rules)
 	members := make([]clusterMember, n)
 	sigs := make([][]int32, n)
-	for i, r := range s.rules {
+	for i, r := range rules {
 		scope, err := s.scopeFor(r)
 		members[i] = clusterMember{idx: i, scope: scope, err: err}
 		if err == nil {

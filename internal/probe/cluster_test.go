@@ -23,7 +23,7 @@ func TestClusterPlanCoversEveryRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := sess.clusterPlan()
+	plan := sess.planClusters(sess.rules)
 	seen := make(map[int]bool)
 	for _, c := range plan {
 		for _, m := range c.members {

@@ -139,6 +139,45 @@ func missRule(miss flowtable.TableMiss) *flowtable.Rule {
 	return r
 }
 
+// referencePhase is the decision phase of every header bit: the bits of
+// one fixed, wire-valid reference header (locally administered unicast
+// MACs, non-zero IPv4 addresses, an untagged IPv4/TCP packet). The solver
+// decides the header bits first, in BitVar order, each toward this phase
+// (sat.Solver.DecideFirst), so a probe header is the first satisfying
+// header in that order: a function of the probed rule, its overlap set,
+// the table miss and the configuration alone, whichever session, cluster
+// or worker solves it and whatever was solved before.
+var referencePhase = func() []bool {
+	var h header.Header
+	h.Set(header.EthSrc, 0x02_00_00_00_00_01)
+	h.Set(header.EthDst, 0x02_00_00_00_00_02)
+	h.Set(header.EthType, header.EthTypeIPv4)
+	h.Set(header.VlanID, header.VlanNone)
+	h.Set(header.IPSrc, 10<<24|1)
+	h.Set(header.IPDst, 10<<24|2)
+	h.Set(header.IPProto, header.ProtoTCP)
+	h.Set(header.TPSrc, 49152)
+	h.Set(header.TPDst, 80)
+	phase := make([]bool, header.TotalBits)
+	for f := header.FieldID(0); f < header.NumFields; f++ {
+		for b := 0; b < header.Width(f); b++ {
+			phase[header.BitVar(f, b)-1] = h.Bit(f, b)
+		}
+	}
+	return phase
+}()
+
+// newSolver returns a solver over nVars variables holding the clause
+// vector, with the header bits decided first toward referencePhase.
+func newSolver(nVars int, vec []int) (*sat.Solver, error) {
+	solver := sat.New(nVars)
+	solver.DecideFirst(referencePhase)
+	if err := solver.AddDIMACSVector(vec); err != nil {
+		return nil, fmt.Errorf("probe: internal CNF error: %w", err)
+	}
+	return solver, nil
+}
+
 // Generate creates a probe for `probed`, which must be present in table.
 // It returns ErrUnmonitorable when the constraints are unsatisfiable and
 // ErrRewritesProbeField when reserved fields are rewritten in scope.
@@ -219,9 +258,9 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 	if enc.Unsat() {
 		return nil, ErrUnmonitorable
 	}
-	solver := sat.New(enc.NumVars())
-	if err := solver.AddDIMACSVector(enc.Vector()); err != nil {
-		return nil, fmt.Errorf("probe: internal CNF error: %w", err)
+	solver, err := newSolver(enc.NumVars(), enc.Vector())
+	if err != nil {
+		return nil, err
 	}
 	status, model := solver.Solve()
 	if status != sat.Satisfiable {
@@ -230,7 +269,7 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 	h := header.FromModel(model)
 
 	// Post-solve repairs.
-	h, err := g.repairDomains(h, table, probed)
+	h, _, err = g.repairDomains(h, table, probed)
 	if err != nil {
 		return nil, err
 	}
@@ -279,19 +318,23 @@ func (g *Generator) checkReserved(r *flowtable.Rule) error {
 // the value with a spare (valid, unused by any rule) value preserves every
 // Matches test. The lemma requires the field to be fully wildcarded or
 // fully specified in every rule; callers' rule sets satisfy this for
-// dl_vlan, the only large constrained domain here.
-func (g *Generator) repairDomains(h header.Header, table *flowtable.Table, probed *flowtable.Rule) (header.Header, error) {
+// dl_vlan, the only large constrained domain here. repaired reports that a
+// value was replaced (or would have been, on error): the header then
+// depends on every rule of the table, not only on the probed rule's
+// overlap set.
+func (g *Generator) repairDomains(h header.Header, table *flowtable.Table, probed *flowtable.Rule) (_ header.Header, repaired bool, _ error) {
 	for f, d := range g.cfg.Domains {
 		if d.Values != nil || d.Contains(h.Get(f)) {
 			continue
 		}
+		repaired = true
 		used := map[uint64]bool{}
 		for _, r := range table.View() {
 			t := r.Match[f]
 			if t.IsExact(f) {
 				used[t.Value] = true
 			} else if !t.IsWildcard() {
-				return h, fmt.Errorf("probe: field %s partially masked in rule %d; spare-value lemma inapplicable", f, r.ID)
+				return h, true, fmt.Errorf("probe: field %s partially masked in rule %d; spare-value lemma inapplicable", f, r.ID)
 			}
 		}
 		// The collect match may also pin the field.
@@ -301,11 +344,11 @@ func (g *Generator) repairDomains(h header.Header, table *flowtable.Table, probe
 		_ = probed
 		spare, ok := d.Spare(used, header.WidthMask(f))
 		if !ok {
-			return h, fmt.Errorf("probe: no spare value for field %s", f)
+			return h, true, fmt.Errorf("probe: no spare value for field %s", f)
 		}
 		h.Set(f, spare)
 	}
-	return h, nil
+	return h, repaired, nil
 }
 
 // canonicalizeExcluded zeroes conditionally-excluded fields (§5.2): this

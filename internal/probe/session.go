@@ -22,10 +22,16 @@ package probe
 //     encoded; after the solve everything above the base is retracted
 //     (sat.Checkpoint), which is cheap because the base is tiny.
 //
-// Solver state before each solve is a pure function of the table (RetractTo
-// restores the base bit-exactly and resets heuristics), so a given rule's
-// probe is identical no matter which session generates it or what was
-// generated before — the property GenerateAll's determinism rests on.
+// Probe headers are canonical: every solver decides the header bits
+// before any other variable, in bit order, each toward a fixed reference
+// header (referencePhase, sat.Solver.DecideFirst), so a probe header is
+// the first header in that order that the rule's constraints admit. It
+// depends on the probed rule, its overlap set, the table miss and the
+// configuration, and not on which session, cluster or worker solves it,
+// what was solved before or which other rules share the table — the
+// property GenerateAll's determinism and SessionCache's per-rule results
+// rest on. The instance size a probe reports (base + the scope's blocks +
+// the Distinguish delta) is plan-independent too.
 //
 // The batch sweep path adds a second level of sharing on top: rules whose
 // overlap scopes attach mostly the same blocks are grouped into clusters
@@ -33,10 +39,8 @@ package probe
 // cluster behind a cluster checkpoint, and the per-rule retract keeps the
 // learnt clauses, activities, and saved phases that the cluster prefix
 // provably owns (sat.RetractToReuse), so consecutive rules skip both the
-// re-attach and the re-derivation of shared conflicts. Determinism is
-// keyed to the cluster: a cluster is processed atomically, in a fixed rule
-// order, from an exactly-restored base state, so the probe set is still
-// bit-identical for any worker count.
+// re-attach and the re-derivation of shared conflicts. None of that can
+// move a header, only the solver effort spent finding it.
 //
 // A Session is bound to a snapshot of the table's rule set: it must not be
 // used after the table changes (SessionCache rebuilds sessions across
@@ -212,9 +216,9 @@ func (b *libraryBuilder) dropRule(id uint64) {
 // builder may append further rule regions later (SessionCache delta
 // recompiles), after which refreshLibrary re-anchors the session.
 func (b *libraryBuilder) newSession(table *flowtable.Table, rules []*flowtable.Rule) (*Session, error) {
-	solver := sat.New(b.lib.baseVars)
-	if err := solver.AddDIMACSVector(b.lib.baseVec); err != nil {
-		return nil, fmt.Errorf("probe: internal CNF error: %w", err)
+	solver, err := newSolver(b.lib.baseVars, b.lib.baseVec)
+	if err != nil {
+		return nil, err
 	}
 	sess := &Session{
 		g:          b.g,
@@ -236,9 +240,9 @@ func (b *libraryBuilder) newSession(table *flowtable.Table, rules []*flowtable.R
 // refreshLibrary re-anchors a session after its builder appended new rule
 // regions to the shared library/encoder: new library mark, grown block
 // dedup scratch, fresh rule snapshot and forwarding views (a Table.Modify
-// changes actions in place, so views cannot be carried over), and a
-// dropped cluster plan. The persistent solver carries over untouched —
-// it only ever holds the tiny base.
+// changes actions in place, so views cannot be carried over). The
+// persistent solver carries over untouched — it only ever holds the tiny
+// base.
 func (s *Session) refreshLibrary(table *flowtable.Table, rules []*flowtable.Rule) {
 	s.table = table
 	s.rules = rules
@@ -248,7 +252,6 @@ func (s *Session) refreshLibrary(table *flowtable.Table, rules []*flowtable.Rule
 	if len(s.loaded) < len(s.lib.blocks) {
 		s.loaded = append(s.loaded, make([]uint32, len(s.lib.blocks)-len(s.loaded))...)
 	}
-	s.plan = nil
 	s.buildViews()
 }
 
@@ -279,8 +282,7 @@ type Session struct {
 	prefixVars int // instance-size contribution of the attached prefix
 	prefixNC   int
 
-	plan     []cluster // lazily computed cluster plan (root sessions only)
-	sigStamp []uint32  // scope-signature dedup scratch (planning)
+	sigStamp []uint32 // scope-signature dedup scratch (planning)
 	sigGen   uint32
 
 	// Per-generate scratch, reused across calls to keep the hot path off
@@ -335,9 +337,9 @@ func (g *Generator) NewSession(table *flowtable.Table) (*Session, error) {
 // identical probes to the parent for any given rule.
 func (s *Session) Fork() (*Session, error) {
 	enc := s.enc.Fork()
-	solver := sat.New(s.lib.baseVars)
-	if err := solver.AddDIMACSVector(s.lib.baseVec); err != nil {
-		return nil, fmt.Errorf("probe: internal CNF error: %w", err)
+	solver, err := newSolver(s.lib.baseVars, s.lib.baseVec)
+	if err != nil {
+		return nil, err
 	}
 	return &Session{
 		g:          s.g,
@@ -381,14 +383,19 @@ func (s *Session) scopeFor(probed *flowtable.Rule) ([]*flowtable.Rule, error) {
 
 // Generate creates a probe for `probed` through the session's persistent
 // solver. It is equivalent to Generator.Generate over the session's table:
-// the same rules are monitorable, the returned probe satisfies the same
-// Hit/Distinguish/Collect constraints, and the same errors are reported
-// (the concrete header may differ — any witness of the constraints is a
-// valid probe).
+// the same rules are monitorable, the same errors are reported, and the
+// probe header is the same (both decide the header bits first, toward
+// referencePhase); only the solver statistics differ.
 func (s *Session) Generate(probed *flowtable.Rule) (*Probe, error) {
+	res := s.result(probed)
+	return res.Probe, res.Err
+}
+
+// result solves probed on the classic path.
+func (s *Session) result(probed *flowtable.Rule) Result {
 	scope, err := s.scopeFor(probed)
 	if err != nil {
-		return nil, err
+		return Result{Rule: probed, Err: err}
 	}
 	return s.generate(probed, scope, nil)
 }
@@ -399,7 +406,14 @@ func (s *Session) Generate(probed *flowtable.Rule) (*Probe, error) {
 // is already attached, only the member's suffix blocks are added, and the
 // retract goes back to the cluster checkpoint, carrying reusable learnt
 // clauses and branching state unless the ablation knob disables it.
-func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, member *clusterMember) (*Probe, error) {
+func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, member *clusterMember) Result {
+	p, repaired, err := s.solve(probed, scope, member)
+	return Result{Rule: probed, Probe: p, Err: err, repaired: repaired}
+}
+
+// solve is generate's body; repaired reports a spare-value repair of the
+// header (repairDomains).
+func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member *clusterMember) (*Probe, bool, error) {
 	g := s.g
 
 	// Hit, as assumptions: the probed rule's constrained match bits, and
@@ -412,14 +426,14 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 		case r.Priority > probed.Priority:
 			ml, ok := s.lib.matchLit[r.ID]
 			if !ok {
-				return nil, fmt.Errorf("probe: rule %d not part of the session table", r.ID)
+				return nil, false, fmt.Errorf("probe: rule %d not part of the session table", r.ID)
 			}
 			assume = append(assume, -ml)
 		case r.Priority < probed.Priority:
 			lower = append(lower, r)
 		default:
 			if r.Match.Overlaps(probed.Match) {
-				return nil, fmt.Errorf("probe: rule %d overlaps probed rule %d at equal priority", r.ID, probed.ID)
+				return nil, false, fmt.Errorf("probe: rule %d overlaps probed rule %d at equal priority", r.ID, probed.ID)
 			}
 		}
 	}
@@ -442,7 +456,7 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 	for i, r := range lower {
 		ml, ok := s.lib.matchLit[r.ID]
 		if !ok {
-			return nil, fmt.Errorf("probe: rule %d not part of the session table", r.ID)
+			return nil, false, fmt.Errorf("probe: rule %d not part of the session table", r.ID)
 		}
 		conds[i] = cnf.Lit(ml)
 		thens[i] = diffOutcomeView(probed, r, probedView, s.fwdViewOf(r), g.cfg.Counting)
@@ -461,7 +475,7 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 	}()
 	s.enc.Assert(cnf.ITEChain(conds, thens, diffOutcomeView(probed, miss, probedView, s.fwdViewOf(miss), g.cfg.Counting)))
 	if s.enc.Unsat() {
-		return nil, ErrUnmonitorable
+		return nil, false, ErrUnmonitorable
 	}
 	s.solver.EnsureVars(s.enc.NumVars())
 
@@ -500,7 +514,7 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 	// its clauses can contain duplicate or tautological literals, which
 	// compiled blocks deliberately do not handle.
 	if err := s.solver.AddDIMACSVector(s.enc.VectorFrom(s.libMark)); err != nil {
-		return nil, fmt.Errorf("probe: internal CNF error: %w", err)
+		return nil, false, fmt.Errorf("probe: internal CNF error: %w", err)
 	}
 	instVars += s.enc.NumVars() - s.libVars
 	instClauses += s.enc.NumClauses() - s.libClauses
@@ -509,13 +523,13 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 	status, model := s.solver.SolveAssuming(assume...)
 	d1, _, c1 := s.solver.Stats()
 	if status != sat.Satisfiable {
-		return nil, ErrUnmonitorable
+		return nil, false, ErrUnmonitorable
 	}
 	h := header.FromModel(model)
 
-	h, err := g.repairDomains(h, s.table, probed)
+	h, repaired, err := g.repairDomains(h, s.table, probed)
 	if err != nil {
-		return nil, err
+		return nil, repaired, err
 	}
 	h = canonicalizeExcluded(h)
 
@@ -536,10 +550,10 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 
 	if g.cfg.ValidateModel {
 		if err := g.validate(s.table, probed, p); err != nil {
-			return nil, err
+			return nil, repaired, err
 		}
 	}
-	return p, nil
+	return p, repaired, nil
 }
 
 // beginCluster attaches the cluster's shared block prefix on top of the

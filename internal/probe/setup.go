@@ -57,11 +57,19 @@ func SwitchConfig(tag uint64, ports []flowtable.PortID, counting bool) (Config, 
 
 // Generate generates the probe for a rule of the cache's table at epoch
 // through the cached session, falling back to one-shot generation when no
-// session can be built.
+// session can be built. It shares the per-rule results with
+// GenerateAllStats: a rule no table change touched since its last result
+// is answered from it, and a rule it solves is answered from it next time.
 func (c *SessionCache) Generate(epoch uint64, r *flowtable.Rule) (*Probe, error) {
 	sess, err := c.Session(epoch)
 	if err != nil {
 		return c.g.Generate(c.table, r)
 	}
-	return sess.Generate(r)
+	if m := c.known[r.ID]; m != nil && m.rule == r && m.solved {
+		return m.res.Probe, m.res.Err
+	}
+	res := sess.result(r)
+	c.remember(res)
+	c.Stats.Solved++
+	return res.Probe, res.Err
 }

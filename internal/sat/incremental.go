@@ -123,6 +123,7 @@ func (s *Solver) restoreSnapshot(cp Checkpoint, dirtyOnly bool) {
 	}
 	s.trail = s.trail[:cp.trailLen]
 	s.qhead = cp.trailLen
+	s.cursor = 1
 	s.ok = cp.ok
 	s.depth = cp.depth + 1
 
@@ -200,8 +201,9 @@ const defaultLearntCap = 512
 // Unlike RetractTo, the post-state is a function of the retained database
 // AND the solve history since Mark, so callers needing bit-exact
 // reproducibility (e.g. across differently-scheduled workers) must bracket
-// histories identically — the probe generator keys them to rule clusters —
-// or use RetractTo.
+// histories identically, use RetractTo, or read only DecideFirst
+// variables from the model, which do not depend on the history (the probe
+// generator's header bits).
 func (s *Solver) RetractToReuse(cp Checkpoint) {
 	s.cancelUntil(0)
 

@@ -136,6 +136,13 @@ type Solver struct {
 	order    *varHeap
 	polarity []bool // phase saving
 
+	// Static decision prefix (see DecideFirst): variables 1..len(phase)-1
+	// are decided before any other, in index order, each to its fixed
+	// phase. cursor is the lowest of them that may be unassigned;
+	// backtracking moves it back.
+	phase  []bool
+	cursor int
+
 	// Checkpoint-scope bookkeeping (see Mark/RetractTo/RetractToReuse).
 	depth     int32   // scope tag given to newly added clauses and facts
 	factScope []int32 // per-var scope tag of its top-level fact, if any
@@ -530,20 +537,56 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.assign[v] = unassigned
 		s.reason[v] = crefNil
 		s.order.pushIfAbsent(v)
+		if v < s.cursor {
+			s.cursor = v
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLi = s.trailLi[:lvl]
 	s.qhead = len(s.trail)
 }
 
-func (s *Solver) pickBranchVar() int {
+// DecideFirst fixes the start of the decision order: variables
+// 1..len(phase) are decided before any other, in index order, variable
+// i+1 to phase[i]; the remaining variables keep the activity heuristic and
+// phase saving (MiniSat's user-set decision variables and polarity). A
+// satisfying model then assigns those variables the first values, in that
+// order and preferring each fixed phase, that any model of the clauses
+// and the assumptions has: every prefix variable is either decided to its
+// phase or forced by the clauses and the prefix before it. So on those
+// variables the model depends only on the formula and the assumptions,
+// not on learnt clauses, restarts or what was solved before. The setting
+// survives RetractTo and RetractToReuse.
+func (s *Solver) DecideFirst(phase []bool) {
+	s.phase = make([]bool, len(phase)+1)
+	copy(s.phase[1:], phase)
+	s.cursor = 1
+}
+
+// pickBranch returns the next decision literal, or false when every
+// variable is assigned: the next unassigned prefix variable on its fixed
+// phase, else the most active heap variable on its saved phase.
+func (s *Solver) pickBranch() (lit, bool) {
+	for ; s.cursor < len(s.phase) && s.cursor <= s.nVars; s.cursor++ {
+		if v := s.cursor; s.assign[v] == unassigned {
+			l := toLit(v)
+			if !s.phase[v] {
+				l = l.neg()
+			}
+			return l, true
+		}
+	}
 	for s.order.len() > 0 {
 		v := s.order.pop()
 		if s.assign[v] == unassigned {
-			return v
+			l := toLit(v)
+			if !s.polarity[v] {
+				l = l.neg()
+			}
+			return l, true
 		}
 	}
-	return 0
+	return 0, false
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -636,8 +679,8 @@ func (s *Solver) search(assume []lit) (Status, []bool) {
 			}
 			continue
 		}
-		v := s.pickBranchVar()
-		if v == 0 {
+		l, ok := s.pickBranch()
+		if !ok {
 			// All variables assigned: SAT.
 			model := make([]bool, s.nVars+1)
 			for i := 1; i <= s.nVars; i++ {
@@ -647,12 +690,6 @@ func (s *Solver) search(assume []lit) (Status, []bool) {
 		}
 		s.decisions++
 		s.trailLi = append(s.trailLi, len(s.trail))
-		l := toLit(v)
-		if s.polarity[v] {
-			// branch on last saved phase
-		} else {
-			l = l.neg()
-		}
 		s.enqueue(l, crefNil)
 	}
 }

@@ -1,11 +1,12 @@
 package monocle_test
 
-// Differential fuzz target for the SessionCache's sweep memo: a repeat of
-// the last sweep at an unchanged epoch is answered without solving. Two
-// Fleets, each with one switch over the same seeded Stanford table, take
-// the same op sequence; before each sweep twin B installs nothing, which
-// bumps its epoch and forces a full re-solve. After every sweep both
-// twins' per-rule records must be equal, epoch excluded.
+// Differential fuzz target for the SessionCache's per-rule results: a
+// rule no table change touched is answered from its last result instead
+// of being solved again. Twin A, a Fleet with one switch over a seeded
+// Stanford table, takes the op sequence; before each sweep twin B is
+// rebuilt as a fresh Fleet holding A's rules, so it solves every rule.
+// After every sweep both twins' per-rule records must be equal, epoch
+// excluded.
 
 import (
 	"context"
@@ -41,19 +42,22 @@ func runSweepReuse(t *testing.T, seed int64, ops []byte) {
 		r.ID += 1 << 16
 	}
 
-	var fleets [2]*monocle.Fleet
-	var vs [2]*monocle.Verifier
-	for i := range vs {
-		fleets[i] = monocle.NewFleet(monocle.WithWorkers(2))
-		v, err := fleets[i].AddSwitch(1)
+	// twin builds a Fleet whose one switch holds copies of rules.
+	twin := func(rules []*monocle.Rule) (*monocle.Fleet, *monocle.Verifier) {
+		t.Helper()
+		f := monocle.NewFleet(monocle.WithWorkers(2))
+		v, err := f.AddSwitch(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Install(cloneRules(base)...); err != nil {
+		if err := v.Install(cloneRules(rules)...); err != nil {
 			t.Fatal(err)
 		}
-		vs[i] = v
+		return f, v
 	}
+	var fleets [2]*monocle.Fleet
+	var vs [2]*monocle.Verifier
+	fleets[0], vs[0] = twin(base)
 	rng := rand.New(rand.NewSource(seed))
 	pick := func() uint64 {
 		rules := vs[0].Rules()
@@ -70,37 +74,27 @@ func runSweepReuse(t *testing.T, seed int64, ops []byte) {
 			if len(extra) > 0 && rng.Intn(2) == 0 {
 				rs, extra = extra[:1], extra[1:]
 			}
-			for _, v := range vs {
-				_ = v.Install(cloneRules(rs)...)
-			}
+			_ = vs[0].Install(cloneRules(rs)...)
 		case 1: // Add
 			if len(extra) == 0 {
 				continue
 			}
 			r := extra[0]
 			extra = extra[1:]
-			for _, v := range vs {
-				_, _ = v.Add(r.Clone())
-			}
+			_, _ = vs[0].Add(r.Clone())
 		case 2: // Modify
 			id := pick()
 			var acts []monocle.Action
 			if port := rng.Intn(5); port > 0 {
 				acts = []monocle.Action{monocle.Output(monocle.PortID(port))}
 			}
-			for _, v := range vs {
-				_, _ = v.Modify(id, acts)
-			}
+			_, _ = vs[0].Modify(id, acts)
 		case 3: // Delete
 			id := pick()
-			for _, v := range vs {
-				_, _ = v.Delete(id)
-			}
+			_, _ = vs[0].Delete(id)
 		case 4: // ProbeFor
 			id := pick()
-			for _, v := range vs {
-				_, _ = v.ProbeFor(id)
-			}
+			_, _ = vs[0].ProbeFor(id)
 		default: // a sweep: Verifier.Sweep, all ids, a subset, nil plan
 			var ids []uint64
 			if kind == 6 || kind == 7 {
@@ -119,11 +113,9 @@ func runSweepReuse(t *testing.T, seed int64, ops []byte) {
 					want = append(want, r.ID)
 				}
 			}
+			fleets[1], vs[1] = twin(vs[0].Rules()) // solves every rule
 			var got [2][]string
 			for i, v := range vs {
-				if i == 1 {
-					_ = v.Install() // bump the epoch: a full re-solve
-				}
 				var recs []monocle.ResultRecord
 				switch kind {
 				case 5:

@@ -137,8 +137,9 @@ func (v *Verifier) Delete(id uint64) (*Probe, error) {
 	return p, genErr
 }
 
-// ProbeFor generates (or re-uses from the compiled library) the
-// steady-state probe for an installed rule.
+// ProbeFor generates the steady-state probe for an installed rule, or
+// returns its last result when no table change touched the rule since:
+// it is the probe a Sweep finds for the rule.
 func (v *Verifier) ProbeFor(id uint64) (*Probe, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -152,19 +153,19 @@ func (v *Verifier) ProbeFor(id uint64) (*Probe, error) {
 // Sweep generates probes for every installed rule — the steady-state
 // monitoring set — in table priority order, fanning the solves out over
 // the configured worker budget. Results are deterministic: the probe set
-// is bit-identical for any worker count. Cancelling the context stops the
-// sweep early; unprocessed rules carry the context error. A Sweep that
-// repeats this Verifier's previous sweep with no table change in between
-// solves nothing: it returns that sweep's results, sharing their
-// immutable Probes.
+// is bit-identical for any worker count and for any history of the table.
+// Cancelling the context stops the sweep early; unprocessed rules carry
+// the context error. Only rules a table change touched since their last
+// result are solved (the changed rules and those overlapping them); every
+// other rule returns its last result, sharing its immutable Probe, so a
+// Sweep with no table change since the last one solves nothing.
 func (v *Verifier) Sweep(ctx context.Context) []ProbeResult {
 	res, _ := v.SweepStats(ctx)
 	return res
 }
 
 // SweepStats is Sweep surfacing per-worker solver statistics. The stats
-// are nil when the sweep was answered from the last one (no table change
-// since).
+// cover only the rules this sweep solved, and are nil when it solved none.
 func (v *Verifier) SweepStats(ctx context.Context) ([]ProbeResult, []WorkerStats) {
 	_, res, stats := v.sweep(ctx, nil, v.set.effectiveWorkers())
 	return res, stats
