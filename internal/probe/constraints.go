@@ -79,7 +79,8 @@ func fieldEquals(f header.FieldID, v uint64) *cnf.Formula {
 // code (OpenFlow 1.0), so a value above 255 would be crafted truncated and
 // the packet would no longer match the rule it probes. Asserted, it is one
 // clause per high bit (nw_proto ≠ ICMP ∨ bit = 0) and no fresh variable.
-func wireSafe() *cnf.Formula {
+// Formulas are immutable, so every encoder shares this one.
+var wireSafe = func() *cnf.Formula {
 	notICMP := cnf.Not(fieldEquals(header.IPProto, header.ProtoICMP))
 	var cs []*cnf.Formula
 	for _, f := range []header.FieldID{header.TPSrc, header.TPDst} {
@@ -88,7 +89,7 @@ func wireSafe() *cnf.Formula {
 		}
 	}
 	return cnf.And(cs...)
-}
+}()
 
 // fwdView caches a rule's forwarding analysis (sorted forwarding set and
 // ECMP-ness) so the O(rules²) Distinguish term construction of a sweep

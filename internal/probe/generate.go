@@ -226,7 +226,7 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 
 	// Collect: match the downstream catching rule.
 	enc.Assert(matchFormula(g.cfg.Collect))
-	enc.Assert(wireSafe())
+	enc.Assert(wireSafe)
 
 	// Distinguish: if the probed rule were absent, the probe would be
 	// processed by the highest-priority matching lower rule (or the

@@ -105,7 +105,7 @@ func (g *Generator) newLibraryBuilder() *libraryBuilder {
 		enc.MaxChain = g.cfg.MaxChain
 	}
 	enc.Assert(matchFormula(g.cfg.Collect))
-	enc.Assert(wireSafe())
+	enc.Assert(wireSafe)
 	fields := make([]header.FieldID, 0, len(g.cfg.Domains))
 	for f := range g.cfg.Domains {
 		fields = append(fields, f)
