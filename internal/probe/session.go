@@ -578,8 +578,10 @@ func (s *Session) beginCluster(c *cluster) {
 
 // endCluster drops the prefix, every retained learnt clause, and all
 // branching state with an exact restore of the base, so the next cluster
-// starts from solver state that is a pure function of the table — the
-// anchor of the cross-worker determinism contract.
+// starts from solver state that is a pure function of the table. Probe
+// headers do not need it (the header decision order makes them
+// canonical); it keeps each cluster's solver work, and so the Decisions
+// and Conflicts a probe reports, independent of the clusters before it.
 func (s *Session) endCluster() {
 	s.solver.RetractTo(s.cp)
 }
