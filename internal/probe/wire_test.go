@@ -9,6 +9,7 @@ package probe
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"monocle/internal/dataset"
@@ -76,4 +77,28 @@ func FuzzProbeWireSafe(f *testing.F) {
 		tb, _ := dataset.Generate(p)
 		checkWireSafe(t, tb)
 	})
+}
+
+// TestUnrepresentableICMPRuleIsUnmonitorable: a rule whose own match needs
+// an ICMP "port" above 255 can have no wire-safe probe, on the one-shot
+// path and in a sweep alike.
+func TestUnrepresentableICMPRuleIsUnmonitorable(t *testing.T) {
+	icmp := flowtable.MatchAll().WithExact(header.EthType, header.EthTypeIPv4).
+		WithExact(header.IPProto, header.ProtoICMP)
+	bad := &flowtable.Rule{ID: 1, Priority: 20, Match: icmp.WithExact(header.TPSrc, 1000),
+		Actions: []flowtable.Action{flowtable.Output(2)}}
+	good := &flowtable.Rule{ID: 2, Priority: 10, Match: icmp.WithExact(header.TPSrc, 8),
+		Actions: []flowtable.Action{flowtable.Output(3)}}
+	tb := newTable(t, flowtable.MissDrop, bad, good)
+	g := gen()
+	if _, err := g.Generate(tb, bad); !errors.Is(err, ErrUnmonitorable) {
+		t.Fatalf("one-shot probe for tp_src=1000 over ICMP: err %v, want ErrUnmonitorable", err)
+	}
+	res := g.GenerateAll(context.Background(), tb, 1)
+	if !errors.Is(res[0].Err, ErrUnmonitorable) {
+		t.Fatalf("swept probe for tp_src=1000 over ICMP: err %v, want ErrUnmonitorable", res[0].Err)
+	}
+	if res[1].Err != nil || res[1].Probe.Header.Get(header.TPSrc) != 8 {
+		t.Fatalf("ICMP type 8 rule: %+v", res[1])
+	}
 }
