@@ -54,7 +54,8 @@ func FuzzCanonicalWitness(f *testing.F) {
 
 // runCanonicalWitness applies ops, drawing each op's details from seed,
 // to a live Verifier (tagged or untagged: untagged probes may take a
-// spare dl_vlan value drawn from the whole table) and checks its sweep
+// spare dl_vlan value drawn from the whole table; either way dl_vlan is
+// the reserved tag field no rule may rewrite) and checks its sweep
 // against a fresh Verifier's after every op.
 func runCanonicalWitness(t *testing.T, seed int64, tagged bool, ops []byte) {
 	if len(ops) > 24 {
@@ -104,10 +105,12 @@ func runCanonicalWitness(t *testing.T, seed int64, tagged bool, ops []byte) {
 			}
 		case 2: // Modify
 			var acts []monocle.Action
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0: // drop
 			case 1:
 				acts = []monocle.Action{monocle.ECMP(1, monocle.PortID(2+rng.Intn(3)))}
+			case 2: // a rewrite of the reserved tag field fails every probe in its scope
+				acts = []monocle.Action{monocle.SetField(monocle.VlanID, 5), monocle.Output(1)}
 			default:
 				acts = []monocle.Action{monocle.Output(monocle.PortID(1 + rng.Intn(5)))}
 			}

@@ -60,13 +60,11 @@ type SessionCache struct {
 	Stats CacheStats
 }
 
-// ruleMemo is what the cache remembers of one rule: its state at the last
-// sync (the pointer too, as a replacing add installs a new rule under the
-// same id) and its last result.
+// ruleMemo is what the cache remembers of one rule: the rule the last sync
+// saw under its id (a replacing add installs a new rule under the same id;
+// a table rule's priority and match never change) and its last result.
 type ruleMemo struct {
 	rule     *flowtable.Rule
-	priority int
-	match    flowtable.Match
 	actions  []flowtable.Action // a copy: Table.Modify swaps the rule's actions
 	compiled bool               // match compiled into the current library
 	res      Result
@@ -271,19 +269,21 @@ func (c *SessionCache) invalidate(rules []*flowtable.Rule) {
 			m = &ruleMemo{}
 			c.known[r.ID] = m
 			touched = append(touched, touch{match: r.Match})
-		case m.rule == r && m.priority == r.Priority && m.match == r.Match:
+		case m.rule == r:
 			if actionsEqual(m.actions, r.Actions) {
 				continue
 			}
-			touched = append(touched, touch{match: r.Match, actionsOnly: true, priority: r.Priority})
+			_, before := c.g.reservedRewrite(m.actions)
+			_, after := c.g.reservedRewrite(r.Actions)
+			touched = append(touched, touch{match: r.Match, actionsOnly: !before && !after, priority: r.Priority})
 		default:
-			touched = append(touched, touch{match: m.match}, touch{match: r.Match})
-			if m.compiled && m.match != r.Match {
+			touched = append(touched, touch{match: m.rule.Match}, touch{match: r.Match})
+			if m.compiled && m.rule.Match != r.Match {
 				c.b.dropRule(r.ID)
 				m.compiled = false
 			}
 		}
-		m.rule, m.priority, m.match = r, r.Priority, r.Match
+		m.rule = r
 		m.actions = cloneActions(r.Actions)
 		m.solved, m.res = false, Result{}
 	}
@@ -292,7 +292,7 @@ func (c *SessionCache) invalidate(rules []*flowtable.Rule) {
 			if r, ok := c.table.Get(id); ok && r == m.rule {
 				continue
 			}
-			touched = append(touched, touch{match: m.match})
+			touched = append(touched, touch{match: m.rule.Match})
 			if m.compiled {
 				c.b.dropRule(id)
 			}
@@ -325,7 +325,10 @@ func (c *SessionCache) invalidate(rules []*flowtable.Rule) {
 // their results. When only the actions of a rule changed, only the rules
 // above it do: a rule's actions enter the probes of the higher-priority
 // rules it would catch the probe for (Distinguish, the absent outcome),
-// while a lower-priority rule's probe only has to miss its match.
+// while a lower-priority rule's probe only has to miss its match. The
+// exception is a rewrite of a reserved field before or after the change:
+// it fails the probe of every rule with the rule in scope, below it too
+// (ErrRewritesProbeField), so such a change reaches every overlapping rule.
 type touch struct {
 	match       flowtable.Match
 	actionsOnly bool

@@ -361,3 +361,58 @@ func TestSessionCacheSpareValueChange(t *testing.T) {
 		t.Fatalf("rule 2 probe on dl_vlan %d after dl_vlan 0 was taken, want 1", v)
 	}
 }
+
+// TestSessionCacheReservedRewrite: a modify that gives a rule, or takes
+// from it, a rewrite of the reserved tag field changes the result of every
+// rule with it in scope, lower-priority rules included, although only its
+// actions changed.
+func TestSessionCacheReservedRewrite(t *testing.T) {
+	net := func(a, bits uint64) flowtable.Match {
+		return flowtable.MatchAll().With(header.IPDst, header.Prefix(header.IPDst, a<<24, int(bits)))
+	}
+	rule := func(id uint64, prio int, m flowtable.Match, port flowtable.PortID) *flowtable.Rule {
+		return &flowtable.Rule{ID: id, Priority: prio, Match: m, Actions: []flowtable.Action{flowtable.Output(port)}}
+	}
+	tb := newTable(t, flowtable.MissDrop,
+		rule(1, 100, net(10, 8), 1),
+		rule(2, 50, net(10, 7), 2),
+		rule(3, 1, flowtable.MatchAll(), 3))
+	cfg, err := SwitchConfig(7, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(cfg)
+	c := g.NewSessionCache(tb)
+	ctx := context.Background()
+	sweep := func(what string, epoch uint64, wantErr bool) {
+		t.Helper()
+		res, _ := c.GenerateAllStats(ctx, epoch, nil, 1)
+		fresh, _ := g.NewSessionCache(tb).GenerateAllStats(ctx, 1, nil, 1)
+		for i := range res {
+			a, b := res[i], fresh[i]
+			if a.Rule != b.Rule || !reflect.DeepEqual(a.Probe, b.Probe) || errString(a.Err) != errString(b.Err) {
+				t.Fatalf("%s: rule %d: %v / %v, a fresh cache gives %v / %v",
+					what, a.Rule.ID, a.Probe, a.Err, b.Probe, b.Err)
+			}
+		}
+		if got := errors.Is(res[1].Err, ErrRewritesProbeField); got != wantErr {
+			t.Fatalf("%s: rule 2 gives %v", what, res[1].Err)
+		}
+	}
+	sweep("plain outputs", 1, false)
+	if err := tb.Modify(1, []flowtable.Action{flowtable.SetField(TagField, 9), flowtable.Output(1)}); err != nil {
+		t.Fatal(err)
+	}
+	sweep("rule 1 rewrites the tag", 2, true)
+	if err := tb.Modify(1, []flowtable.Action{flowtable.Output(4)}); err != nil {
+		t.Fatal(err)
+	}
+	sweep("rule 1 no longer rewrites the tag", 3, false)
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

@@ -300,17 +300,25 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 }
 
 func (g *Generator) checkReserved(r *flowtable.Rule) error {
-	for _, a := range r.Actions {
+	if f, ok := g.reservedRewrite(r.Actions); ok {
+		return fmt.Errorf("%w: rule %d sets %s", ErrRewritesProbeField, r.ID, f)
+	}
+	return nil
+}
+
+// reservedRewrite returns the first reserved field that acts sets.
+func (g *Generator) reservedRewrite(acts []flowtable.Action) (header.FieldID, bool) {
+	for _, a := range acts {
 		if a.Kind != flowtable.ActionSetField {
 			continue
 		}
 		for _, f := range g.cfg.ReservedFields {
 			if a.Field == f {
-				return fmt.Errorf("%w: rule %d sets %s", ErrRewritesProbeField, r.ID, f)
+				return f, true
 			}
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // repairDomains applies the spare-value substitution lemma to fields with

@@ -407,13 +407,6 @@ func (s *Session) result(probed *flowtable.Rule) Result {
 // retract goes back to the cluster checkpoint, carrying reusable learnt
 // clauses and branching state unless the ablation knob disables it.
 func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, member *clusterMember) Result {
-	p, repaired, err := s.solve(probed, scope, member)
-	return Result{Rule: probed, Probe: p, Err: err, repaired: repaired}
-}
-
-// solve is generate's body; repaired reports a spare-value repair of the
-// header (repairDomains).
-func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member *clusterMember) (*Probe, bool, error) {
 	g := s.g
 
 	// Hit, as assumptions: the probed rule's constrained match bits, and
@@ -426,14 +419,14 @@ func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member 
 		case r.Priority > probed.Priority:
 			ml, ok := s.lib.matchLit[r.ID]
 			if !ok {
-				return nil, false, fmt.Errorf("probe: rule %d not part of the session table", r.ID)
+				return Result{Rule: probed, Err: fmt.Errorf("probe: rule %d not part of the session table", r.ID)}
 			}
 			assume = append(assume, -ml)
 		case r.Priority < probed.Priority:
 			lower = append(lower, r)
 		default:
 			if r.Match.Overlaps(probed.Match) {
-				return nil, false, fmt.Errorf("probe: rule %d overlaps probed rule %d at equal priority", r.ID, probed.ID)
+				return Result{Rule: probed, Err: fmt.Errorf("probe: rule %d overlaps probed rule %d at equal priority", r.ID, probed.ID)}
 			}
 		}
 	}
@@ -456,7 +449,7 @@ func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member 
 	for i, r := range lower {
 		ml, ok := s.lib.matchLit[r.ID]
 		if !ok {
-			return nil, false, fmt.Errorf("probe: rule %d not part of the session table", r.ID)
+			return Result{Rule: probed, Err: fmt.Errorf("probe: rule %d not part of the session table", r.ID)}
 		}
 		conds[i] = cnf.Lit(ml)
 		thens[i] = diffOutcomeView(probed, r, probedView, s.fwdViewOf(r), g.cfg.Counting)
@@ -475,7 +468,7 @@ func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member 
 	}()
 	s.enc.Assert(cnf.ITEChain(conds, thens, diffOutcomeView(probed, miss, probedView, s.fwdViewOf(miss), g.cfg.Counting)))
 	if s.enc.Unsat() {
-		return nil, false, ErrUnmonitorable
+		return Result{Rule: probed, Err: ErrUnmonitorable}
 	}
 	s.solver.EnsureVars(s.enc.NumVars())
 
@@ -514,7 +507,7 @@ func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member 
 	// its clauses can contain duplicate or tautological literals, which
 	// compiled blocks deliberately do not handle.
 	if err := s.solver.AddDIMACSVector(s.enc.VectorFrom(s.libMark)); err != nil {
-		return nil, false, fmt.Errorf("probe: internal CNF error: %w", err)
+		return Result{Rule: probed, Err: fmt.Errorf("probe: internal CNF error: %w", err)}
 	}
 	instVars += s.enc.NumVars() - s.libVars
 	instClauses += s.enc.NumClauses() - s.libClauses
@@ -523,13 +516,13 @@ func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member 
 	status, model := s.solver.SolveAssuming(assume...)
 	d1, _, c1 := s.solver.Stats()
 	if status != sat.Satisfiable {
-		return nil, false, ErrUnmonitorable
+		return Result{Rule: probed, Err: ErrUnmonitorable}
 	}
 	h := header.FromModel(model)
 
 	h, repaired, err := g.repairDomains(h, s.table, probed)
 	if err != nil {
-		return nil, repaired, err
+		return Result{Rule: probed, Err: err, repaired: repaired}
 	}
 	h = canonicalizeExcluded(h)
 
@@ -550,10 +543,10 @@ func (s *Session) solve(probed *flowtable.Rule, scope []*flowtable.Rule, member 
 
 	if g.cfg.ValidateModel {
 		if err := g.validate(s.table, probed, p); err != nil {
-			return nil, repaired, err
+			return Result{Rule: probed, Err: err, repaired: repaired}
 		}
 	}
-	return p, repaired, nil
+	return Result{Rule: probed, Probe: p, repaired: repaired}
 }
 
 // beginCluster attaches the cluster's shared block prefix on top of the
