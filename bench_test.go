@@ -235,43 +235,23 @@ func BenchmarkProbeGenerationIncremental(b *testing.B) {
 func BenchmarkProbeGenerationBatch(b *testing.B) {
 	tb, _ := benchSweepTable()
 	gen := benchSweepGenerator()
+	var decisions int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.GenerateAll(context.Background(), tb, 0)
+		for _, res := range gen.GenerateAll(context.Background(), tb, 0) {
+			decisions += probeDecisions(res)
+		}
 	}
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
 }
 
-// BenchmarkSweepClusteringOff ablates the scope clustering: the same
-// GenerateAll sweep, but rule-by-rule with an exact retract to base after
-// every rule (the PR 1 engine).
-func BenchmarkSweepClusteringOff(b *testing.B) {
-	tb, _ := benchSweepTable()
-	gen := probe.NewGenerator(probe.Config{
-		Collect:           flowtable.MatchAll().WithExact(header.VlanID, 1),
-		DisableClustering: true,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.GenerateAll(context.Background(), tb, 0)
+// probeDecisions is the SAT decisions res's probe reports (0 without one).
+func probeDecisions(res probe.Result) int64 {
+	if res.Probe == nil {
+		return 0
 	}
-}
-
-// BenchmarkSweepLearntReuseOff ablates the learnt-clause/phase reuse while
-// keeping the clusters: shared prefixes stay attached, but the per-rule
-// retract drops learnt clauses, activities, and saved phases.
-func BenchmarkSweepLearntReuseOff(b *testing.B) {
-	tb, _ := benchSweepTable()
-	gen := probe.NewGenerator(probe.Config{
-		Collect:            flowtable.MatchAll().WithExact(header.VlanID, 1),
-		DisableLearntReuse: true,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.GenerateAll(context.Background(), tb, 0)
-	}
+	return res.Probe.Stats.Decisions
 }
 
 // benchChurn swaps one rule of the table per epoch (delete + reinsert a
@@ -311,6 +291,7 @@ func BenchmarkDynamicUpdateProbe(b *testing.B) {
 	tb, rules := dataset.Generate(p)
 	gen := benchSweepGenerator()
 	cache := gen.NewSessionCache(tb)
+	var decisions int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -320,8 +301,11 @@ func BenchmarkDynamicUpdateProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 		r, _ := tb.Get(rules[i%len(rules)].ID)
-		_, _ = sess.Generate(r)
+		if p, err := sess.Generate(r); err == nil {
+			decisions += p.Stats.Decisions
+		}
 	}
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
 }
 
 // BenchmarkDynamicUpdateProbeNoCache is the cache-off ablation of the
@@ -387,15 +371,21 @@ func buildFleet(b *testing.B, n, rules, workers int) *monocle.Fleet {
 func BenchmarkFleetSweep(b *testing.B) {
 	for _, workers := range []int{1, 4, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var decisions int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				fleet := buildFleet(b, 8, 200, workers)
 				b.StartTimer()
-				if n := len(fleet.Sweep(context.Background())); n != 8*200 {
-					b.Fatalf("swept %d results", n)
+				evs := fleet.Sweep(context.Background())
+				if len(evs) != 8*200 {
+					b.Fatalf("swept %d results", len(evs))
+				}
+				for _, ev := range evs {
+					decisions += probeDecisions(ev.Result)
 				}
 			}
+			b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
 		})
 	}
 }

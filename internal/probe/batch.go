@@ -5,7 +5,9 @@ package probe
 // harnesses. Work is scheduled cluster-by-cluster (see cluster.go): a
 // worker claims a whole scope cluster, attaches its shared block prefix
 // once, and solves the member rules back to back with learnt-clause,
-// phase, and activity reuse between them. None of that can move a probe:
+// phase, and activity reuse between them. Each cluster starts from the
+// state a new session's solver has, so the work counts a sweep reports
+// are the same for any number of workers. None of that can move a probe:
 // the solver decides the header bits first toward a fixed reference
 // (referencePhase), so each probe header is the first one its rule's
 // constraints admit, and the probe set is bit-identical however the rules
@@ -94,10 +96,6 @@ func (s *Session) generateAllInto(ctx context.Context, rules []*flowtable.Rule, 
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 
-	if s.g.cfg.DisableClustering {
-		return s.sweepUnclustered(ctx, rules, results, parallelism)
-	}
-
 	clusters := s.planClusters(rules)
 	if parallelism > len(clusters) {
 		parallelism = len(clusters)
@@ -140,52 +138,12 @@ func (s *Session) generateAllInto(ctx context.Context, rules []*flowtable.Rule, 
 						results[m.idx].Err = m.err
 						continue
 					}
-					results[m.idx] = sess.generate(rules[m.idx], m.scope, m)
+					results[m.idx] = sess.generate(rules[m.idx], m)
+					sess.solver.RetractToReuse(sess.clusterCp)
 					ws.Rules++
 				}
 				sess.endCluster()
 				ws.Clusters++
-			}
-			d1, p1, c1 := sess.solver.Stats()
-			ws.Decisions, ws.Propagations, ws.Conflicts = d1-d0, p1-p0, c1-c0
-		}(w, sess)
-	}
-	wg.Wait()
-	return stats, nil
-}
-
-// sweepUnclustered is the ablation path (DisableClustering): the PR-1
-// engine, one rule at a time through the classic path with an exact
-// retract to base after every rule.
-func (s *Session) sweepUnclustered(ctx context.Context, rules []*flowtable.Rule, results []Result, parallelism int) ([]WorkerStats, error) {
-	if parallelism > len(rules) {
-		parallelism = len(rules)
-	}
-	sessions, err := s.workerSessions(parallelism)
-	if err != nil {
-		return nil, err
-	}
-	stats := make([]WorkerStats, len(sessions))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w, sess := range sessions {
-		wg.Add(1)
-		go func(w int, sess *Session) {
-			defer wg.Done()
-			ws := &stats[w]
-			ws.Worker = w
-			d0, p0, c0 := sess.solver.Stats()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(rules) {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					results[i].Err = err
-					continue
-				}
-				results[i] = sess.result(rules[i])
-				ws.Rules++
 			}
 			d1, p1, c1 := sess.solver.Stats()
 			ws.Decisions, ws.Propagations, ws.Conflicts = d1-d0, p1-p0, c1-c0

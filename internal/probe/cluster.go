@@ -11,8 +11,9 @@ package probe
 // grouped greedily while the running block intersection stays large, so
 // planning costs one overlap scan per solved rule. The plan only shapes
 // the work: each cluster is processed by one worker, in member order,
-// from an exactly-restored base state, and the solver's static header
-// decision order makes every probe header independent of its cluster.
+// starting from the state a new session's solver has (endCluster), and
+// the solver's static header decision order makes every probe header
+// independent of its cluster.
 
 import (
 	"slices"
@@ -22,7 +23,7 @@ import (
 
 // maxClusterSize bounds how many rules share one cluster checkpoint. Large
 // clusters amortize the prefix attach further but accumulate more learnt
-// clauses between exact restores (the ReduceDB cap bounds those).
+// clauses before endCluster drops them (the ReduceDB cap bounds those).
 const maxClusterSize = 32
 
 // clusterMember is one rule of a cluster with its planning-time context.

@@ -99,16 +99,6 @@ type Config struct {
 	// SkipOverlapFilter disables the §5.4 optimization and feeds every
 	// rule into the constraints (for the ablation benchmark).
 	SkipOverlapFilter bool
-	// DisableClustering makes GenerateAll sweep rule-by-rule with an exact
-	// retract to base after each rule (the PR-1 engine), instead of
-	// grouping rules into scope clusters with a shared attached prefix
-	// (for the ablation benchmark).
-	DisableClustering bool
-	// DisableLearntReuse keeps the scope clustering but retracts exactly
-	// (dropping learnt clauses, activities, and saved phases) between the
-	// rules of a cluster, isolating the learnt-reuse contribution from the
-	// shared-prefix one (for the ablation benchmark).
-	DisableLearntReuse bool
 	// ValidateModel double-checks the SAT model against the table
 	// semantics before returning (cheap; recommended).
 	ValidateModel bool
@@ -168,14 +158,44 @@ var referencePhase = func() []bool {
 }()
 
 // newSolver returns a solver over nVars variables holding the clause
-// vector, with the header bits decided first toward referencePhase.
-func newSolver(nVars int, vec []int) (*sat.Solver, error) {
+// vector, with the header bits decided first toward referencePhase, and
+// the checkpoint taken before the vector was added: retracting to it
+// gives back the state sat.New returned.
+func newSolver(nVars int, vec []int) (*sat.Solver, sat.Checkpoint, error) {
 	solver := sat.New(nVars)
 	solver.DecideFirst(referencePhase)
+	empty := solver.Mark()
 	if err := solver.AddDIMACSVector(vec); err != nil {
-		return nil, fmt.Errorf("probe: internal CNF error: %w", err)
+		return nil, empty, fmt.Errorf("probe: internal CNF error: %w", err)
 	}
-	return solver, nil
+	return solver, empty, nil
+}
+
+// baseEncoder returns an encoder holding the rule-independent
+// constraints every probe satisfies: Collect (match the downstream
+// catching rule), wire safety, and the limited domains (§5.2), where an
+// enumerable domain becomes a "one of" constraint and a large one is
+// repaired after the solve (repairDomains). Domains are asserted in field
+// order, so every encoder for one config holds the same clause sequence.
+func (g *Generator) baseEncoder() *cnf.Encoder {
+	enc := cnf.NewEncoder(header.TotalBits)
+	if g.cfg.MaxChain > 0 {
+		enc.MaxChain = g.cfg.MaxChain
+	}
+	enc.Assert(matchFormula(g.cfg.Collect))
+	enc.Assert(wireSafe)
+	for f := header.FieldID(0); f < header.NumFields; f++ {
+		d := g.cfg.Domains[f]
+		if d.Values == nil {
+			continue
+		}
+		alts := make([]*cnf.Formula, len(d.Values))
+		for i, v := range d.Values {
+			alts[i] = fieldEquals(f, v)
+		}
+		enc.Assert(cnf.Or(alts...))
+	}
+	return enc
 }
 
 // Generate creates a probe for `probed`, which must be present in table.
@@ -202,10 +222,7 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 		}
 	}
 
-	enc := cnf.NewEncoder(header.TotalBits)
-	if g.cfg.MaxChain > 0 {
-		enc.MaxChain = g.cfg.MaxChain
-	}
+	enc := g.baseEncoder()
 
 	// Hit: match the probed rule, avoid all higher-priority rules.
 	enc.Assert(matchFormula(probed.Match))
@@ -224,10 +241,6 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 		}
 	}
 
-	// Collect: match the downstream catching rule.
-	enc.Assert(matchFormula(g.cfg.Collect))
-	enc.Assert(wireSafe)
-
 	// Distinguish: if the probed rule were absent, the probe would be
 	// processed by the highest-priority matching lower rule (or the
 	// table miss); the outcome must differ. Encoded as the Velev
@@ -242,23 +255,10 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 	}
 	enc.Assert(cnf.ITEChain(conds, thens, diffOutcome(probed, miss, g.cfg.Counting)))
 
-	// Limited domains (§5.2): enumerable domains become "one of"
-	// constraints; large domains are repaired post-solve via the
-	// spare-value lemma.
-	for f, d := range g.cfg.Domains {
-		if d.Values != nil {
-			alts := make([]*cnf.Formula, len(d.Values))
-			for i, v := range d.Values {
-				alts[i] = fieldEquals(f, v)
-			}
-			enc.Assert(cnf.Or(alts...))
-		}
-	}
-
 	if enc.Unsat() {
 		return nil, ErrUnmonitorable
 	}
-	solver, err := newSolver(enc.NumVars(), enc.Vector())
+	solver, _, err := newSolver(enc.NumVars(), enc.Vector())
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 	h := header.FromModel(model)
 
 	// Post-solve repairs.
-	h, _, err = g.repairDomains(h, table, probed)
+	h, _, err = g.repairDomains(h, table)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +330,7 @@ func (g *Generator) reservedRewrite(acts []flowtable.Action) (header.FieldID, bo
 // value was replaced (or would have been, on error): the header then
 // depends on every rule of the table, not only on the probed rule's
 // overlap set.
-func (g *Generator) repairDomains(h header.Header, table *flowtable.Table, probed *flowtable.Rule) (_ header.Header, repaired bool, _ error) {
+func (g *Generator) repairDomains(h header.Header, table *flowtable.Table) (_ header.Header, repaired bool, _ error) {
 	for f, d := range g.cfg.Domains {
 		if d.Values != nil || d.Contains(h.Get(f)) {
 			continue
@@ -349,7 +349,6 @@ func (g *Generator) repairDomains(h header.Header, table *flowtable.Table, probe
 		if ct := g.cfg.Collect[f]; !ct.IsWildcard() {
 			used[ct.Value] = true
 		}
-		_ = probed
 		spare, ok := d.Spare(used, header.WidthMask(f))
 		if !ok {
 			return h, true, fmt.Errorf("probe: no spare value for field %s", f)

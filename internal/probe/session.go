@@ -7,8 +7,8 @@ package probe
 // formula once per probe it participates in. A Session amortizes that work
 // across the rules of one table:
 //
-//   - the rule-independent constraints (Collect, limited domains) form a
-//     small persistent solver base;
+//   - the rule-independent constraints (Collect, wire safety, limited
+//     domains; see baseEncoder) form a small persistent solver base;
 //   - every rule's match formula is Tseitin-defined once, factored through
 //     per-field atoms (ACL tables repeat the same (field, ternary) pairs
 //     across many rules), and compiled into an immutable sat.Block — a
@@ -19,8 +19,20 @@ package probe
 //     the Hit constraint becomes solver *assumptions* (the probed rule's
 //     match bits plus the negated definition literals of higher-priority
 //     rules), and only the Distinguish if-then-else chain is freshly
-//     encoded; after the solve everything above the base is retracted
-//     (sat.Checkpoint), which is cheap because the base is tiny.
+//     encoded; after the solve everything above the attached blocks is
+//     retracted (sat.Checkpoint).
+//
+// Every solve runs inside a cluster (see cluster.go): a sweep groups
+// rules whose scopes attach mostly the same blocks, and a single-rule
+// Generate is a cluster of one. beginCluster attaches the shared block
+// prefix behind a cluster checkpoint, each member adds its own suffix
+// blocks and delta and is retracted back to that checkpoint keeping the
+// learnt clauses, activities, and saved phases the prefix provably owns
+// (sat.RetractToReuse), and endCluster retracts to the empty solver and
+// adds the base again, the state a new session's solver has. So the
+// solver work a probe reports depends only on its cluster, and a
+// cluster's members skip both the re-attach and the re-derivation of
+// shared conflicts.
 //
 // Probe headers are canonical: every solver decides the header bits
 // before any other variable, in bit order, each toward a fixed reference
@@ -30,17 +42,9 @@ package probe
 // configuration, and not on which session, cluster or worker solves it,
 // what was solved before or which other rules share the table — the
 // property GenerateAll's determinism and SessionCache's per-rule results
-// rest on. The instance size a probe reports (base + the scope's blocks +
-// the Distinguish delta) is plan-independent too.
-//
-// The batch sweep path adds a second level of sharing on top: rules whose
-// overlap scopes attach mostly the same blocks are grouped into clusters
-// (see cluster.go). The shared block prefix stays attached for the whole
-// cluster behind a cluster checkpoint, and the per-rule retract keeps the
-// learnt clauses, activities, and saved phases that the cluster prefix
-// provably owns (sat.RetractToReuse), so consecutive rules skip both the
-// re-attach and the re-derivation of shared conflicts. None of that can
-// move a header, only the solver effort spent finding it.
+// rest on. Clustering can move only the solver effort spent finding a
+// header, never the header; the instance size a probe reports (base + the
+// scope's blocks + the Distinguish delta) is plan-independent too.
 //
 // A Session is bound to a snapshot of the table's rule set: it must not be
 // used after the table changes (SessionCache rebuilds sessions across
@@ -52,7 +56,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"monocle/internal/cnf"
 	"monocle/internal/flowtable"
@@ -95,33 +98,10 @@ type libraryBuilder struct {
 	removed int // rules dropped since the last full rebuild (garbage metric)
 }
 
-// newLibraryBuilder encodes the base region: Collect, wire safety and the
-// limited domains (§5.2), iterated in field order so every builder for the same
-// config emits the identical clause sequence (determinism). The
+// newLibraryBuilder encodes the base region (see baseEncoder). The
 // constant-true variable is pinned here so later regions can reference it.
 func (g *Generator) newLibraryBuilder() *libraryBuilder {
-	enc := cnf.NewEncoder(header.TotalBits)
-	if g.cfg.MaxChain > 0 {
-		enc.MaxChain = g.cfg.MaxChain
-	}
-	enc.Assert(matchFormula(g.cfg.Collect))
-	enc.Assert(wireSafe)
-	fields := make([]header.FieldID, 0, len(g.cfg.Domains))
-	for f := range g.cfg.Domains {
-		fields = append(fields, f)
-	}
-	sort.Slice(fields, func(i, j int) bool { return fields[i] < fields[j] })
-	for _, f := range fields {
-		d := g.cfg.Domains[f]
-		if d.Values == nil {
-			continue
-		}
-		alts := make([]*cnf.Formula, len(d.Values))
-		for i, v := range d.Values {
-			alts[i] = fieldEquals(f, v)
-		}
-		enc.Assert(cnf.Or(alts...))
-	}
+	enc := g.baseEncoder()
 	_ = enc.Define(cnf.True())
 
 	lib := &tableLibrary{
@@ -216,7 +196,7 @@ func (b *libraryBuilder) dropRule(id uint64) {
 // builder may append further rule regions later (SessionCache delta
 // recompiles), after which refreshLibrary re-anchors the session.
 func (b *libraryBuilder) newSession(table *flowtable.Table, rules []*flowtable.Rule) (*Session, error) {
-	solver, err := newSolver(b.lib.baseVars, b.lib.baseVec)
+	solver, empty, err := newSolver(b.lib.baseVars, b.lib.baseVec)
 	if err != nil {
 		return nil, err
 	}
@@ -230,28 +210,23 @@ func (b *libraryBuilder) newSession(table *flowtable.Table, rules []*flowtable.R
 		libVars:    b.enc.NumVars(),
 		libClauses: b.enc.NumClauses(),
 		solver:     solver,
-		cp:         solver.Mark(),
-		loaded:     make([]uint32, len(b.lib.blocks)),
+		empty:      empty,
 	}
 	sess.buildViews()
 	return sess, nil
 }
 
 // refreshLibrary re-anchors a session after its builder appended new rule
-// regions to the shared library/encoder: new library mark, grown block
-// dedup scratch, fresh rule snapshot and forwarding views (a Table.Modify
-// changes actions in place, so views cannot be carried over). The
-// persistent solver carries over untouched — it only ever holds the tiny
-// base.
+// regions to the shared library/encoder: new library mark, fresh rule
+// snapshot and forwarding views (a Table.Modify changes actions in place,
+// so views cannot be carried over). The persistent solver carries over
+// untouched: between clusters it holds only the tiny base.
 func (s *Session) refreshLibrary(table *flowtable.Table, rules []*flowtable.Rule) {
 	s.table = table
 	s.rules = rules
 	s.libMark = s.enc.Mark()
 	s.libVars = s.enc.NumVars()
 	s.libClauses = s.enc.NumClauses()
-	if len(s.loaded) < len(s.lib.blocks) {
-		s.loaded = append(s.loaded, make([]uint32, len(s.lib.blocks)-len(s.loaded))...)
-	}
 	s.buildViews()
 }
 
@@ -268,16 +243,11 @@ type Session struct {
 	libVars    int      // encoder variable count at the library mark
 	libClauses int      // encoder clause count at the library mark
 	solver     *sat.Solver
-	cp         sat.Checkpoint // the tiny base (Collect, wire safety, domains)
+	empty      sat.Checkpoint // taken before the base (Collect, wire safety, domains) was added
 
-	// Block-dedup scratch: loaded[i] == epoch when block i is already
-	// attached for the current Generate call.
-	loaded []uint32
-	epoch  uint32
-
-	// Cluster state for the batch sweep (see cluster.go): while a cluster
-	// is open, the shared prefix blocks are attached behind clusterCp and
-	// per-rule work retracts back to it instead of the base.
+	// Cluster state (see cluster.go): while a cluster is open, its shared
+	// prefix blocks are attached behind clusterCp, and each member's work
+	// is retracted back to it.
 	clusterCp  sat.Checkpoint
 	prefixVars int // instance-size contribution of the attached prefix
 	prefixNC   int
@@ -337,7 +307,7 @@ func (g *Generator) NewSession(table *flowtable.Table) (*Session, error) {
 // identical probes to the parent for any given rule.
 func (s *Session) Fork() (*Session, error) {
 	enc := s.enc.Fork()
-	solver, err := newSolver(s.lib.baseVars, s.lib.baseVec)
+	solver, empty, err := newSolver(s.lib.baseVars, s.lib.baseVec)
 	if err != nil {
 		return nil, err
 	}
@@ -351,8 +321,7 @@ func (s *Session) Fork() (*Session, error) {
 		libVars:    s.libVars,
 		libClauses: s.libClauses,
 		solver:     solver,
-		cp:         solver.Mark(),
-		loaded:     make([]uint32, len(s.lib.blocks)),
+		empty:      empty,
 		views:      s.views, // read-only after buildViews
 		miss:       s.miss,
 	}, nil
@@ -391,23 +360,26 @@ func (s *Session) Generate(probed *flowtable.Rule) (*Probe, error) {
 	return res.Probe, res.Err
 }
 
-// result solves probed on the classic path.
+// result solves probed as a cluster of its own, whose prefix is every
+// block its scope attaches.
 func (s *Session) result(probed *flowtable.Rule) Result {
 	scope, err := s.scopeFor(probed)
 	if err != nil {
 		return Result{Rule: probed, Err: err}
 	}
-	return s.generate(probed, scope, nil)
+	m := clusterMember{scope: scope}
+	s.beginCluster(&cluster{prefix: s.sigOf(scope)})
+	defer s.endCluster()
+	return s.generate(probed, &m)
 }
 
-// generate is the shared solve core. member == nil is the classic path:
-// every scope block is attached and the solver retracts exactly to the
-// base afterwards. With a cluster member (batch sweep), the cluster prefix
-// is already attached, only the member's suffix blocks are added, and the
-// retract goes back to the cluster checkpoint, carrying reusable learnt
-// clauses and branching state unless the ablation knob disables it.
-func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, member *clusterMember) Result {
+// generate solves one member of the open cluster: it adds the member's
+// suffix blocks and the Distinguish delta on top of the cluster prefix
+// and solves under the Hit assumptions. It leaves the solver as the solve
+// left it; the caller retracts to the cluster checkpoint.
+func (s *Session) generate(probed *flowtable.Rule, m *clusterMember) Result {
 	g := s.g
+	scope := m.scope
 
 	// Hit, as assumptions: the probed rule's constrained match bits, and
 	// ¬match for every higher-priority rule in scope via its definition
@@ -455,51 +427,21 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 		thens[i] = diffOutcomeView(probed, r, probedView, s.fwdViewOf(r), g.cfg.Counting)
 	}
 
-	defer func() {
-		switch {
-		case member == nil:
-			s.solver.RetractTo(s.cp)
-		case g.cfg.DisableLearntReuse:
-			s.solver.RetractTo(s.clusterCp)
-		default:
-			s.solver.RetractToReuse(s.clusterCp)
-		}
-		s.enc.Reset(s.libMark)
-	}()
+	defer s.enc.Reset(s.libMark)
 	s.enc.Assert(cnf.ITEChain(conds, thens, diffOutcomeView(probed, miss, probedView, s.fwdViewOf(miss), g.cfg.Counting)))
 	if s.enc.Unsat() {
 		return Result{Rule: probed, Err: ErrUnmonitorable}
 	}
 	s.solver.EnsureVars(s.enc.NumVars())
 
-	// Attach the definition blocks of every rule in scope, each at most
-	// once, tracking the size of the instance actually handed to the
-	// solver. On the cluster path the shared prefix is attached already
-	// and the member's suffix was precomputed; the classic path
-	// deduplicates shared atoms via the epoch stamp.
-	instVars := s.lib.baseVars
-	instClauses := s.lib.baseNC
-	if member != nil {
-		instVars += s.prefixVars
-		instClauses += s.prefixNC
-		for _, bi := range member.suffix {
-			s.solver.AddBlock(&s.lib.blocks[bi])
-			instVars += int(s.lib.blockVars[bi])
-			instClauses += s.lib.blocks[bi].NumClauses()
-		}
-	} else {
-		s.epoch++
-		for _, r := range scope {
-			for _, bi := range s.lib.ruleBlocks[r.ID] {
-				if s.loaded[bi] == s.epoch {
-					continue
-				}
-				s.loaded[bi] = s.epoch
-				s.solver.AddBlock(&s.lib.blocks[bi])
-				instVars += int(s.lib.blockVars[bi])
-				instClauses += s.lib.blocks[bi].NumClauses()
-			}
-		}
+	// The cluster prefix is attached already; add the member's suffix,
+	// tracking the size of the instance actually handed to the solver.
+	instVars := s.lib.baseVars + s.prefixVars
+	instClauses := s.lib.baseNC + s.prefixNC
+	for _, bi := range m.suffix {
+		s.solver.AddBlock(&s.lib.blocks[bi])
+		instVars += int(s.lib.blockVars[bi])
+		instClauses += s.lib.blocks[bi].NumClauses()
 	}
 	// The Distinguish delta goes through the normalizing AddDIMACSVector
 	// path on purpose: an if-then-else chain may repeat a condition
@@ -520,7 +462,7 @@ func (s *Session) generate(probed *flowtable.Rule, scope []*flowtable.Rule, memb
 	}
 	h := header.FromModel(model)
 
-	h, repaired, err := g.repairDomains(h, s.table, probed)
+	h, repaired, err := g.repairDomains(h, s.table)
 	if err != nil {
 		return Result{Rule: probed, Err: err, repaired: repaired}
 	}
@@ -569,14 +511,16 @@ func (s *Session) beginCluster(c *cluster) {
 	s.clusterCp = s.solver.Mark()
 }
 
-// endCluster drops the prefix, every retained learnt clause, and all
-// branching state with an exact restore of the base, so the next cluster
-// starts from solver state that is a pure function of the table. Probe
+// endCluster retracts to the checkpoint taken before the base and adds
+// the base again, which is the state a new session's solver has. Probe
 // headers do not need it (the header decision order makes them
 // canonical); it keeps each cluster's solver work, and so the Decisions
-// and Conflicts a probe reports, independent of the clusters before it.
+// and Conflicts a probe reports, independent of the clusters before it
+// and of the worker that ran it.
 func (s *Session) endCluster() {
-	s.solver.RetractTo(s.cp)
+	s.solver.RetractTo(s.empty)
+	// newSolver added the same vector without error.
+	_ = s.solver.AddDIMACSVector(s.lib.baseVec)
 }
 
 // appendMatchAssumptions appends the Table-3 match encoding as raw

@@ -57,8 +57,7 @@ func (b *Block) MaxVar() int { return b.maxVar }
 
 // AddBlock attaches every clause of the block. The solver must already
 // have room for the block's variables (EnsureVars). Clause literals are
-// copied into the solver's retractable arena, so RetractTo reclaims the
-// storage wholesale. Clauses satisfied by top-level facts are skipped;
+// copied into the solver's arena (see store). Clauses satisfied by top-level facts are skipped;
 // clauses unit under them propagate immediately.
 func (s *Solver) AddBlock(b *Block) {
 	if !s.ok {
@@ -108,40 +107,11 @@ func (s *Solver) AddBlock(b *Block) {
 			}
 			continue
 		}
-		start := len(s.arena)
-		if start+len(cl) > cap(s.arena) {
-			s.growArena(start + len(cl))
-		}
-		s.arena = append(s.arena, cl...)
-		lits := s.arena[start:len(s.arena):len(s.arena)]
+		lits := s.store(cl)
 		// i1 > i0 >= 0, so the two swaps cannot interfere.
 		lits[0], lits[i0] = lits[i0], lits[0]
 		lits[1], lits[i1] = lits[i1], lits[1]
-		s.db = append(s.db, clause{lits: lits, scope: s.depth, arenaOff: int32(start)})
+		s.db = append(s.db, clause{lits: lits, scope: s.depth})
 		s.watch(cref(len(s.db) - 1))
-	}
-}
-
-// growArena reallocates the clause arena and rebinds every arena-backed
-// clause to the new backing array. Keeping the invariant that all
-// arena-backed literals live in the *current* arena is what lets RetractTo
-// restore them with one bulk copy instead of a per-clause loop.
-func (s *Solver) growArena(need int) {
-	newCap := 2 * cap(s.arena)
-	if newCap < need {
-		newCap = need
-	}
-	if newCap < 64 {
-		newCap = 64
-	}
-	next := make([]lit, len(s.arena), newCap)
-	copy(next, s.arena)
-	s.arena = next
-	for i := range s.db {
-		c := &s.db[i]
-		if c.arenaOff >= 0 {
-			end := int(c.arenaOff) + len(c.lits)
-			c.lits = s.arena[c.arenaOff:end:end]
-		}
 	}
 }

@@ -10,10 +10,9 @@ import (
 // growing the variable space on demand, and retracting clauses added after
 // a checkpoint so one solver instance can serve every rule of a flow table.
 
-// Checkpoint captures the solver state needed to retract clauses added
-// after Mark. Checkpoints only nest LIFO: retracting to an older
-// checkpoint invalidates newer ones. A Checkpoint may be retracted to any
-// number of times.
+// Checkpoint is a clause database boundary recorded by Mark. Checkpoints
+// only nest LIFO: retracting to an older checkpoint invalidates newer
+// ones. A Checkpoint may be retracted to any number of times.
 type Checkpoint struct {
 	nVars    int
 	dbLen    int
@@ -21,18 +20,6 @@ type Checkpoint struct {
 	trailLen int
 	depth    int32
 	ok       bool
-	// Search permutes clause literals and migrates watchers, so the
-	// checkpoint snapshots both: the literal storage of every retained
-	// clause (arena-backed clauses as one arena image, owned clauses
-	// concatenated in database order), and every watch list flattened
-	// into one arena (offsets[l]..offsets[l+1] is the list of literal l).
-	// Restoring them — all pointer-free, so pure memmove — puts the
-	// solver in a state that depends only on the retained clause
-	// database, never on what was solved in between.
-	arenaSnap []lit
-	ownedLits []lit
-	watchers  []watcher
-	offsets   []int32
 }
 
 // Mark records the current clause database boundary. The solver is
@@ -47,68 +34,58 @@ func (s *Solver) Mark() Checkpoint {
 		trailLen: len(s.trail),
 		depth:    s.depth,
 		ok:       s.ok,
-		offsets:  make([]int32, len(s.watches)+1),
 	}
 	// Everything added from here on belongs to a deeper scope, so learnt
 	// clauses derived purely from the checkpointed state are recognizable
 	// by their scope tag (see RetractToReuse).
 	s.depth++
-	cp.arenaSnap = append([]lit(nil), s.arena...)
-	n := 0
-	for i := range s.db {
-		if s.db[i].arenaOff < 0 {
-			n += len(s.db[i].lits)
-		}
-	}
-	cp.ownedLits = make([]lit, 0, n)
-	for i := range s.db {
-		if s.db[i].arenaOff < 0 {
-			cp.ownedLits = append(cp.ownedLits, s.db[i].lits...)
-		}
-	}
-	n = 0
-	for _, ws := range s.watches {
-		n += len(ws)
-	}
-	cp.watchers = make([]watcher, 0, n)
-	for i, ws := range s.watches {
-		cp.offsets[i] = int32(len(cp.watchers))
-		cp.watchers = append(cp.watchers, ws...)
-	}
-	cp.offsets[len(s.watches)] = int32(len(cp.watchers))
-	// The solver state now equals the snapshot: watch-list dirty tracking
-	// restarts here, so a following RetractToReuse only needs to restore
-	// the lists actually touched since.
-	s.resetWatchDirty()
 	return cp
 }
 
 // RetractTo removes every clause added after the checkpoint (the per-rule
 // delta plus any learnt clauses, which may depend on it), unassigns
 // top-level facts derived since, shrinks the variable space back to the
-// checkpoint's, restores the snapshotted literal order and watch lists,
-// and resets the branching heuristics.
+// checkpoint's, and resets the branching heuristics.
 //
-// After RetractTo the solver state is a pure function of the retained
-// clause database: a Solve gives bit-identical results no matter what was
-// added, assumed, or solved since the Mark. The batch probe generator
-// relies on this for determinism across worker counts. The restore is
-// pointer-free bulk copying and allocates only when a watch list grew past
-// its previous capacity.
+// The retained clauses keep the literal order and watchers search left
+// them with, so a later Solve's statistics depend on the solve history;
+// its status does not. Retracting to a checkpoint taken before any clause
+// was added gives back exactly the state New returned (DecideFirst
+// survives), which is how a caller gets work counts that depend on the
+// clauses alone.
 func (s *Solver) RetractTo(cp Checkpoint) {
-	s.restoreSnapshot(cp, false)
+	s.retract(cp)
 	s.resetHeuristics()
 }
 
-// restoreSnapshot is the pointer-free bulk restore shared by RetractTo and
-// RetractToReuse: clause database, arena, trail prefix, variable space and
-// watch lists return to their exact state at Mark time. Branching
-// heuristics are the caller's business. When dirtyOnly is set, only the
-// watch lists touched since the last Mark (or reuse-retract) are restored
-// — valid exactly when cp is the most recently Marked checkpoint, because
-// that is what the dirty set is tracked against.
-func (s *Solver) restoreSnapshot(cp Checkpoint, dirtyOnly bool) {
+// retract is the structural removal shared by RetractTo and
+// RetractToReuse: each clause past the checkpoint leaves the watch lists
+// of its first two literals (the two-watched-literal invariant puts its
+// watchers there and nowhere else), then the clause database, arena,
+// trail and variable space shrink to the checkpoint's. Branching
+// heuristics are the caller's business.
+func (s *Solver) retract(cp Checkpoint) {
 	s.cancelUntil(0)
+	// One pass per watch list, however many dropped clauses it holds:
+	// the addClause literal stamps mark the lists already filtered.
+	s.stampGen++
+	gen := s.stampGen
+	for i := cp.dbLen; i < len(s.db); i++ {
+		for _, l := range s.db[i].lits[:2] {
+			w := l.neg()
+			if int(w) >= 2*cp.nVars+2 || s.litStamp[w] == gen {
+				continue // cut by shrinkVars, or filtered already
+			}
+			s.litStamp[w] = gen
+			kept := s.watches[w][:0]
+			for _, x := range s.watches[w] {
+				if int(x.c) < cp.dbLen {
+					kept = append(kept, x)
+				}
+			}
+			s.watches[w] = kept
+		}
+	}
 	s.db = s.db[:cp.dbLen]
 	s.arena = s.arena[:cp.arenaLen]
 
@@ -128,60 +105,6 @@ func (s *Solver) restoreSnapshot(cp Checkpoint, dirtyOnly bool) {
 	s.depth = cp.depth + 1
 
 	s.shrinkVars(cp.nVars)
-
-	// Literal storage: arena-backed clauses restore with one bulk copy
-	// (growArena keeps them bound to the current arena), owned clauses
-	// with a short loop.
-	copy(s.arena, cp.arenaSnap)
-	pos := 0
-	for i := range s.db {
-		c := &s.db[i]
-		if c.arenaOff >= 0 {
-			continue
-		}
-		copy(c.lits, cp.ownedLits[pos:pos+len(c.lits)])
-		pos += len(c.lits)
-	}
-
-	if dirtyOnly {
-		for _, l := range s.dirtyWatch {
-			if int(l) >= len(s.watches) {
-				continue // literal of a variable retracted away
-			}
-			s.restoreWatchList(cp, int(l))
-		}
-	} else {
-		for i := range s.watches {
-			s.restoreWatchList(cp, i)
-		}
-	}
-	s.resetWatchDirty()
-}
-
-func (s *Solver) restoreWatchList(cp Checkpoint, i int) {
-	snap := cp.watchers[cp.offsets[i]:cp.offsets[i+1]]
-	if cap(s.watches[i]) < len(snap) {
-		s.watches[i] = make([]watcher, len(snap))
-	} else {
-		s.watches[i] = s.watches[i][:len(snap)]
-	}
-	copy(s.watches[i], snap)
-}
-
-// touchWatch records that the watch list of l diverged from the last
-// snapshot, so a dirty-only restore knows to roll it back.
-func (s *Solver) touchWatch(l lit) {
-	if s.watchStamp[l] != s.watchGen {
-		s.watchStamp[l] = s.watchGen
-		s.dirtyWatch = append(s.dirtyWatch, l)
-	}
-}
-
-// resetWatchDirty empties the dirty set: the current watch lists are (or
-// just became) exactly the snapshot state.
-func (s *Solver) resetWatchDirty() {
-	s.watchGen++
-	s.dirtyWatch = s.dirtyWatch[:0]
 }
 
 // defaultLearntCap bounds the learnt clauses RetractToReuse carries over
@@ -193,23 +116,22 @@ const defaultLearntCap = 512
 // checkpointed prefix:
 //
 //   - learnt clauses whose scope tag proves them to be consequences of the
-//     retained clause database alone survive (re-attached after the bulk
-//     restore, bounded by the ReduceDB pass);
+//     retained clause database alone survive (re-attached after the
+//     retract, bounded by the ReduceDB pass);
 //   - variable activities, the activity increment, and saved phases carry
 //     over, so branching stays warm where the instances agree.
 //
-// Unlike RetractTo, the post-state is a function of the retained database
-// AND the solve history since Mark, so callers needing bit-exact
-// reproducibility (e.g. across differently-scheduled workers) must bracket
-// histories identically, use RetractTo, or read only DecideFirst
-// variables from the model, which do not depend on the history (the probe
-// generator's header bits).
+// The post-state is a function of the retained database AND the solve
+// history since Mark, so callers needing reproducible work counts must
+// bracket histories identically, or read only DecideFirst variables from
+// the model, which do not depend on the history (the probe generator's
+// header bits).
 func (s *Solver) RetractToReuse(cp Checkpoint) {
 	s.cancelUntil(0)
 
-	// Collect survivors before the restore truncates the database. Learnt
+	// Collect survivors before the retract truncates the database. Learnt
 	// literal storage is owned by the clause (never the arena), so the
-	// slices stay valid across the restore.
+	// slices stay valid across the retract.
 	keep := s.keepScratch[:0]
 	for i := cp.dbLen; i < len(s.db); i++ {
 		c := &s.db[i]
@@ -220,11 +142,7 @@ func (s *Solver) RetractToReuse(cp Checkpoint) {
 	keep = s.reduceDB(keep)
 	s.keepScratch = keep[:0] // recycle the backing array next time
 
-	// cp is the innermost checkpoint (documented requirement), so the
-	// watch-list dirty set is tracked against exactly its snapshot and
-	// only the touched lists need restoring.
-	s.restoreSnapshot(cp, true)
-
+	s.retract(cp)
 	// Branching state: activities, varInc, and saved phases deliberately
 	// survive; only the decision heap is rebuilt over the surviving
 	// variable space.
@@ -271,8 +189,8 @@ func (s *Solver) reduceDB(keep []clause) []clause {
 	return out
 }
 
-// attachKept re-attaches one surviving learnt clause after a snapshot
-// restore, in the style of AddBlock: clauses satisfied at the top level are
+// attachKept re-attaches one surviving learnt clause after a retract, in
+// the style of AddBlock: clauses satisfied at the top level are
 // dropped, unit clauses propagate, and the rest get two watchable literals.
 func (s *Solver) attachKept(c clause) {
 	if !s.ok {
@@ -309,7 +227,7 @@ func (s *Solver) attachKept(c clause) {
 	// i1 > i0 >= 0, so the two swaps cannot interfere.
 	cl[0], cl[i0] = cl[i0], cl[0]
 	cl[1], cl[i1] = cl[i1], cl[1]
-	s.db = append(s.db, clause{lits: cl, learnt: true, scope: c.scope, act: c.act, arenaOff: -1})
+	s.db = append(s.db, clause{lits: cl, learnt: true, scope: c.scope, act: c.act})
 	s.watch(cref(len(s.db) - 1))
 }
 
@@ -354,7 +272,6 @@ func (s *Solver) EnsureVars(n int) {
 	s.polarity = growZeroed(s.polarity, n+1)
 	s.factScope = growZeroed(s.factScope, n+1)
 	s.litStamp = growZeroed(s.litStamp, 2*n+2)
-	s.watchStamp = growZeroed(s.watchStamp, 2*n+2)
 	oldReason := len(s.reason)
 	s.reason = growZeroed(s.reason, n+1)
 	for v := oldReason; v <= n; v++ {
@@ -394,7 +311,6 @@ func (s *Solver) shrinkVars(n int) {
 	s.polarity = s.polarity[:n+1]
 	s.factScope = s.factScope[:n+1]
 	s.litStamp = s.litStamp[:2*n+2]
-	s.watchStamp = s.watchStamp[:2*n+2]
 	s.watches = s.watches[:2*n+2]
 	s.nVars = n
 }

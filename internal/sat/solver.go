@@ -25,7 +25,7 @@ import (
 type Status int
 
 const (
-	// Unknown means solving was aborted (e.g. by budget exhaustion).
+	// Unknown means there is no answer (SolveVector's input was malformed).
 	Unknown Status = iota
 	// Satisfiable means a model was found.
 	Satisfiable
@@ -90,11 +90,6 @@ type clause struct {
 	// clause with scope ≤ d is a logical consequence of the clauses at
 	// depth ≤ d alone, so it may survive a retract to depth d.
 	scope int32
-	// arenaOff is the clause's literal offset in the solver arena, or -1
-	// when the literals are an owned allocation. Arena-backed clauses are
-	// restored by one bulk arena copy on retract and rebound when the
-	// arena's backing array grows (see growArena).
-	arenaOff int32
 	// act is the VSIDS-style clause activity driving the ReduceDB pass:
 	// learnt clauses are bumped whenever they participate in a conflict.
 	act float64
@@ -102,8 +97,8 @@ type clause struct {
 
 // cref indexes a clause in the solver's database. Watchers and antecedent
 // references hold indices rather than pointers so they are pointer-free:
-// watch lists copy with memmove and never trip GC write barriers, which is
-// what makes checkpoint restore (RetractTo) cheap.
+// watch lists copy with memmove and never trip GC write barriers, and a
+// retract drops a clause's watchers by comparing indices.
 type cref = int32
 
 // crefNil marks "no clause" (decision/assumption antecedents, no conflict).
@@ -121,7 +116,7 @@ type watcher struct {
 type Solver struct {
 	nVars   int
 	db      []clause    // problem and learnt clauses, in insertion order
-	arena   []lit       // backing storage for AddBlock clause literals
+	arena   []lit       // pooled literal storage for problem clauses
 	watches [][]watcher // indexed by lit
 
 	assign  []tribool // indexed by var
@@ -154,21 +149,11 @@ type Solver struct {
 	litStamp    []uint32 // per-lit stamp for addClause dedup, indexed by lit
 	stampGen    uint32   // current addClause stamp generation
 
-	// Watch-list dirty tracking relative to the innermost checkpoint:
-	// every list mutated since the last Mark / retract is recorded once,
-	// so RetractToReuse restores only those instead of every list.
-	watchStamp []uint32 // per-lit generation stamp
-	dirtyWatch []lit
-	watchGen   uint32
-
 	ok        bool // false once a top-level conflict is found
 	conflicts int64
 	decisions int64
 	propag    int64
 
-	// Budget bounds the number of conflicts before Solve gives up with
-	// Unknown. Zero means no limit.
-	Budget int64
 	// LearntCap bounds the learnt clauses RetractToReuse carries across a
 	// retract (the ReduceDB pass keeps the most active ones). Zero uses
 	// defaultLearntCap.
@@ -178,20 +163,18 @@ type Solver struct {
 // New returns a solver prepared for nVars variables (1..nVars).
 func New(nVars int) *Solver {
 	s := &Solver{
-		nVars:      nVars,
-		watches:    make([][]watcher, 2*nVars+2),
-		assign:     make([]tribool, nVars+1),
-		level:      make([]int, nVars+1),
-		reason:     make([]cref, nVars+1),
-		activity:   make([]float64, nVars+1),
-		polarity:   make([]bool, nVars+1),
-		factScope:  make([]int32, nVars+1),
-		litStamp:   make([]uint32, 2*nVars+2),
-		watchStamp: make([]uint32, 2*nVars+2),
-		varInc:     1.0,
-		claInc:     1.0,
-		watchGen:   1,
-		ok:         true,
+		nVars:     nVars,
+		watches:   make([][]watcher, 2*nVars+2),
+		assign:    make([]tribool, nVars+1),
+		level:     make([]int, nVars+1),
+		reason:    make([]cref, nVars+1),
+		activity:  make([]float64, nVars+1),
+		polarity:  make([]bool, nVars+1),
+		factScope: make([]int32, nVars+1),
+		litStamp:  make([]uint32, 2*nVars+2),
+		varInc:    1.0,
+		claInc:    1.0,
+		ok:        true,
 	}
 	for i := range s.reason {
 		s.reason[i] = crefNil
@@ -278,18 +261,20 @@ func (s *Solver) addClause(dimacs []int) error {
 		}
 		return nil
 	}
-	// The clause literals live in the retractable arena (like AddBlock's):
-	// RetractTo reclaims the storage wholesale and restores surviving
-	// arena clauses with one bulk copy.
-	start := len(s.arena)
-	if start+len(lits) > cap(s.arena) {
-		s.growArena(start + len(lits))
-	}
-	s.arena = append(s.arena, lits...)
-	owned := s.arena[start:len(s.arena):len(s.arena)]
-	s.db = append(s.db, clause{lits: owned, scope: s.depth, arenaOff: int32(start)})
+	s.db = append(s.db, clause{lits: s.store(lits), scope: s.depth})
 	s.watch(cref(len(s.db) - 1))
 	return nil
+}
+
+// store copies a problem clause's literals into the arena and returns
+// them. The arena only pools storage, so adding a clause does not
+// allocate: a retract truncates it to the checkpoint's length, and a
+// clause stored before append moved the arena to a larger array keeps
+// the array it was stored in.
+func (s *Solver) store(cl []lit) []lit {
+	start := len(s.arena)
+	s.arena = append(s.arena, cl...)
+	return s.arena[start:len(s.arena):len(s.arena)]
 }
 
 // AddDIMACSVector adds a whole formula given as a one-dimensional vector of
@@ -313,8 +298,6 @@ func (s *Solver) AddDIMACSVector(vec []int) error {
 
 func (s *Solver) watch(ci cref) {
 	c := &s.db[ci]
-	s.touchWatch(c.lits[0].neg())
-	s.touchWatch(c.lits[1].neg())
 	s.watches[c.lits[0].neg()] = append(s.watches[c.lits[0].neg()], watcher{ci, c.lits[1]})
 	s.watches[c.lits[1].neg()] = append(s.watches[c.lits[1].neg()], watcher{ci, c.lits[0]})
 	// Lazy heap entry: variables join the decision heap when a clause
@@ -373,9 +356,6 @@ func (s *Solver) propagate() cref {
 		s.qhead++
 		s.propag++
 		ws := s.watches[p]
-		if len(ws) > 0 {
-			s.touchWatch(p) // the in-place compaction below rewrites it
-		}
 		kept := ws[:0]
 		conflict := crefNil
 		for i := 0; i < len(ws); i++ {
@@ -404,7 +384,6 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(c.lits); k++ {
 				if s.valueLit(c.lits[k]) != vFalse {
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.touchWatch(c.lits[1].neg())
 					s.watches[c.lits[1].neg()] = append(s.watches[c.lits[1].neg()], watcher{w.c, first})
 					s.order.pushIfAbsent(c.lits[1].varID())
 					found = true
@@ -603,8 +582,8 @@ func luby(i int64) int64 {
 	}
 }
 
-// Solve runs the CDCL search. It returns Satisfiable with a model,
-// Unsatisfiable, or Unknown when the conflict budget is exhausted.
+// Solve runs the CDCL search. It returns Satisfiable with a model, or
+// Unsatisfiable.
 // The model maps variable v (1..NumVars) at index v; index 0 is unused.
 func (s *Solver) Solve() (Status, []bool) {
 	return s.SolveAssuming()
@@ -642,16 +621,13 @@ func (s *Solver) search(assume []lit) (Status, []bool) {
 					s.factScope[learnt[0].varID()] = scope
 				}
 			} else {
-				s.db = append(s.db, clause{lits: learnt, learnt: true, scope: scope, arenaOff: -1})
+				s.db = append(s.db, clause{lits: learnt, learnt: true, scope: scope})
 				ci := cref(len(s.db) - 1)
 				s.watch(ci)
 				s.enqueue(learnt[0], ci)
 			}
 			s.varInc *= 1.0 / 0.95
 			s.claInc *= 1.0 / 0.999
-			if s.Budget > 0 && s.conflicts >= s.Budget {
-				return Unknown, nil
-			}
 			continue
 		}
 		if conflCount >= conflBudget {
