@@ -57,8 +57,9 @@ func (b *Block) MaxVar() int { return b.maxVar }
 
 // AddBlock attaches every clause of the block. The solver must already
 // have room for the block's variables (EnsureVars). Clause literals are
-// copied into the solver's arena (see store). Clauses satisfied by top-level facts are skipped;
-// clauses unit under them propagate immediately.
+// copied into the solver's arena (see store). Clauses satisfied by
+// top-level facts are skipped; clauses unit under them propagate
+// immediately.
 func (s *Solver) AddBlock(b *Block) {
 	if !s.ok {
 		return

@@ -67,9 +67,8 @@ func (s *Solver) RetractTo(cp Checkpoint) {
 func (s *Solver) retract(cp Checkpoint) {
 	s.cancelUntil(0)
 	// One pass per watch list, however many dropped clauses it holds:
-	// the addClause literal stamps mark the lists already filtered.
-	s.stampGen++
-	gen := s.stampGen
+	// the literal stamps mark the lists already filtered.
+	gen := s.nextStamp()
 	for i := cp.dbLen; i < len(s.db); i++ {
 		for _, l := range s.db[i].lits[:2] {
 			w := l.neg()
@@ -86,6 +85,9 @@ func (s *Solver) retract(cp Checkpoint) {
 			s.watches[w] = kept
 		}
 	}
+	// Zero the dropped entries so they stop holding learnt literals and
+	// arena arrays that append has since replaced.
+	clear(s.db[cp.dbLen:])
 	s.db = s.db[:cp.dbLen]
 	s.arena = s.arena[:cp.arenaLen]
 
@@ -143,6 +145,7 @@ func (s *Solver) RetractToReuse(cp Checkpoint) {
 	s.keepScratch = keep[:0] // recycle the backing array next time
 
 	s.retract(cp)
+
 	// Branching state: activities, varInc, and saved phases deliberately
 	// survive; only the decision heap is rebuilt over the surviving
 	// variable space.

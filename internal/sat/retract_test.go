@@ -15,6 +15,26 @@ func TestMarkAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestStampWrap: the literal stamps addClause and retract share stay sound
+// when their generation counter wraps. Before the wrap cleared them, the
+// stamps still at zero read as current, so the first clause after the
+// wrap looked like a tautology and was dropped, and a retract skipped the
+// watch lists it should filter.
+func TestStampWrap(t *testing.T) {
+	s := New(3)
+	cp := s.Mark()
+	s.stampGen = ^uint32(0)
+	if err := s.AddClause(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.SolveAssuming(-1, -2); st != Unsatisfiable {
+		t.Fatalf("clause (1 ∨ 2) added across the stamp wrap: ¬1 ∧ ¬2 is %v, want UNSAT", st)
+	}
+	s.stampGen = ^uint32(0)
+	s.RetractTo(cp)
+	checkWatches(t, s)
+}
+
 // checkWatches asserts the two-watched-literal invariant the structural
 // retract relies on: every clause in the database has exactly one watcher
 // in the list of each of its first two literals' negations and none

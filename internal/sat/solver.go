@@ -146,8 +146,8 @@ type Solver struct {
 	seenScratch []bool   // conflict-analysis scratch, one slot per var
 	keepScratch []clause // RetractToReuse survivor scratch
 	litScratch  []lit    // addClause normalization scratch
-	litStamp    []uint32 // per-lit stamp for addClause dedup, indexed by lit
-	stampGen    uint32   // current addClause stamp generation
+	litStamp    []uint32 // per-lit stamp for addClause dedup and retract's filtered watch lists
+	stampGen    uint32   // current litStamp generation
 
 	ok        bool // false once a top-level conflict is found
 	conflicts int64
@@ -212,8 +212,7 @@ func (s *Solver) addClause(dimacs []int) error {
 	// Dedup runs through a per-literal stamp array (one generation per
 	// clause) instead of a map: this is the hot path of the per-rule
 	// Distinguish delta in probe generation.
-	s.stampGen++
-	gen := s.stampGen
+	gen := s.nextStamp()
 	lits := s.litScratch[:0]
 	for _, d := range dimacs {
 		if d == 0 {
@@ -275,6 +274,18 @@ func (s *Solver) store(cl []lit) []lit {
 	start := len(s.arena)
 	s.arena = append(s.arena, cl...)
 	return s.arena[start:len(s.arena):len(s.arena)]
+}
+
+// nextStamp starts a new litStamp generation. When the counter wraps it
+// clears the stamps first, so neither a stamp left from 2^32 generations
+// ago nor a zeroed one reads as current.
+func (s *Solver) nextStamp() uint32 {
+	s.stampGen++
+	if s.stampGen == 0 {
+		clear(s.litStamp)
+		s.stampGen = 1
+	}
+	return s.stampGen
 }
 
 // AddDIMACSVector adds a whole formula given as a one-dimensional vector of
