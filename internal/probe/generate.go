@@ -171,17 +171,22 @@ func newSolver(nVars int, vec []int) (*sat.Solver, sat.Checkpoint, error) {
 	return solver, empty, nil
 }
 
-// baseEncoder returns an encoder holding the rule-independent
-// constraints every probe satisfies: Collect (match the downstream
-// catching rule), wire safety, and the limited domains (§5.2), where an
-// enumerable domain becomes a "one of" constraint and a large one is
-// repaired after the solve (repairDomains). Domains are asserted in field
-// order, so every encoder for one config holds the same clause sequence.
-func (g *Generator) baseEncoder() *cnf.Encoder {
+// newEncoder returns an empty encoder with the configured chain bound.
+func (g *Generator) newEncoder() *cnf.Encoder {
 	enc := cnf.NewEncoder(header.TotalBits)
 	if g.cfg.MaxChain > 0 {
 		enc.MaxChain = g.cfg.MaxChain
 	}
+	return enc
+}
+
+// assertBase asserts the rule-independent constraints every probe
+// satisfies: Collect (match the downstream catching rule), wire safety,
+// and the limited domains (§5.2), where an enumerable domain becomes a
+// "one of" constraint and a large one is repaired after the solve
+// (repairDomains). Domains are asserted in field order, so every encoder
+// for one config holds the same clause sequence.
+func (g *Generator) assertBase(enc *cnf.Encoder) {
 	enc.Assert(matchFormula(g.cfg.Collect))
 	enc.Assert(wireSafe)
 	for f := header.FieldID(0); f < header.NumFields; f++ {
@@ -195,7 +200,6 @@ func (g *Generator) baseEncoder() *cnf.Encoder {
 		}
 		enc.Assert(cnf.Or(alts...))
 	}
-	return enc
 }
 
 // Generate creates a probe for `probed`, which must be present in table.
@@ -222,7 +226,7 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 		}
 	}
 
-	enc := g.baseEncoder()
+	enc := g.newEncoder()
 
 	// Hit: match the probed rule, avoid all higher-priority rules.
 	enc.Assert(matchFormula(probed.Match))
@@ -240,6 +244,8 @@ func (g *Generator) Generate(table *flowtable.Table, probed *flowtable.Rule) (*P
 			}
 		}
 	}
+
+	g.assertBase(enc)
 
 	// Distinguish: if the probed rule were absent, the probe would be
 	// processed by the highest-priority matching lower rule (or the

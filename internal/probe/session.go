@@ -8,7 +8,7 @@ package probe
 // across the rules of one table:
 //
 //   - the rule-independent constraints (Collect, wire safety, limited
-//     domains; see baseEncoder) form a small persistent solver base;
+//     domains; see assertBase) form a small persistent solver base;
 //   - every rule's match formula is Tseitin-defined once, factored through
 //     per-field atoms (ACL tables repeat the same (field, ternary) pairs
 //     across many rules), and compiled into an immutable sat.Block — a
@@ -98,10 +98,11 @@ type libraryBuilder struct {
 	removed int // rules dropped since the last full rebuild (garbage metric)
 }
 
-// newLibraryBuilder encodes the base region (see baseEncoder). The
+// newLibraryBuilder encodes the base region (see assertBase). The
 // constant-true variable is pinned here so later regions can reference it.
 func (g *Generator) newLibraryBuilder() *libraryBuilder {
-	enc := g.baseEncoder()
+	enc := g.newEncoder()
+	g.assertBase(enc)
 	_ = enc.Define(cnf.True())
 
 	lib := &tableLibrary{
